@@ -105,8 +105,20 @@ _GRID_KEYS = {"learning_rate", "alpha", "beta", "lambda_penalty", "h"}
 _REMOTE_KEYS = {"endpoint", "model", "auth_env"}
 
 
+def _same_kind(default, value) -> bool:
+    """Whether `value` may replace `default`: same JSON type, except that an
+    int may stand for a float; a bool is never a number."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def _merge_config(defaults: dict, user: dict, path: str = "") -> dict:
-    """Overlay `user` on `defaults`, rejecting keys defaults do not know."""
+    """Overlay `user` on `defaults`, rejecting keys defaults do not know and
+    values whose type differs from the default's. Keys whose default is
+    None are checked by `_validate_run_config`."""
     merged = dict(defaults)
     for key, value in user.items():
         here = f"{path}.{key}" if path else key
@@ -126,7 +138,11 @@ def _merge_config(defaults: dict, user: dict, path: str = "") -> dict:
                     f"remote must be an object with keys {sorted(_REMOTE_KEYS)}"
                 )
             merged[key] = value
-        elif isinstance(base, dict) and isinstance(value, dict):
+        elif base is not None and not _same_kind(base, value):
+            raise ConfigInvalidError(
+                f"{here} must be {type(base).__name__}, got {json.dumps(value)}"
+            )
+        elif isinstance(base, dict):
             merged[key] = _merge_config(base, value, here)
         else:
             merged[key] = value

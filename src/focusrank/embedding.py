@@ -170,13 +170,16 @@ class RemoteProvider:
 
     POSTs {"model": name, "input": [texts]} and reads
     {"data": [{"index": i, "embedding": [...]}]}. Requests are batched and
-    retried with exponential backoff; the bearer token comes from the
-    environment variable named in the config.
+    retried with exponential backoff, except on 4xx answers, which a retry
+    cannot fix; each attempt waits at most `timeout_seconds` for the
+    endpoint. The bearer token comes from the environment variable named in
+    the config.
     """
 
     kind = "remote"
     max_batch = 128
     max_attempts = 3
+    timeout_seconds = 30.0
 
     def __init__(self, config: ProviderConfig, retry_base_seconds: float = 0.5):
         config.validate()
@@ -204,23 +207,31 @@ class RemoteProvider:
                 time.sleep(self.retry_base_seconds * 2 ** (attempt - 1))
             request = urllib.request.Request(self.remote.endpoint, data=body, headers=headers)
             try:
-                with urllib.request.urlopen(request) as response:
+                with urllib.request.urlopen(request, timeout=self.timeout_seconds) as response:
                     payload = json.loads(response.read().decode("utf-8"))
                 break
-            except (urllib.error.URLError, urllib.error.HTTPError, OSError, ValueError) as exc:
+            except urllib.error.HTTPError as exc:
+                if 400 <= exc.code < 500:
+                    raise RemoteUnavailableError(f"endpoint refused the request: {exc}") from exc
                 last_error = exc
-                logger.warning("embedding request failed (attempt %d): %s", attempt + 1, exc)
+            except (OSError, ValueError) as exc:  # URLError and timeouts are OSErrors
+                last_error = exc
+            logger.warning("embedding request failed (attempt %d): %s", attempt + 1, last_error)
         else:
             raise RemoteUnavailableError(str(last_error))
 
-        rows = sorted(payload.get("data", []), key=lambda item: item["index"])
+        try:
+            rows = sorted(payload["data"], key=lambda item: item["index"])
+            embeddings = [row["embedding"] for row in rows]
+        except (KeyError, TypeError) as exc:
+            raise RemoteUnavailableError(f"malformed endpoint response ({exc!r})") from exc
         if len(rows) != len(texts):
             raise RemoteUnavailableError(
                 f"endpoint returned {len(rows)} vectors for {len(texts)} inputs"
             )
         vectors = []
-        for row in rows:
-            vec = np.asarray(row["embedding"], dtype=np.float64)
+        for embedding in embeddings:
+            vec = np.asarray(embedding, dtype=np.float64)
             if vec.shape != (self.dimension,):
                 raise DimensionMismatchError(
                     f"endpoint returned dimension {vec.shape[0]}, expected {self.dimension}"

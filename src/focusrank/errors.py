@@ -71,3 +71,7 @@ class ConfigInvalidError(FocusRankError):
 
 class MissingArtifactError(FocusRankError):
     """A command depends on an artifact that has not been produced yet."""
+
+
+class TrainingDivergedError(FocusRankError):
+    """A training or validation loss became NaN or infinite."""

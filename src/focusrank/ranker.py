@@ -6,24 +6,32 @@ Q/K/V projections, scaled dot-product), are mean-pooled, and a linear head
 emits a single logit. Training minimizes a focal-style reshaping of
 BCE-with-logits under Adam. All gradients are computed analytically; there
 is no autograd dependency.
+
+Every weight lives in one contiguous float64 vector, so the Q/K/V
+projection is one GEMM, their three weight gradients are another, and an
+Adam step is a handful of in-place vector operations.
 """
 
 from __future__ import annotations
 
 import base64
-import copy
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CheckpointFormatError, DimensionMismatchError, EmptyDatasetError
+from .errors import (
+    CheckpointFormatError,
+    DimensionMismatchError,
+    EmptyDatasetError,
+    TrainingDivergedError,
+)
 
 CHECKPOINT_FORMAT = "focusrank-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -90,16 +98,7 @@ class TrainConfig:
             raise ValueError("epochs and early_stop_patience must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "early_stop_patience": self.early_stop_patience,
-            "loss": self.loss.to_dict(),
-            "h": self.h,
-            "init_scale": self.init_scale,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(record: dict) -> "TrainConfig":
@@ -108,32 +107,73 @@ class TrainConfig:
         return TrainConfig(**record)
 
 
-@dataclass
+def _block(name: str) -> property:
+    """A named weight block of `RankerParams`: reading gives the view into
+    theta, assigning copies the value into it."""
+
+    def get(self) -> np.ndarray:
+        return self._blocks[name]
+
+    def put(self, value) -> None:
+        block = self._blocks[name]
+        if np.shape(value) != block.shape:
+            raise DimensionMismatchError(
+                f"{name} needs shape {block.shape}, got {np.shape(value)}"
+            )
+        block[...] = value
+
+    return property(get, put)
+
+
 class RankerParams:
-    """Q/K/V projections (d x h), output head (h,) and bias."""
+    """Q/K/V projections (d x h), output head (h,) and bias in one vector.
 
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    w_out: np.ndarray
-    b_out: float
+    `theta` holds w_qkv (d x 3h, row-major), then w_out, then b_out. Every
+    named block is a view into it (wq, wk and wv are column slices of
+    w_qkv), so writing through a block writes theta, and the optimizer
+    updates all of them with vector operations on theta.
+    """
+
+    wq = _block("wq")
+    wk = _block("wk")
+    wv = _block("wv")
+    w_out = _block("w_out")
+
+    def __init__(self, wq, wk, wv, w_out, b_out: float):
+        d, h = np.shape(wq)
+        self._bind(np.empty(3 * d * h + h + 1), d, h)
+        self.wq, self.wk, self.wv, self.w_out, self.b_out = wq, wk, wv, w_out, b_out
+
+    @classmethod
+    def from_theta(cls, theta: np.ndarray, d: int, h: int) -> "RankerParams":
+        """Blocks over `theta` itself, not over a copy."""
+        params = cls.__new__(cls)
+        params._bind(theta, d, h)
+        return params
+
+    def _bind(self, theta: np.ndarray, d: int, h: int) -> None:
+        self.theta, self.d, self.h = theta, d, h
+        self.w_qkv = theta[: 3 * d * h].reshape(d, 3 * h)
+        self._blocks = {
+            "wq": self.w_qkv[:, :h],
+            "wk": self.w_qkv[:, h : 2 * h],
+            "wv": self.w_qkv[:, 2 * h :],
+            "w_out": theta[3 * d * h : -1],
+        }
 
     @property
-    def d(self) -> int:
-        return self.wq.shape[0]
+    def b_out(self) -> float:
+        return float(self.theta[-1])
 
-    @property
-    def h(self) -> int:
-        return self.wq.shape[1]
+    @b_out.setter
+    def b_out(self, value: float) -> None:
+        self.theta[-1] = value
 
     def copy(self) -> "RankerParams":
-        return RankerParams(
-            wq=self.wq.copy(), wk=self.wk.copy(), wv=self.wv.copy(),
-            w_out=self.w_out.copy(), b_out=self.b_out,
-        )
+        return RankerParams.from_theta(self.theta.copy(), self.d, self.h)
 
     def arrays(self) -> list[np.ndarray]:
-        return [self.wq, self.wk, self.wv, self.w_out, np.asarray([self.b_out])]
+        return [self.wq, self.wk, self.wv, self.w_out, self.theta[-1:]]
 
 
 def init_params(d: int, h: int, init_scale: float, seed: int) -> RankerParams:
@@ -166,10 +206,10 @@ def _stack_pairs(params: RankerParams, anchors: np.ndarray, cands: np.ndarray) -
 
 def _attention_forward(params: RankerParams, x: np.ndarray) -> dict:
     """Forward pass keeping every intermediate needed for backprop."""
-    q = x @ params.wq  # (n, 2, h)
-    k = x @ params.wk
-    v = x @ params.wv
-    scores = q @ k.transpose(0, 2, 1) / math.sqrt(params.h)  # (n, 2, 2)
+    n, h = x.shape[0], params.h
+    qkv = (x.reshape(2 * n, params.d) @ params.w_qkv).reshape(n, 2, 3 * h)
+    q, k, v = qkv[..., :h], qkv[..., h : 2 * h], qkv[..., 2 * h :]  # (n, 2, h) each
+    scores = q @ k.transpose(0, 2, 1) / math.sqrt(h)  # (n, 2, 2)
     shifted = scores - scores.max(axis=2, keepdims=True)
     expo = np.exp(shifted)
     attn = expo / expo.sum(axis=2, keepdims=True)
@@ -241,26 +281,15 @@ def loss_grad_z(z, y, cfg: LossConfig) -> np.ndarray:
     return a * (dw * l * m + w * dl * m + w * l * dm)
 
 
-@dataclass
-class RankerGrads:
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    w_out: np.ndarray
-    b_out: float
-
-    def arrays(self) -> list[np.ndarray]:
-        return [self.wq, self.wk, self.wv, self.w_out, np.asarray([self.b_out])]
-
-
 def grad(
     params: RankerParams,
     anchors: np.ndarray,
     cands: np.ndarray,
     labels: np.ndarray,
     cfg: LossConfig,
-) -> tuple[float, RankerGrads]:
-    """Mean loss over the batch and its exact gradient."""
+) -> tuple[float, RankerParams]:
+    """Mean loss over the batch and its exact gradient, laid out like the
+    parameters."""
     labels = np.asarray(labels, dtype=np.float64)
     if labels.size == 0:
         raise EmptyDatasetError("gradient of an empty batch")
@@ -271,31 +300,26 @@ def grad(
     loss = batch_loss(z, labels, cfg)
 
     gz = loss_grad_z(z, labels, cfg) / n  # (n,)
-
-    pooled = state["pooled"]
-    db_out = float(gz.sum())
-    dw_out = pooled.T @ gz  # (h,)
+    h = params.h
 
     dpooled = gz[:, None] * params.w_out[None, :]  # (n, h)
     dout = np.repeat(dpooled[:, None, :], 2, axis=1) * 0.5  # (n, 2, h)
 
-    attn, v, q, k = state["attn"], state["v"], state["q"], state["k"]
+    attn, q, k, v = state["attn"], state["q"], state["k"], state["v"]
     dattn = dout @ v.transpose(0, 2, 1)  # (n, 2, 2)
-    dv = attn.transpose(0, 2, 1) @ dout  # (n, 2, h)
 
     # softmax backward per row
     dscores = attn * (dattn - (dattn * attn).sum(axis=2, keepdims=True))
-    scale = 1.0 / math.sqrt(params.h)
-    dq = dscores @ k * scale
-    dk = dscores.transpose(0, 2, 1) @ q * scale
+    scale = 1.0 / math.sqrt(h)
+    dqkv = np.empty((n, 2, 3 * h))
+    dqkv[..., :h] = dscores @ k * scale
+    dqkv[..., h : 2 * h] = dscores.transpose(0, 2, 1) @ q * scale
+    dqkv[..., 2 * h :] = attn.transpose(0, 2, 1) @ dout
 
-    grads = RankerGrads(
-        wq=np.einsum("nij,nik->jk", x, dq),
-        wk=np.einsum("nij,nik->jk", x, dk),
-        wv=np.einsum("nij,nik->jk", x, dv),
-        w_out=dw_out,
-        b_out=db_out,
-    )
+    grads = RankerParams.from_theta(np.empty_like(params.theta), params.d, h)
+    np.matmul(x.reshape(2 * n, params.d).T, dqkv.reshape(2 * n, 3 * h), out=grads.w_qkv)
+    grads.w_out = state["pooled"].T @ gz
+    grads.b_out = gz.sum()
     return loss, grads
 
 
@@ -306,7 +330,7 @@ def finite_difference_grad(
     labels: np.ndarray,
     cfg: LossConfig,
     epsilon: float = 1e-4,
-) -> RankerGrads:
+) -> RankerParams:
     """Central-difference gradient; the reference the analytic path is
     checked against in `gradient_check` and the gradcheck command."""
 
@@ -314,36 +338,18 @@ def finite_difference_grad(
         state = _attention_forward(p, _stack_pairs(p, anchors, cands))
         return batch_loss(state["logits"], labels, cfg)
 
-    out = RankerGrads(
-        wq=np.zeros_like(params.wq),
-        wk=np.zeros_like(params.wk),
-        wv=np.zeros_like(params.wv),
-        w_out=np.zeros_like(params.w_out),
-        b_out=0.0,
-    )
     work = params.copy()
-    for name in ("wq", "wk", "wv", "w_out"):
-        target = getattr(work, name)
-        dest = getattr(out, name)
-        it = np.nditer(target, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            saved = target[idx]
-            target[idx] = saved + epsilon
-            plus = loss_at(work)
-            target[idx] = saved - epsilon
-            minus = loss_at(work)
-            target[idx] = saved
-            dest[idx] = (plus - minus) / (2.0 * epsilon)
-            it.iternext()
-    saved = work.b_out
-    work.b_out = saved + epsilon
-    plus = loss_at(work)
-    work.b_out = saved - epsilon
-    minus = loss_at(work)
-    work.b_out = saved
-    out.b_out = (plus - minus) / (2.0 * epsilon)
-    return out
+    theta = work.theta
+    out = np.empty_like(theta)
+    for i in range(theta.size):
+        saved = theta[i]
+        theta[i] = saved + epsilon
+        plus = loss_at(work)
+        theta[i] = saved - epsilon
+        minus = loss_at(work)
+        theta[i] = saved
+        out[i] = (plus - minus) / (2.0 * epsilon)
+    return RankerParams.from_theta(out, params.d, params.h)
 
 
 def gradient_check(
@@ -377,12 +383,10 @@ def gradient_check(
         )
         _, analytic = grad(params, anchors, cands, labels, cfg)
         numeric = finite_difference_grad(params, anchors, cands, labels, cfg, epsilon=epsilon)
-        worst = 0.0
-        for a_arr, n_arr in zip(analytic.arrays(), numeric.arrays()):
-            diff = np.abs(a_arr - n_arr)
-            denom = np.maximum(np.maximum(np.abs(a_arr), np.abs(n_arr)), 1.0e-300)
-            rel = np.where(diff <= abs_tol, 0.0, diff / denom)
-            worst = max(worst, float(rel.max()) if rel.size else 0.0)
+        a_arr, n_arr = analytic.theta, numeric.theta
+        diff = np.abs(a_arr - n_arr)
+        denom = np.maximum(np.maximum(np.abs(a_arr), np.abs(n_arr)), 1.0e-300)
+        worst = float(np.where(diff <= abs_tol, 0.0, diff / denom).max())
         results.append({
             "trial": trial, "d": d, "h": h, "batch": n,
             "max_rel_error": worst, "passed": worst <= rel_tol,
@@ -398,19 +402,6 @@ class Checkpoint:
     history: list[dict] = field(default_factory=list)
 
 
-def _encode_array(arr: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _decode_array(text: str, shape: tuple[int, ...]) -> np.ndarray:
-    raw = base64.b64decode(text.encode("ascii"))
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    expected = int(np.prod(shape))
-    if arr.size != expected:
-        raise CheckpointFormatError(f"array has {arr.size} values, expected {expected}")
-    return arr.reshape(shape)
-
-
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     payload = {
         "format": CHECKPOINT_FORMAT,
@@ -420,13 +411,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "train_config": ckpt.train_config.to_dict(),
         "provider_fingerprint": ckpt.provider_fingerprint,
         "history": ckpt.history,
-        "params": {
-            "wq": _encode_array(ckpt.params.wq),
-            "wk": _encode_array(ckpt.params.wk),
-            "wv": _encode_array(ckpt.params.wv),
-            "w_out": _encode_array(ckpt.params.w_out),
-            "b_out": ckpt.params.b_out,
-        },
+        "theta": base64.b64encode(ckpt.params.theta.astype("<f8").tobytes()).decode("ascii"),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
@@ -443,18 +428,15 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointFormatError(f"{path}: unrecognized checkpoint format")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise CheckpointFormatError(
-            f"{path}: checkpoint version {payload.get('version')} unsupported"
+            f"{path}: checkpoint version {payload.get('version')} unsupported "
+            f"(this build reads version {CHECKPOINT_VERSION}; retrain to convert)"
         )
     try:
         d, h = int(payload["d"]), int(payload["h"])
-        raw = payload["params"]
-        params = RankerParams(
-            wq=_decode_array(raw["wq"], (d, h)),
-            wk=_decode_array(raw["wk"], (d, h)),
-            wv=_decode_array(raw["wv"], (d, h)),
-            w_out=_decode_array(raw["w_out"], (h,)),
-            b_out=float(raw["b_out"]),
-        )
+        theta = np.frombuffer(base64.b64decode(payload["theta"]), dtype="<f8").astype(np.float64)
+        if theta.size != 3 * d * h + h + 1:
+            raise CheckpointFormatError(f"{path}: theta has {theta.size} values, d={d} h={h}")
+        params = RankerParams.from_theta(theta, d, h)
         train_config = TrainConfig.from_dict(payload["train_config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: corrupted checkpoint ({exc})") from exc
@@ -467,20 +449,37 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 class _Adam:
-    def __init__(self, shapes: list[tuple[int, ...]], learning_rate: float):
+    """Adam over one parameter vector, updated in place with two reused
+    scratch vectors, in the operation order of the textbook update."""
+
+    def __init__(self, size: int, learning_rate: float):
         self.learning_rate = learning_rate
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._num = np.empty(size)
+        self._den = np.empty(size)
         self.t = 0
 
-    def step(self, values: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, theta: np.ndarray, g: np.ndarray) -> None:
         self.t += 1
-        for i, (value, g) in enumerate(zip(values, grads)):
-            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
-            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * g * g
-            m_hat = self.m[i] / (1.0 - ADAM_BETA1**self.t)
-            v_hat = self.v[i] / (1.0 - ADAM_BETA2**self.t)
-            value -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v, num, den = self.m, self.v, self._num, self._den
+        # m = beta1 * m + (1 - beta1) * g
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=num)
+        m += num
+        # v = beta2 * v + (1 - beta2) * g * g
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=num)
+        num *= g
+        v += num
+        # theta -= lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, 1.0 - ADAM_BETA1**self.t, out=num)
+        num *= self.learning_rate
+        np.divide(v, 1.0 - ADAM_BETA2**self.t, out=den)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        num /= den
+        theta -= num
 
 
 def train(
@@ -493,7 +492,9 @@ def train(
 
     Inputs are (anchors, candidates, labels) arrays with matching first
     dimensions; balancing is the caller's responsibility. Returns the
-    best-validation parameters. Deterministic given cfg.seed.
+    best-validation parameters. Deterministic given cfg.seed. Raises
+    TrainingDivergedError as soon as a batch or validation loss is not
+    finite.
     """
     tr_anchors, tr_cands, tr_labels = (np.asarray(a, dtype=np.float64) for a in train_set)
     va_anchors, va_cands, va_labels = (np.asarray(a, dtype=np.float64) for a in val_set)
@@ -503,10 +504,7 @@ def train(
 
     params = init_params(d, cfg.h, cfg.init_scale, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
-    adam = _Adam([p.shape for p in params.arrays()], cfg.learning_rate)
-
-    def val_loss_of(p: RankerParams) -> float:
-        return batch_loss(forward(p, va_anchors, va_cands), va_labels, cfg.loss)
+    adam = _Adam(params.theta.size, cfg.learning_rate)
 
     best_params = params.copy()
     best_val = math.inf
@@ -520,13 +518,13 @@ def train(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             loss, grads = grad(params, tr_anchors[idx], tr_cands[idx], tr_labels[idx], cfg.loss)
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(f"epoch {epoch}: batch loss is {loss}")
             epoch_losses.append(loss)
-            values = [params.wq, params.wk, params.wv, params.w_out]
-            gs = [grads.wq, grads.wk, grads.wv, grads.w_out]
-            b_holder = np.asarray([params.b_out])
-            adam.step(values + [b_holder], gs + [np.asarray([grads.b_out])])
-            params.b_out = float(b_holder[0])
-        val_loss = val_loss_of(params)
+            adam.step(params.theta, grads.theta)
+        val_loss = batch_loss(forward(params, va_anchors, va_cands), va_labels, cfg.loss)
+        if not math.isfinite(val_loss):
+            raise TrainingDivergedError(f"epoch {epoch}: validation loss is {val_loss}")
         history.append({
             "epoch": epoch,
             "train_loss": float(np.mean(epoch_losses)),
@@ -594,11 +592,3 @@ def grid_search(
         best = train(train_set, val_set, base_cfg, provider_fingerprint)
     return best, rows
 
-
-def copy_checkpoint(ckpt: Checkpoint) -> Checkpoint:
-    return Checkpoint(
-        params=ckpt.params.copy(),
-        train_config=ckpt.train_config,
-        provider_fingerprint=ckpt.provider_fingerprint,
-        history=copy.deepcopy(ckpt.history),
-    )

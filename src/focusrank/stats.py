@@ -13,8 +13,6 @@ import math
 from itertools import combinations
 from typing import Sequence
 
-from scipy.special import stdtr
-
 from .errors import EmptySampleError, LengthMismatchError, TooFewSamplesError
 
 # Largest per-sample size handled by exhaustive enumeration; C(16, 8) = 12870.
@@ -62,6 +60,10 @@ def spearman_rho(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float
     rho = max(-1.0, min(1.0, rho))
     if abs(rho) == 1.0:
         return rho, 0.0
+    # Imported here: SciPy costs a quarter second to import, and no
+    # pipeline stage computes a rank correlation.
+    from scipy.special import stdtr
+
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
     p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return rho, p

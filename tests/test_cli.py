@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import focusrank
+from focusrank import ranker
 from focusrank.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -15,7 +21,7 @@ from focusrank.cli import (
     load_run_config,
     main,
 )
-from focusrank.errors import ConfigInvalidError, MissingArtifactError
+from focusrank.errors import ConfigInvalidError, MissingArtifactError, TrainingDivergedError
 
 
 def write_config(base_dir, **section_overrides) -> str:
@@ -192,6 +198,34 @@ class TestExitCodes:
         assert main(["--config", config_path, "gen"]) == EXIT_OK
         assert main(["--config", config_path, "prepare"]) == EXIT_RUNTIME
 
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ("train.h=abc", 'train.h must be int, got "abc"'),
+            ("eval.k_max=x", 'eval.k_max must be int, got "x"'),
+            ('provider.dimension="a"', 'provider.dimension must be int, got "a"'),
+        ],
+    )
+    def test_mistyped_setting_is_a_one_line_validation_error(
+        self, tmp_path, caplog, assignment, message
+    ):
+        config_path = write_config(tmp_path)
+        assert main(["--config", config_path, "--set", assignment, "gen"]) == EXIT_VALIDATION
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [message]
+
+    def test_diverged_training_is_a_runtime_error(self, pipeline, monkeypatch, caplog):
+        config_path, out_dir, _ = pipeline
+        before = (out_dir / "checkpoint.json").read_bytes()
+
+        def diverge(*args, **kwargs):
+            raise TrainingDivergedError("epoch 0: batch loss is nan")
+
+        monkeypatch.setattr(ranker, "train", diverge)
+        assert main(["--config", config_path, "train"]) == EXIT_RUNTIME
+        assert "batch loss is nan" in caplog.text
+        assert (out_dir / "checkpoint.json").read_bytes() == before
+
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck", "--trials", "4"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -270,8 +304,29 @@ class TestRunConfig:
         with pytest.raises(ConfigInvalidError):
             _parse_tau(True, "x")
 
+    def test_values_must_match_the_default_type(self):
+        config = load_run_config(None, set_args=["train.learning_rate=1", "gen.noise_rate=0"])
+        assert config["train"]["learning_rate"] == 1
+        for assignment in ("train.epochs=2.5", "train.h=true", "gen.noise_rate=true",
+                           "train.loss=3", 'gen.vocabulary="ab"'):
+            with pytest.raises(ConfigInvalidError):
+                load_run_config(None, set_args=[assignment])
+
     def test_config_hash_ignores_key_order(self):
         a = {"x": 1, "y": {"a": 2, "b": 3}}
         b = {"y": {"b": 3, "a": 2}, "x": 1}
         assert _config_hash(a) == _config_hash(b)
         assert _config_hash(a) != _config_hash({"x": 2, "y": {"a": 2, "b": 3}})
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Every stage is its own process, so import cost is paid per stage;
+    SciPy is needed only by the rank correlation no stage computes."""
+    src = str(Path(focusrank.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, focusrank.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

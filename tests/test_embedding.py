@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -186,7 +187,11 @@ class _Script:
     def __init__(self, dimension: int = 8):
         self.dimension = dimension
         self.fail_next = 0
+        self.fail_status = 500
         self.reverse_order = False
+        self.drop_key = ""  # omit this key from every response row
+        self.stall = False  # hold every request until the test ends
+        self.released = threading.Event()
         self.requests: list[dict] = []
 
 
@@ -199,15 +204,20 @@ class _Handler(BaseHTTPRequestHandler):
         self.script.requests.append(
             {"body": body, "authorization": self.headers.get("Authorization")}
         )
+        if self.script.stall:
+            self.script.released.wait(timeout=10.0)
+            return
         if self.script.fail_next > 0:
             self.script.fail_next -= 1
-            self.send_response(500)
+            self.send_response(self.script.fail_status)
             self.end_headers()
             return
         data = [
             {"index": i, "embedding": fake_vector(text, self.script.dimension)}
             for i, text in enumerate(body["input"])
         ]
+        for row in data:
+            row.pop(self.script.drop_key, None)
         if self.script.reverse_order:
             data = list(reversed(data))
         payload = json.dumps({"data": data}).encode("utf-8")
@@ -232,6 +242,7 @@ def endpoint():
     try:
         yield url, script
     finally:
+        script.released.set()
         server.shutdown()
         thread.join()
 
@@ -287,6 +298,32 @@ class TestRemoteProvider:
         with pytest.raises(RemoteUnavailableError):
             provider.embed(["Nope"])
         assert len(script.requests) == 3
+
+    def test_client_error_is_not_retried(self, endpoint):
+        url, script = endpoint
+        script.fail_next = 99
+        script.fail_status = 400
+        with pytest.raises(RemoteUnavailableError, match="400"):
+            remote_provider(url).embed(["Bad"])
+        assert len(script.requests) == 1
+
+    def test_stalled_endpoint_times_out(self, endpoint):
+        url, script = endpoint
+        script.stall = True
+        provider = remote_provider(url)
+        provider.timeout_seconds = 0.2
+        start = time.perf_counter()
+        with pytest.raises(RemoteUnavailableError):
+            provider.embed(["Slow"])
+        assert time.perf_counter() - start < 5.0
+        assert len(script.requests) == provider.max_attempts
+
+    @pytest.mark.parametrize("key", ["index", "embedding"])
+    def test_row_missing_a_key_is_unavailable(self, endpoint, key):
+        url, script = endpoint
+        script.drop_key = key
+        with pytest.raises(RemoteUnavailableError, match=key):
+            remote_provider(url).embed(["A", "B"])
 
     def test_bearer_token_from_environment(self, endpoint, monkeypatch):
         url, script = endpoint

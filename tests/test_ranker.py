@@ -1,5 +1,7 @@
 """Pair scorer: attention forward pass, reshaped loss, gradients, training."""
 
+import base64
+import json
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from focusrank.errors import (
     CheckpointFormatError,
     DimensionMismatchError,
     EmptyDatasetError,
+    TrainingDivergedError,
 )
 from focusrank.ranker import (
     Checkpoint,
@@ -17,7 +20,6 @@ from focusrank.ranker import (
     TrainConfig,
     batch_loss,
     bce_with_logits,
-    copy_checkpoint,
     finite_difference_grad,
     forward,
     grad,
@@ -30,7 +32,14 @@ from focusrank.ranker import (
     save_checkpoint,
     train,
 )
-from focusrank.ranker import _attention_forward, _stack_pairs
+from focusrank.ranker import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    _Adam,
+    _attention_forward,
+    _stack_pairs,
+)
 
 
 def params_from_lists(wq, wk, wv, w_out, b_out) -> RankerParams:
@@ -69,6 +78,53 @@ def oracle_logit(params: RankerParams, anchor, cand) -> float:
     ]
     pooled = [(mixed[0][j] + mixed[1][j]) / 2.0 for j in range(h)]
     return sum(w_out[j] * pooled[j] for j in range(h)) + params.b_out
+
+
+def random_params(rng, d: int, h: int) -> RankerParams:
+    return RankerParams(
+        wq=rng.normal(size=(d, h)), wk=rng.normal(size=(d, h)), wv=rng.normal(size=(d, h)),
+        w_out=rng.normal(size=h), b_out=float(rng.normal()),
+    )
+
+
+class TestParams:
+    def test_blocks_alias_theta(self):
+        params = random_params(np.random.default_rng(20), d=4, h=3)
+        theta = params.theta
+        assert theta.shape == (3 * 4 * 3 + 3 + 1,)
+        assert all(np.shares_memory(block, theta) for block in params.arrays())
+        params.wq[1, 2] = 7.0
+        params.wv[0, 0] = -3.0
+        assert theta[1 * 9 + 2] == 7.0 and theta[0 * 9 + 6] == -3.0
+        params.w_out = np.arange(3.0)
+        params.b_out = 0.5
+        assert theta[-4:].tolist() == [0.0, 1.0, 2.0, 0.5]
+        theta[9 + 3] = 11.0  # row 1, first column of wk
+        assert params.wk[1, 0] == 11.0
+
+    def test_constructor_copies_blocks_into_theta(self):
+        rng = np.random.default_rng(21)
+        wq, wk, wv = rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        params = RankerParams(wq=wq, wk=wk, wv=wv, w_out=np.ones(2), b_out=-1.0)
+        np.testing.assert_array_equal(params.w_qkv, np.hstack([wq, wk, wv]))
+        assert params.b_out == -1.0
+        params.wq[0, 0] += 1.0
+        assert wq[0, 0] != params.wq[0, 0]
+
+    def test_copy_is_independent(self):
+        params = random_params(np.random.default_rng(22), d=3, h=2)
+        dup = params.copy()
+        dup.wq[0, 0] += 1.0
+        dup.b_out += 1.0
+        assert params.wq[0, 0] != dup.wq[0, 0] and params.b_out != dup.b_out
+
+    def test_wrong_block_shape_rejected(self):
+        params = random_params(np.random.default_rng(23), d=3, h=2)
+        with pytest.raises(DimensionMismatchError):
+            params.w_out = np.zeros(3)
+        with pytest.raises(DimensionMismatchError):
+            RankerParams(wq=np.zeros((3, 2)), wk=np.zeros((3, 2)), wv=np.zeros((2, 2)),
+                         w_out=np.zeros(2), b_out=0.0)
 
 
 FIXED = params_from_lists(
@@ -258,7 +314,48 @@ def max_rel_error(analytic, numeric, abs_tol=1e-7):
     return worst
 
 
+def einsum_grad(params, anchors, cands, labels, cfg):
+    """The gradient as the per-array formulation writes it: three 3-D
+    projections forward, three einsum contractions for the weights."""
+    from focusrank.ranker import loss_grad_z
+
+    x = np.stack([anchors, cands], axis=1)
+    q, k, v = x @ params.wq, x @ params.wk, x @ params.wv
+    scores = q @ k.transpose(0, 2, 1) / math.sqrt(params.h)
+    expo = np.exp(scores - scores.max(axis=2, keepdims=True))
+    attn = expo / expo.sum(axis=2, keepdims=True)
+    pooled = (attn @ v).mean(axis=1)
+    z = pooled @ params.w_out + params.b_out
+    gz = loss_grad_z(z, labels, cfg) / z.shape[0]
+    dout = np.repeat((gz[:, None] * params.w_out[None, :])[:, None, :], 2, axis=1) * 0.5
+    dattn = dout @ v.transpose(0, 2, 1)
+    dscores = attn * (dattn - (dattn * attn).sum(axis=2, keepdims=True))
+    dq = dscores @ k / math.sqrt(params.h)
+    dk = dscores.transpose(0, 2, 1) @ q / math.sqrt(params.h)
+    dv = attn.transpose(0, 2, 1) @ dout
+    return [
+        np.einsum("nij,nik->jk", x, dq),
+        np.einsum("nij,nik->jk", x, dk),
+        np.einsum("nij,nik->jk", x, dv),
+        pooled.T @ gz,
+        np.asarray([gz.sum()]),
+    ]
+
+
 class TestGradient:
+    def test_matches_per_array_einsum_formula(self):
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            d, h, n = int(rng.integers(2, 40)), int(rng.integers(1, 20)), int(rng.integers(1, 70))
+            params = random_params(rng, d, h)
+            anchors, cands = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+            labels = rng.integers(0, 2, size=n).astype(float)
+            _, grads = grad(params, anchors, cands, labels, LossConfig())
+            expected = einsum_grad(params, anchors, cands, labels, LossConfig())
+            for got, want in zip(grads.arrays(), expected):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
     def test_bias_gradient_at_zero_head(self):
         """With a zeroed head every logit is 0, so the bias gradient is the
         mean of the per-sample loss slope at z = 0."""
@@ -411,6 +508,42 @@ class TestTraining:
         with pytest.raises(EmptyDatasetError):
             train(empty, empty, toy_config())
 
+    def test_nan_embeddings_raise_instead_of_returning_a_model(self):
+        anchors, cands, labels = toy_task()
+        anchors[5, 2] = np.nan
+        with pytest.raises(TrainingDivergedError, match="epoch 0: batch loss is nan"):
+            train((anchors, cands, labels), toy_task(), toy_config())
+
+    def test_nan_validation_loss_raises(self):
+        anchors, cands, labels = toy_task()
+        bad_val = (anchors, np.full_like(cands, np.nan), labels)
+        with pytest.raises(TrainingDivergedError, match="validation loss is nan"):
+            train((anchors, cands, labels), bad_val, toy_config())
+
+
+class TestAdam:
+    def test_vector_step_equals_per_array_step_bit_for_bit(self):
+        """The per-array update, written as the textbook form, applied to
+        each block separately; the vector step over theta must give the
+        same bits."""
+        rng = np.random.default_rng(25)
+        params = random_params(rng, d=7, h=5)
+        blocks = [a.copy() for a in params.arrays()]
+        m = [np.zeros_like(a) for a in blocks]
+        v = [np.zeros_like(a) for a in blocks]
+        adam = _Adam(params.theta.size, learning_rate=0.01)
+        for t in range(1, 30):
+            grads = RankerParams.from_theta(rng.normal(size=params.theta.size), 7, 5)
+            adam.step(params.theta, grads.theta)
+            for i, g in enumerate(grads.arrays()):
+                m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
+                v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * g * g
+                m_hat = m[i] / (1.0 - ADAM_BETA1**t)
+                v_hat = v[i] / (1.0 - ADAM_BETA2**t)
+                blocks[i] -= 0.01 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            for got, want in zip(params.arrays(), blocks):
+                assert got.tobytes() == want.tobytes()
+
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -459,6 +592,29 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
+    def test_version_one_checkpoint_rejected(self, tmp_path):
+        """Version 1 stored each block under "params"; it is not read."""
+        path = tmp_path / "v1.json"
+        d, h = 3, 2
+        encoded = lambda n: base64.b64encode(np.zeros(n, dtype="<f8").tobytes()).decode()
+        path.write_text(json.dumps({
+            "format": "focusrank-checkpoint", "version": 1, "d": d, "h": h,
+            "train_config": toy_config().to_dict(), "provider_fingerprint": "", "history": [],
+            "params": {"wq": encoded(d * h), "wk": encoded(d * h), "wv": encoded(d * h),
+                       "w_out": encoded(h), "b_out": 0.0},
+        }))
+        with pytest.raises(CheckpointFormatError, match="version 1 unsupported"):
+            load_checkpoint(path)
+
+    def test_theta_is_the_only_array_stored(self, tmp_path):
+        data = toy_task(n=16)
+        ckpt = train(data, data, toy_config(epochs=1, early_stop_patience=0))
+        save_checkpoint(ckpt, tmp_path / "ckpt.json")
+        payload = json.loads((tmp_path / "ckpt.json").read_text())
+        assert payload["version"] == 2
+        raw = np.frombuffer(base64.b64decode(payload["theta"]), dtype="<f8")
+        assert raw.tobytes() == ckpt.params.theta.tobytes()
+
     def test_truncated_weights_rejected(self, tmp_path):
         data = toy_task(n=16)
         ckpt = train(data, data, toy_config(epochs=1, early_stop_patience=0))
@@ -467,7 +623,7 @@ class TestCheckpoint:
         import json as json_mod
 
         payload = json_mod.loads(path.read_text())
-        payload["params"]["wq"] = payload["params"]["wq"][: len(payload["params"]["wq"]) // 2]
+        payload["theta"] = payload["theta"][: len(payload["theta"]) // 2]
         path.write_text(json_mod.dumps(payload))
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
@@ -480,13 +636,6 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         with pytest.raises(DimensionMismatchError):
             forward(loaded.params, np.ones(9), np.ones(9))
-
-    def test_copy_is_independent(self):
-        data = toy_task(n=16)
-        ckpt = train(data, data, toy_config(epochs=1, early_stop_patience=0))
-        dup = copy_checkpoint(ckpt)
-        dup.params.wq[0, 0] += 1.0
-        assert ckpt.params.wq[0, 0] != dup.params.wq[0, 0]
 
 
 class TestGridSearch:
