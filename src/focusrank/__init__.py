@@ -12,17 +12,11 @@ a pipeline CLI.
 
 __version__ = "0.1.0"
 
-from .baselines import (
-    CoChangeMatrix,
-    build_cochange,
-    build_cochange_literal,
-    rank_cochange,
-    rank_random,
-    rank_semantic,
-)
+from .baselines import CoChangeMatrix, build_cochange, rank_random
 from .dataset import (
     BalanceConfig,
     DatasetSplit,
+    DiffView,
     LabeledPair,
     balance,
     label_pairs,
@@ -53,7 +47,6 @@ from .graphs import (
     load_corpus,
     load_project,
     save_project,
-    succ,
     union_graph,
 )
 from .ranker import (
@@ -78,6 +71,7 @@ __all__ = [
     "Checkpoint",
     "CoChangeMatrix",
     "DatasetSplit",
+    "DiffView",
     "ElementRef",
     "EvalReport",
     "FocusRankError",
@@ -97,7 +91,6 @@ __all__ = [
     "balance",
     "batch_loss",
     "build_cochange",
-    "build_cochange_literal",
     "build_corpus",
     "change_radius",
     "describe",
@@ -118,15 +111,12 @@ __all__ = [
     "precision_at_k",
     "predict_proba",
     "radius_filter",
-    "rank_cochange",
     "rank_random",
-    "rank_semantic",
     "save_checkpoint",
     "save_project",
     "spearman_rho",
     "split_cross_project",
     "split_temporal",
-    "succ",
     "train",
     "union_graph",
 ]

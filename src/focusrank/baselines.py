@@ -1,8 +1,9 @@
 """Comparison rankers: random order, label-embedding similarity, and
 historical co-change frequency.
 
-Every ranker returns a permutation of the candidate ids. Ties always break
-by ascending node id so rankings are reproducible.
+Each yields a score per candidate; the evaluation orders candidates by
+descending score with ties broken by ascending node id, so rankings are
+reproducible.
 """
 
 from __future__ import annotations
@@ -10,13 +11,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import LabeledPair
+from .dataset import DiffView
 from .errors import EmptyCandidatesError
-from .graphs import StructuralDiff
 
 
 def rank_random(candidates: Sequence[str], seed: int, anchor: str = "") -> list[str]:
@@ -47,14 +48,6 @@ def semantic_scores(
     return scores
 
 
-def rank_semantic(
-    anchor_emb: np.ndarray, candidate_embs: Mapping[str, np.ndarray]
-) -> list[str]:
-    """Descending cosine similarity to the anchor embedding."""
-    scores = semantic_scores(anchor_emb, candidate_embs)
-    return sorted(scores, key=lambda node_id: (-scores[node_id], node_id))
-
-
 @dataclass(frozen=True)
 class CoChangeMatrix:
     """Sparse (anchor, candidate) -> count map; absent keys count 0."""
@@ -71,39 +64,15 @@ class CoChangeMatrix:
         return len(self._counts)
 
 
-def build_cochange(train_pairs: Iterable[LabeledPair]) -> CoChangeMatrix:
+def build_cochange(train_views: Iterable[DiffView]) -> CoChangeMatrix:
     """Count, per anchor, how often each candidate was a positive across the
-    training diffs (same positive definition as the training labels)."""
+    training diffs (same positive definition as the training labels): one
+    count for every (anchor, positive) pair of every view."""
     counts: dict[tuple[str, str], int] = {}
-    for pair in train_pairs:
-        if pair.label == 1:
-            key = (pair.anchor, pair.candidate)
+    for view in train_views:
+        for key in product(view.anchors, view.positives):
             counts[key] = counts.get(key, 0) + 1
     return CoChangeMatrix(counts)
-
-
-def build_cochange_literal(train_diffs: Iterable[StructuralDiff]) -> CoChangeMatrix:
-    """Count ordered pairs of nodes that changed within the same diff.
-
-    The literal changed-with-changed reading; candidates queried at ranking
-    time are preserved nodes, so this variant mostly returns zero counts and
-    exists for comparison.
-    """
-    counts: dict[tuple[str, str], int] = {}
-    for d in train_diffs:
-        changed = sorted(d.changed_nodes())
-        for a in changed:
-            for b in changed:
-                if a != b:
-                    counts[(a, b)] = counts.get((a, b), 0) + 1
-    return CoChangeMatrix(counts)
-
-
-def rank_cochange(
-    matrix: CoChangeMatrix, anchor: str, candidates: Sequence[str]
-) -> list[str]:
-    """Descending historical count; zero-count candidates trail in id order."""
-    return sorted(candidates, key=lambda c: (-matrix.count(anchor, c), c))
 
 
 def save_cochange(matrix: CoChangeMatrix, path) -> None:
@@ -114,15 +83,3 @@ def save_cochange(matrix: CoChangeMatrix, path) -> None:
                 sort_keys=True,
             ))
             fh.write("\n")
-
-
-def load_cochange(path) -> CoChangeMatrix:
-    counts: dict[tuple[str, str], int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            counts[(record["anchor"], record["candidate"])] = int(record["count"])
-    return CoChangeMatrix(counts)

@@ -26,20 +26,16 @@ import numpy as np
 
 from . import __version__
 from . import datagen, evaluation, ranker
-from .baselines import (
-    build_cochange,
-    build_cochange_literal,
-    load_cochange,
-    save_cochange,
-)
+from .baselines import build_cochange, save_cochange
 from .dataset import (
     BalanceConfig,
     DatasetSplit,
+    ViewPairs,
     balance,
-    group_by_project,
-    label_pairs,
+    diff_views,
     load_pairs,
     load_split,
+    pairs_by_project,
     save_pairs,
     save_split,
     split_cross_project,
@@ -47,6 +43,7 @@ from .dataset import (
 )
 from .embedding import ProviderConfig, RemoteConfig, make_provider
 from .errors import (
+    ArtifactFormatError,
     CheckpointFormatError,
     ConfigInvalidError,
     FocusRankError,
@@ -66,6 +63,7 @@ EXIT_RUNTIME = 2
 APPROACHES = ("nextfocus", "random", "semantic", "cochange")
 
 _VALIDATION_ERRORS = (
+    ArtifactFormatError,
     ConfigInvalidError,
     MissingArtifactError,
     UnknownNodeError,
@@ -96,7 +94,6 @@ def default_run_config() -> dict:
             "tau": None,
             "taus": [1, 2, 3, None],
             "seed": 7,
-            "cochange_mode": "aligned",
         },
     }
 
@@ -131,11 +128,16 @@ def _merge_config(defaults: dict, user: dict, path: str = "") -> dict:
             bad = set(value) - _GRID_KEYS
             if bad:
                 raise ConfigInvalidError(f"unknown grid keys: {sorted(bad)}")
+            for knob, values in value.items():
+                kind = 1 if knob == "h" else 1.0
+                if not isinstance(values, list) or not all(_same_kind(kind, v) for v in values):
+                    raise ConfigInvalidError(f"grid.{knob} must be a list of numbers")
             merged[key] = value
         elif key == "remote" and value is not None:
-            if not isinstance(value, dict) or set(value) - _REMOTE_KEYS:
+            if not (isinstance(value, dict) and {"endpoint", "model"} <= set(value) <= _REMOTE_KEYS
+                    and all(isinstance(v, str) for v in value.values())):
                 raise ConfigInvalidError(
-                    f"remote must be an object with keys {sorted(_REMOTE_KEYS)}"
+                    "remote must be an object of strings: endpoint, model, optional auth_env"
                 )
             merged[key] = value
         elif base is not None and not _same_kind(base, value):
@@ -219,8 +221,8 @@ def _validate_run_config(config: dict) -> None:
     ev = config["eval"]
     if ev["k_max"] < 1:
         raise ConfigInvalidError("eval.k_max must be >= 1")
-    if ev["cochange_mode"] not in ("aligned", "literal"):
-        raise ConfigInvalidError("eval.cochange_mode must be aligned or literal")
+    if not isinstance(config["provider"]["cache_dir"], (str, type(None))):
+        raise ConfigInvalidError("provider.cache_dir must be null or a path")
     _parse_tau(ev["tau"], "eval.tau")
     if not isinstance(ev["taus"], list) or not ev["taus"]:
         raise ConfigInvalidError("eval.taus must be a non-empty list")
@@ -284,32 +286,16 @@ def _load_corpus(config: dict) -> dict[str, Project]:
     return load_corpus(paths)
 
 
-def _diff_labels(project: Project, diff_index: int):
-    """Union-graph label lookup for one diff: covers added, removed and
-    preserved nodes alike."""
-    return union_graph(project.versions[diff_index], project.versions[diff_index + 1])
-
-
-def _collect_pairs(corpus, items):
-    pairs = []
-    for name, diff_index in items:
-        project = corpus[name]
-        d = project.diff_at(diff_index)
-        anchors = sorted(d.changed_nodes())
-        if not anchors:
-            continue
-        pairs.extend(label_pairs(d, project.versions[diff_index + 1], anchors, project=name))
-    return pairs
-
-
 def _pair_arrays(pairs, corpus, provider):
-    """Embed anchor/candidate labels into (anchors, cands, labels) arrays."""
+    """Embed anchor/candidate labels, read off each diff's union graph,
+    into (anchors, cands, labels) arrays."""
     unions: dict[tuple[str, int], object] = {}
     texts: list[str] = []
     for pair in pairs:
         key = (pair.project, pair.diff_index)
         if key not in unions:
-            unions[key] = _diff_labels(corpus[pair.project], pair.diff_index)
+            versions = corpus[pair.project].versions
+            unions[key] = union_graph(versions[pair.diff_index], versions[pair.diff_index + 1])
         union = unions[key]
         texts.append(union.label(pair.anchor))
         texts.append(union.label(pair.candidate))
@@ -343,6 +329,20 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
+def _check_keys(corpus, keys, path: Path) -> None:
+    """Every (project, diff index) an artifact names must be in the corpus."""
+    for name, index in keys:
+        if name not in corpus or not 0 <= index < corpus[name].n_diffs:
+            raise ArtifactFormatError(f"{path}: project {name!r} has no diff {index}")
+
+
+def _load_split(config: dict, corpus) -> DatasetSplit:
+    path = _require(Path(config["out_dir"]) / "split.json", "run `focusrank prepare` first")
+    split = load_split(path)
+    _check_keys(corpus, split.train + split.validation + split.test, path)
+    return split
+
+
 def cmd_gen(config: dict) -> int:
     gen_cfg = datagen.GenConfig.from_dict(config["gen"])
     paths = datagen.generate(gen_cfg, config["corpus_dir"])
@@ -364,31 +364,14 @@ def cmd_prepare(config: dict) -> int:
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    train_pairs = _collect_pairs(corpus, split.train)
-    val_pairs = _collect_pairs(corpus, split.validation)
-    test_pairs = _collect_pairs(corpus, split.test)
-    balanced = balance(
-        group_by_project(train_pairs), BalanceConfig(**config["balance"])
-    )
+    groups = pairs_by_project(diff_views(corpus, split.train))
+    balanced = balance(groups, BalanceConfig(**config["balance"]))
 
     save_split(split, out_dir / "split.json")
-    save_pairs(train_pairs, out_dir / "pairs.train.jsonl")
     save_pairs(balanced, out_dir / "pairs.train.balanced.jsonl")
-    save_pairs(val_pairs, out_dir / "pairs.val.jsonl")
-    save_pairs(test_pairs, out_dir / "pairs.test.jsonl")
-
-    # warm the embedding cache for everything train/eval will look up
-    provider = make_provider(_provider_config(config))
-    _pair_arrays(balanced + val_pairs + test_pairs, corpus, provider)
-
-    _write_manifest(config, "prepare", [
-        "split.json", "pairs.train.jsonl", "pairs.train.balanced.jsonl",
-        "pairs.val.jsonl", "pairs.test.jsonl",
-    ])
-    logger.info(
-        "prepared %d train (%d balanced), %d val, %d test pairs",
-        len(train_pairs), len(balanced), len(val_pairs), len(test_pairs),
-    )
+    _write_manifest(config, "prepare", ["split.json", "pairs.train.balanced.jsonl"])
+    n_pairs = sum(map(len, groups.values()))
+    logger.info("prepared %d balanced of %d train pairs", len(balanced), n_pairs)
     return EXIT_OK
 
 
@@ -398,11 +381,14 @@ def cmd_train(config: dict) -> int:
     train_path = _require(
         out_dir / "pairs.train.balanced.jsonl", "run `focusrank prepare` first"
     )
-    val_path = _require(out_dir / "pairs.val.jsonl", "run `focusrank prepare` first")
+    split = _load_split(config, corpus)
+    train_pairs = load_pairs(train_path)
+    _check_keys(corpus, dict.fromkeys((p.project, p.diff_index) for p in train_pairs), train_path)
 
     provider = make_provider(_provider_config(config))
-    train_set = _pair_arrays(load_pairs(train_path), corpus, provider)
-    val_set = _pair_arrays(load_pairs(val_path), corpus, provider)
+    train_set = _pair_arrays(train_pairs, corpus, provider)
+    val_pairs = list(ViewPairs(diff_views(corpus, split.validation)))
+    val_set = _pair_arrays(val_pairs, corpus, provider)
 
     base_cfg = ranker.TrainConfig.from_dict(config["train"])
     grid = config["grid"]
@@ -441,14 +427,7 @@ def _make_scorer(config: dict, approach: str, corpus, split: DatasetSplit):
     if approach == "semantic":
         return evaluation.SemanticScorer(make_provider(_provider_config(config)))
     if approach == "cochange":
-        if config["eval"]["cochange_mode"] == "literal":
-            diffs = [corpus[name].diff_at(i) for name, i in split.train]
-            matrix = build_cochange_literal(diffs)
-        else:
-            train_path = _require(
-                out_dir / "pairs.train.jsonl", "run `focusrank prepare` first"
-            )
-            matrix = build_cochange(load_pairs(train_path))
+        matrix = build_cochange(diff_views(corpus, split.train))
         save_cochange(matrix, out_dir / "cochange.jsonl")
         return evaluation.CoChangeScorer(matrix)
     raise ConfigInvalidError(f"unknown approach {approach!r}; choose from {APPROACHES}")
@@ -457,7 +436,7 @@ def _make_scorer(config: dict, approach: str, corpus, split: DatasetSplit):
 def cmd_eval(config: dict, approach: str, plot_data: bool = False) -> int:
     corpus = _load_corpus(config)
     out_dir = Path(config["out_dir"])
-    split = load_split(_require(out_dir / "split.json", "run `focusrank prepare` first"))
+    split = _load_split(config, corpus)
     scorer = _make_scorer(config, approach, corpus, split)
 
     k_max = config["eval"]["k_max"]
@@ -520,12 +499,8 @@ def cmd_rank(config: dict, project_name: str, anchor: str, k: int) -> int:
     if not candidates:
         raise ConfigInvalidError("no candidates left after the radius filter")
 
-    texts = [latest.label(anchor)] + [latest.label(c) for c in candidates]
-    embs = provider.embed(texts)
-    anchor_emb = np.tile(embs[0], (len(candidates), 1))
-    probs = ranker.predict_proba(ckpt.params, anchor_emb, embs[1:])
-    ordered = sorted(zip(candidates, probs), key=lambda cp: (-cp[1], cp[0]))
-    for node_id, _ in ordered[:k]:
+    probs = evaluation.neural_scores(ckpt.params, provider, latest, anchor, candidates)
+    for node_id in evaluation.by_score(candidates, dict(zip(candidates, probs)))[:k]:
         print(node_id)
     _write_manifest(config, "rank", [])
     return EXIT_OK
@@ -564,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("gen", help="generate the synthetic corpus")
-    sub.add_parser("prepare", help="diff, label, split, balance, warm embeddings")
+    sub.add_parser("prepare", help="split by commit, label and balance the train pairs")
     sub.add_parser("train", help="train the ranker (grid search when configured)")
     p_eval = sub.add_parser("eval", help="evaluate one approach on the test split")
     p_eval.add_argument("--approach", choices=APPROACHES, default="nextfocus")
@@ -579,6 +554,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad = sub.add_parser("gradcheck", help="compare gradients to finite differences")
     p_grad.add_argument("--trials", type=int, default=20)
     return parser
+
+
+def _one_line(exc: Exception) -> str:
+    """An error's text for one log line; control characters, say from a
+    node id in a malformed file, are escaped."""
+    text = str(exc)
+    return text if text.isprintable() else text.encode("unicode_escape").decode("ascii")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -606,13 +588,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_rank(config, args.project, args.anchor, args.k)
         parser.error(f"unknown command {args.command!r}")
     except _VALIDATION_ERRORS as exc:
-        logger.error("%s", exc)
+        logger.error("%s", _one_line(exc))
         return EXIT_VALIDATION
-    except FocusRankError as exc:
-        logger.error("%s", exc)
-        return EXIT_RUNTIME
-    except OSError as exc:
-        logger.error("%s", exc)
+    except (FocusRankError, OSError) as exc:
+        logger.error("%s", _one_line(exc))
         return EXIT_RUNTIME
     return EXIT_RUNTIME
 

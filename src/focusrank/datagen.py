@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .dataset import label_pairs
+from .dataset import positive_candidates
 from .errors import ConfigInvalidError
 from .graphs import ModelGraph, Project, save_project
 
@@ -72,7 +72,7 @@ class GenConfig:
             raise ConfigInvalidError("noise_rate must lie in [0, 1]")
         if len(self.vocabulary) < 2:
             raise ConfigInvalidError("vocabulary needs at least 2 concept tokens")
-        if any(not v or not v.isalnum() for v in self.vocabulary):
+        if any(not isinstance(v, str) or not v.isalnum() for v in self.vocabulary):
             raise ConfigInvalidError("vocabulary tokens must be non-empty alphanumerics")
         if self._filler_budget() < 2:
             raise ConfigInvalidError(
@@ -296,12 +296,10 @@ def describe(corpus: Mapping[str, Project]) -> dict:
         for i, d in project.iter_diffs():
             n_diffs += 1
             n_changed += len(d.changed)
-            anchors = sorted(d.changed_nodes())
-            if not anchors:
-                continue
-            pairs = label_pairs(d, project.versions[i + 1], anchors, project=name)
-            total_pairs += len(pairs)
-            positive_pairs += sum(p.label for p in pairs)
+            # every (changed, preserved) pair; its label is the candidate's
+            n_anchors = len(d.changed_nodes())
+            total_pairs += n_anchors * len(d.preserved_nodes())
+            positive_pairs += n_anchors * len(positive_candidates(d, project.versions[i + 1]))
     return {
         "projects": len(corpus),
         "versions": n_versions,

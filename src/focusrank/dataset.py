@@ -1,8 +1,11 @@
-"""Labeled anchor/candidate pairs, timeline-respecting splits, and balancing.
+"""Diff views, labeled anchor/candidate pairs, timeline-respecting splits,
+and balancing.
 
 A pair (anchor, candidate) from one diff is positive when the candidate is a
 preserved node with at least one direct successor among the diff's changed
 nodes, evaluated on the target-version graph so that added successors count.
+The label depends on the candidate alone, so one `DiffView` (anchors,
+candidates, positives) describes every pair of a diff without listing them.
 """
 
 from __future__ import annotations
@@ -10,18 +13,26 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_right
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
+    ArtifactFormatError,
     EmptyAnchorSetError,
     EmptyProjectError,
     TooFewCommitsError,
     TooFewProjectsError,
 )
-from .graphs import ModelGraph, StructuralDiff
+from .graphs import ModelGraph, Project, StructuralDiff, union_graph
 
 PairKey = tuple[str, int]  # (project, diff_index)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -43,13 +54,24 @@ class LabeledPair:
 
     @staticmethod
     def from_record(record: Mapping) -> "LabeledPair":
-        return LabeledPair(
-            project=record["project"],
-            diff_index=int(record["diff"]),
-            anchor=record["anchor"],
-            candidate=record["candidate"],
-            label=int(record["label"]),
-        )
+        """Raises ArtifactFormatError unless the record has string project,
+        anchor and candidate, an integer diff, and a 0/1 label."""
+        fields = ("project", "diff", "anchor", "candidate", "label")
+        if not isinstance(record, Mapping) or set(fields) - set(record):
+            raise ArtifactFormatError(f"a pair record is an object with keys {fields}")
+        pair = LabeledPair(*(record[key] for key in fields))
+        texts = (pair.project, pair.anchor, pair.candidate)
+        if not (all(isinstance(t, str) for t in texts) and _is_int(pair.diff_index)
+                and _is_int(pair.label) and pair.label in (0, 1)):
+            raise ArtifactFormatError(f"pair record has mistyped fields: {dict(record)!r}")
+        return pair
+
+
+def positive_candidates(d: StructuralDiff, g_target: ModelGraph) -> set[str]:
+    """Preserved nodes with a direct successor, in the target graph, among
+    the diff's changed nodes."""
+    changed = d.changed_nodes()
+    return {v for v in d.preserved_nodes() if g_target.successors(v) & changed}
 
 
 def label_pairs(
@@ -66,31 +88,93 @@ def label_pairs(
     anchors = set(anchors)
     if not anchors:
         raise EmptyAnchorSetError("no anchor nodes")
-    changed_nodes = d.changed_nodes()
-    stray = anchors - changed_nodes
+    stray = anchors - d.changed_nodes()
     if stray:
         raise ValueError(f"anchors are not changed nodes: {sorted(stray)}")
 
+    positives = positive_candidates(d, g_target)
     candidates = sorted(d.preserved_nodes())
-    candidate_label = {
-        v: int(bool(g_target.successors(v) & changed_nodes)) for v in candidates
-    }
+    return [
+        LabeledPair(project, d.source_version, anchor, candidate, int(candidate in positives))
+        for anchor in sorted(anchors)
+        for candidate in candidates
+        if candidate != anchor
+    ]
 
-    pairs = []
-    for anchor in sorted(anchors):
-        for candidate in candidates:
-            if candidate == anchor:
-                continue
-            pairs.append(
-                LabeledPair(
-                    project=project,
-                    diff_index=d.source_version,
-                    anchor=anchor,
-                    candidate=candidate,
-                    label=candidate_label[candidate],
-                )
-            )
-    return pairs
+
+@dataclass(frozen=True)
+class DiffView:
+    """One diff of one project: its changed nodes (anchors), preserved nodes
+    (candidates), the candidates that change along (positives), and the
+    union of both versions for labels and distances.
+
+    Its labeled pairs are the product anchors x candidates: pair i is
+    (anchors[i // |candidates|], candidates[i % |candidates|]), the order
+    `label_pairs` lists them in.
+    """
+
+    project: str
+    diff_index: int
+    union: ModelGraph
+    anchors: tuple[str, ...]
+    candidates: tuple[str, ...]
+    positives: frozenset[str]
+
+    @staticmethod
+    def of(project: Project, diff_index: int) -> "DiffView":
+        d = project.diff_at(diff_index)
+        source, target = project.versions[diff_index], project.versions[diff_index + 1]
+        return DiffView(
+            project=project.name,
+            diff_index=diff_index,
+            union=union_graph(source, target),
+            anchors=tuple(sorted(d.changed_nodes())),
+            candidates=tuple(sorted(d.preserved_nodes())),
+            positives=frozenset(positive_candidates(d, target)),
+        )
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self.anchors) * len(self.candidates)
+
+    def pair(self, i: int) -> LabeledPair:
+        a, c = divmod(i, len(self.candidates))
+        candidate = self.candidates[c]
+        return LabeledPair(
+            self.project, self.diff_index, self.anchors[a], candidate,
+            int(candidate in self.positives),
+        )
+
+
+def diff_views(corpus: Mapping[str, Project], keys: Iterable[PairKey]) -> Iterator[DiffView]:
+    """The views of (project, diff index) keys, built one at a time."""
+    return (DiffView.of(corpus[name], index) for name, index in keys)
+
+
+class ViewPairs(SequenceABC):
+    """The labeled pairs of several views, view after view, looked up by
+    index without being listed. Views without pairs are left out."""
+
+    def __init__(self, views: Iterable[DiffView]):
+        self.views = [view for view in views if view.n_pairs]
+        self._starts = [0, *accumulate(view.n_pairs for view in self.views)]
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i: int) -> LabeledPair:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        k = bisect_right(self._starts, i) - 1
+        return self.views[k].pair(i - self._starts[k])
+
+
+def pairs_by_project(views: Iterable[DiffView]) -> dict[str, ViewPairs]:
+    """`group_by_project` for views; projects without a pair are left out."""
+    grouped: dict[str, list[DiffView]] = {}
+    for view in views:
+        grouped.setdefault(view.project, []).append(view)
+    return {name: ViewPairs(g) for name, g in grouped.items() if any(v.n_pairs for v in g)}
 
 
 @dataclass
@@ -112,12 +196,20 @@ class DatasetSplit:
 
     @staticmethod
     def from_manifest(record: Mapping) -> "DatasetSplit":
-        return DatasetSplit(
-            train=[(p, int(i)) for p, i in record["train"]],
-            validation=[(p, int(i)) for p, i in record["validation"]],
-            test=[(p, int(i)) for p, i in record["test"]],
-            mode=record["mode"],
-        )
+        """Raises ArtifactFormatError unless every part lists [project,
+        diff index] entries and the mode is known."""
+        parts = ("train", "validation", "test")
+        if (not isinstance(record, Mapping) or {"mode", *parts} - set(record)
+                or record["mode"] not in ("temporal", "cross_project")):
+            raise ArtifactFormatError(f"a split manifest has a known mode and lists {parts}")
+        for part in parts:
+            keys = record[part]
+            if not isinstance(keys, list) or not all(
+                isinstance(k, list) and len(k) == 2 and isinstance(k[0], str) and _is_int(k[1])
+                for k in keys
+            ):
+                raise ArtifactFormatError(f"split {part} must list [project, diff] pairs")
+        return DatasetSplit(*([tuple(k) for k in record[p]] for p in parts), mode=record["mode"])
 
 
 def split_temporal(project_diffs: Sequence[PairKey]) -> DatasetSplit:
@@ -204,24 +296,23 @@ def balance(
 
     Over-sized groups are down-sampled without replacement (original order
     kept); under-sized groups are up-sampled with replacement. Output is
-    concatenated by sorted project id, deterministic given the seed.
+    concatenated by sorted project id, deterministic given the seed. Groups
+    are only indexed, so a `ViewPairs` group is never listed in full.
     """
     out: list[LabeledPair] = []
     target = cfg.target_pairs_per_project
     for project in sorted(pairs_by_project):
-        group = list(pairs_by_project[project])
-        if not group:
+        group = pairs_by_project[project]
+        n = len(group)
+        if not n:
             raise EmptyProjectError(project)
         rng = random.Random(f"balance:{cfg.seed}:{project}")
-        n = len(group)
         if n == target:
-            chosen = group
+            out.extend(group)
         elif n > target:
-            keep = sorted(rng.sample(range(n), target))
-            chosen = [group[i] for i in keep]
+            out.extend(group[i] for i in sorted(rng.sample(range(n), target)))
         else:
-            chosen = [group[rng.randrange(n)] for _ in range(target)]
-        out.extend(chosen)
+            out.extend(group[rng.randrange(n)] for _ in range(target))
     return out
 
 
@@ -240,12 +331,17 @@ def save_pairs(pairs: Iterable[LabeledPair], path) -> None:
 
 
 def load_pairs(path) -> list[LabeledPair]:
+    """Raises ArtifactFormatError, naming the line, for a malformed row."""
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 pairs.append(LabeledPair.from_record(json.loads(line)))
+            except (ArtifactFormatError, ValueError) as exc:
+                raise ArtifactFormatError(f"{path} line {number}: {exc}") from None
     return pairs
 
 
@@ -257,4 +353,7 @@ def save_split(split: DatasetSplit, path) -> None:
 
 def load_split(path) -> DatasetSplit:
     with open(path, "r", encoding="utf-8") as fh:
-        return DatasetSplit.from_manifest(json.load(fh))
+        try:
+            return DatasetSplit.from_manifest(json.load(fh))
+        except (ArtifactFormatError, ValueError) as exc:
+            raise ArtifactFormatError(f"{path}: {exc}") from None

@@ -65,6 +65,10 @@ class CheckpointFormatError(FocusRankError):
     """A checkpoint file is corrupted or has an unsupported version."""
 
 
+class ArtifactFormatError(FocusRankError):
+    """A corpus, split or pair file does not have the expected structure."""
+
+
 class ConfigInvalidError(FocusRankError):
     """A run or generator configuration failed validation."""
 

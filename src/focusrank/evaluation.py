@@ -4,8 +4,9 @@ prevalence baselines, per-project aggregation, and report serialization.
 An evaluation walks test diffs; for each one the lexicographically smallest
 changed node becomes the anchor, preserved nodes become candidates
 (optionally restricted to within a distance threshold of the anchor on the
-union graph), and a scorer orders them. Anchors without a single positive
-candidate after filtering are skipped and counted.
+union graph), a scorer scores them, and they are ranked by descending
+score. Anchors without a single positive candidate after filtering are
+skipped and counted.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import ranker as ranker_mod
-from .baselines import CoChangeMatrix, rank_cochange, rank_random, semantic_scores
-from .dataset import label_pairs
+from .baselines import CoChangeMatrix, rank_random, semantic_scores
+from .dataset import DiffView, diff_views
 from .errors import NoPositivesError
-from .graphs import ModelGraph, Project, union_graph
-from .stats import mann_whitney_u, spearman_rho  # noqa: F401  (report-level API)
+from .graphs import ModelGraph, Project
 
 PREVALENCE_FLOOR = 1e-12
 
@@ -73,34 +73,30 @@ def radius_filter(
     return [v for v in candidates if distances.get(v, math.inf) <= tau]
 
 
-@dataclass(frozen=True)
-class EvalContext:
-    """What a scorer may look at for one anchor."""
+def by_score(candidates: Sequence[str], scores: Mapping[str, float]) -> list[str]:
+    """Candidates by descending score, ties by ascending id."""
+    return sorted(candidates, key=lambda c: (-scores[c], c))
 
-    project: str
-    diff_index: int
-    graph: ModelGraph
-    labels: Mapping[str, str]
+
+def neural_scores(params, provider, graph: ModelGraph, anchor: str, candidates: Sequence[str]):
+    """Predicted probability that each candidate changes with the anchor,
+    from their labels in `graph`."""
+    embs = provider.embed([graph.label(v) for v in [anchor, *candidates]])
+    anchor_emb = np.tile(embs[0], (len(candidates), 1))
+    return ranker_mod.predict_proba(params, anchor_emb, embs[1:])
 
 
 class Scorer:
-    """Orders candidates for an anchor; subclasses implement score or order."""
+    """Scores an anchor's candidates within one diff view."""
 
     name = "scorer"
 
-    def scores(self, anchor: str, candidates: Sequence[str], ctx: EvalContext):
-        return None
-
-    def order(self, anchor: str, candidates: Sequence[str], ctx: EvalContext) -> list[str]:
-        scored = self.scores(anchor, candidates, ctx)
-        if scored is None:
-            raise NotImplementedError
-        return sorted(candidates, key=lambda c: (-scored[c], c))
+    def scores(self, anchor: str, candidates: Sequence[str], view: DiffView) -> dict:
+        raise NotImplementedError
 
 
 class NeuralScorer(Scorer):
-    """Scores pairs with a trained checkpoint; candidates order by
-    descending predicted probability."""
+    """Scores pairs with a trained checkpoint's predicted probability."""
 
     name = "nextfocus"
 
@@ -108,24 +104,22 @@ class NeuralScorer(Scorer):
         self.checkpoint = checkpoint
         self.provider = provider
 
-    def scores(self, anchor, candidates, ctx):
-        if not candidates:
-            return {}
-        texts = [ctx.labels[anchor]] + [ctx.labels[c] for c in candidates]
-        embs = self.provider.embed(texts)
-        anchor_emb = np.tile(embs[0], (len(candidates), 1))
-        probs = ranker_mod.predict_proba(self.checkpoint.params, anchor_emb, embs[1:])
+    def scores(self, anchor, candidates, view):
+        probs = neural_scores(self.checkpoint.params, self.provider, view.union, anchor, candidates)
         return {c: float(p) for c, p in zip(candidates, probs)}
 
 
 class RandomScorer(Scorer):
+    """The seeded permutation of `rank_random`: earlier places score higher."""
+
     name = "random"
 
     def __init__(self, seed: int):
         self.seed = seed
 
-    def order(self, anchor, candidates, ctx):
-        return rank_random(candidates, self.seed, anchor)
+    def scores(self, anchor, candidates, view):
+        order = rank_random(candidates, self.seed, anchor)
+        return {c: -place for place, c in enumerate(order)}
 
 
 class SemanticScorer(Scorer):
@@ -136,20 +130,22 @@ class SemanticScorer(Scorer):
     def __init__(self, provider):
         self.provider = provider
 
-    def scores(self, anchor, candidates, ctx):
-        texts = [ctx.labels[anchor]] + [ctx.labels[c] for c in candidates]
+    def scores(self, anchor, candidates, view):
+        texts = [view.union.label(v) for v in [anchor, *candidates]]
         embs = self.provider.embed(texts)
         return semantic_scores(embs[0], {c: embs[i + 1] for i, c in enumerate(candidates)})
 
 
 class CoChangeScorer(Scorer):
+    """Historical count of the (anchor, candidate) pair as a positive."""
+
     name = "cochange"
 
     def __init__(self, matrix: CoChangeMatrix):
         self.matrix = matrix
 
-    def order(self, anchor, candidates, ctx):
-        return rank_cochange(self.matrix, anchor, candidates)
+    def scores(self, anchor, candidates, view):
+        return {c: self.matrix.count(anchor, c) for c in candidates}
 
 
 @dataclass(frozen=True)
@@ -210,10 +206,6 @@ class EvalReport:
     def margin(self, k: int) -> float:
         return self.mean_precision(k) - self.prevalence
 
-    def per_anchor_means(self) -> list[float]:
-        ks = list(self.ks())
-        return [r.mean_precision(ks) for r in self.results]
-
     def summary(self) -> dict:
         return {
             "approach": self.approach,
@@ -232,13 +224,6 @@ class EvalReport:
         }
 
 
-def _diff_setting(project: Project, diff_index: int):
-    d = project.diff_at(diff_index)
-    g_target = project.versions[diff_index + 1]
-    g_union = union_graph(project.versions[diff_index], g_target)
-    return d, g_target, g_union
-
-
 def evaluate(
     scorer: Scorer,
     corpus: Mapping[str, Project],
@@ -248,41 +233,19 @@ def evaluate(
 ) -> EvalReport:
     """Run one scorer over (project, diff_index) test items."""
     report = EvalReport(approach=scorer.name, tau=tau, k_max=k_max)
-    for name, diff_index in items:
-        project = corpus[name]
-        d, g_target, g_union = _diff_setting(project, diff_index)
-        changed = sorted(d.changed_nodes())
-        if not changed:
+    for view in diff_views(corpus, items):
+        if not view.anchors:
             report.skipped_no_anchor += 1
             continue
-        anchor = changed[0]
-        pairs = label_pairs(d, g_target, [anchor], project=name)
-        kept = set(radius_filter(g_union, anchor, [p.candidate for p in pairs], tau))
-        candidates = [p.candidate for p in pairs if p.candidate in kept]
-        positives = frozenset(p.candidate for p in pairs if p.label == 1 and p.candidate in kept)
+        anchor = view.anchors[0]
+        candidates = radius_filter(view.union, anchor, view.candidates, tau)
+        positives = view.positives.intersection(candidates)
         if not positives:
             report.skipped_no_positive += 1
             continue
-        ctx = EvalContext(
-            project=name,
-            diff_index=diff_index,
-            graph=g_union,
-            labels={v: g_union.label(v) for v in [anchor] + candidates},
-        )
-        scored = scorer.scores(anchor, candidates, ctx)
-        if scored is not None:
-            ordered = sorted(candidates, key=lambda c: (-scored[c], c))
-        else:
-            ordered = scorer.order(anchor, candidates, ctx)
-        if sorted(ordered) != sorted(candidates):
-            raise ValueError(f"{scorer.name} did not return a permutation of the candidates")
-        ranking = RankedList(
-            anchor=anchor,
-            ordered=tuple(ordered),
-            positives=positives,
-            scores=scored,
-        )
-        report.results.append(AnchorResult(project=name, diff_index=diff_index, ranking=ranking))
+        scores = scorer.scores(anchor, candidates, view)
+        ranking = RankedList(anchor, tuple(by_score(candidates, scores)), positives, scores)
+        report.results.append(AnchorResult(view.project, view.diff_index, ranking))
     return report
 
 

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import UnknownNodeError
+from .errors import ArtifactFormatError, UnknownNodeError
 
 logger = logging.getLogger(__name__)
 
@@ -108,12 +108,6 @@ class ModelGraph:
             raise UnknownNodeError(node_id)
         return set(self._succ[node_id])
 
-    def neighbors(self, node_id: str) -> set[str]:
-        """Undirected adjacency, used for distance computations."""
-        if node_id not in self._labels:
-            raise UnknownNodeError(node_id)
-        return set(self._undirected[node_id])
-
     def distances_from(self, source: str) -> dict[str, int]:
         """Hop counts from `source` to every reachable node, edges undirected."""
         if source not in self._labels:
@@ -127,11 +121,6 @@ class ModelGraph:
                     dist[nxt] = dist[current] + 1
                     queue.append(nxt)
         return dist
-
-
-def succ(g: ModelGraph, v: str) -> set[str]:
-    """Direct successors of v: nodes reachable via one outgoing edge."""
-    return g.successors(v)
 
 
 def distance(g: ModelGraph, u: str, v: str) -> float:
@@ -291,15 +280,21 @@ class Project:
             yield index, self.diff_at(index)
 
 
-def _clean_version(raw: dict, project: str, version_index: int) -> ModelGraph:
+def _clean_version(raw, where: str) -> ModelGraph:
     """Build a graph from one raw version record, dropping malformed entries.
 
     Malformed node/edge records and edges with missing endpoints are skipped
-    and counted in a log message rather than aborting the load.
+    and counted in a log message rather than aborting the load; a version
+    that is not an object of node and edge lists raises ArtifactFormatError.
+    `where` names the version in those messages.
     """
+    nodes = raw.get("nodes", []) if isinstance(raw, dict) else None
+    edge_entries = raw.get("edges", []) if isinstance(raw, dict) else None
+    if not isinstance(nodes, list) or not isinstance(edge_entries, list):
+        raise ArtifactFormatError(f"{where} must be an object of node and edge lists")
     labels: dict[str, str] = {}
     bad_nodes = 0
-    for entry in raw.get("nodes", []):
+    for entry in nodes:
         node_id = entry.get("id") if isinstance(entry, dict) else None
         label = entry.get("label") if isinstance(entry, dict) else None
         if not isinstance(node_id, str) or not node_id or not isinstance(label, str):
@@ -312,7 +307,7 @@ def _clean_version(raw: dict, project: str, version_index: int) -> ModelGraph:
 
     edges: set[EdgeKey] = set()
     bad_edges = 0
-    for entry in raw.get("edges", []):
+    for entry in edge_entries:
         src = entry.get("src") if isinstance(entry, dict) else None
         dst = entry.get("dst") if isinstance(entry, dict) else None
         label = entry.get("label") if isinstance(entry, dict) else None
@@ -325,8 +320,8 @@ def _clean_version(raw: dict, project: str, version_index: int) -> ModelGraph:
 
     if bad_nodes or bad_edges:
         logger.warning(
-            "project %s version %d: dropped %d malformed node and %d malformed edge entries",
-            project, version_index, bad_nodes, bad_edges,
+            "%s: dropped %d malformed node and %d malformed edge entries",
+            where, bad_nodes, bad_edges,
         )
     return ModelGraph(labels, edges)
 
@@ -335,14 +330,16 @@ def load_project(path) -> Project:
     """Read a project file: {"project": id, "versions": [{nodes, edges}, ...]}."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    name = raw.get("project")
+    name = raw.get("project") if isinstance(raw, dict) else None
     if not isinstance(name, str) or not name:
-        raise ValueError(f"{path}: missing project id")
-    versions = [
-        _clean_version(entry, name, i)
-        for i, entry in enumerate(raw.get("versions", []))
-    ]
-    return Project(name=name, versions=versions)
+        raise ArtifactFormatError(f"{path}: not an object with a project id")
+    versions = raw.get("versions", [])
+    if not isinstance(versions, list):
+        raise ArtifactFormatError(f"{path}: versions must be a list")
+    return Project(
+        name=name,
+        versions=[_clean_version(v, f"{path} version {i}") for i, v in enumerate(versions)],
+    )
 
 
 def save_project(project: Project, path) -> None:
@@ -364,7 +361,7 @@ def save_project(project: Project, path) -> None:
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
 
 
@@ -374,6 +371,6 @@ def load_corpus(paths: Sequence) -> dict[str, Project]:
     for path in paths:
         project = load_project(path)
         if project.name in corpus:
-            raise ValueError(f"duplicate project id {project.name!r}")
+            raise ArtifactFormatError(f"duplicate project id {project.name!r}")
         corpus[project.name] = project
     return corpus

@@ -37,6 +37,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Validation pairs per forward pass, so that the validation loss needs
+# working memory for this many rows rather than for the whole set.
+VAL_CHUNK_ROWS = 4096
+
 
 def sigmoid(z):
     """Numerically stable logistic function; scalar in, scalar out."""
@@ -522,7 +526,11 @@ def train(
                 raise TrainingDivergedError(f"epoch {epoch}: batch loss is {loss}")
             epoch_losses.append(loss)
             adam.step(params.theta, grads.theta)
-        val_loss = batch_loss(forward(params, va_anchors, va_cands), va_labels, cfg.loss)
+        val_logits = np.concatenate([
+            forward(params, va_anchors[i : i + VAL_CHUNK_ROWS], va_cands[i : i + VAL_CHUNK_ROWS])
+            for i in range(0, va_labels.shape[0], VAL_CHUNK_ROWS)
+        ])
+        val_loss = batch_loss(val_logits, va_labels, cfg.loss)
         if not math.isfinite(val_loss):
             raise TrainingDivergedError(f"epoch {epoch}: validation loss is {val_loss}")
         history.append({

@@ -1,5 +1,6 @@
 """Comparison rankers: random, semantic similarity, co-change counts."""
 
+import json
 import math
 from collections import Counter
 
@@ -11,17 +12,15 @@ from hypothesis import strategies as st
 from focusrank.baselines import (
     CoChangeMatrix,
     build_cochange,
-    build_cochange_literal,
-    load_cochange,
-    rank_cochange,
     rank_random,
-    rank_semantic,
     save_cochange,
     semantic_scores,
 )
-from focusrank.dataset import LabeledPair
+from focusrank.datagen import GenConfig, build_corpus
+from focusrank.dataset import DiffView, diff_views, label_pairs
 from focusrank.errors import EmptyCandidatesError
-from focusrank.graphs import ModelGraph, diff
+from focusrank.evaluation import CoChangeScorer, by_score
+from focusrank.graphs import ModelGraph
 
 ids_strategy = st.sets(
     st.text(alphabet="abcdefgh123", min_size=1, max_size=4), min_size=1, max_size=8
@@ -72,6 +71,11 @@ def unit_with_cosine(c: float) -> np.ndarray:
     return np.array([c, math.sqrt(1.0 - c * c)])
 
 
+def rank_semantic(anchor_emb, candidate_embs):
+    """Candidates by descending cosine, the order `evaluate` gives them."""
+    return by_score(list(candidate_embs), semantic_scores(anchor_emb, candidate_embs))
+
+
 class TestSemanticRanker:
     def test_orders_by_descending_cosine(self):
         anchor = np.array([1.0, 0.0])
@@ -118,32 +122,53 @@ class TestSemanticRanker:
             assert rank_semantic(anchor, embs) == rank_semantic(3.7 * anchor, scaled)
 
 
-def positive_pair(anchor, candidate, diff_index=0, project="p"):
-    return LabeledPair(project, diff_index, anchor, candidate, 1)
+def view(anchors, positives, candidates=(), diff_index=0, project="p"):
+    """A diff view over nodes only; co-change counting ignores its graph."""
+    candidates = tuple(sorted(set(candidates) | set(positives)))
+    return DiffView(
+        project=project,
+        diff_index=diff_index,
+        union=ModelGraph({}),
+        anchors=tuple(sorted(anchors)),
+        candidates=candidates,
+        positives=frozenset(positives),
+    )
 
 
-def negative_pair(anchor, candidate, diff_index=0, project="p"):
-    return LabeledPair(project, diff_index, anchor, candidate, 0)
+def rank_cochange(matrix, anchor, candidates):
+    """Candidates by descending count, the order `evaluate` gives them."""
+    return by_score(candidates, CoChangeScorer(matrix).scores(anchor, candidates, None))
 
 
 class TestCoChange:
     def test_three_positive_diffs_count_three(self):
-        pairs = [positive_pair("A", "B", diff_index=i) for i in range(3)]
-        pairs.append(negative_pair("A", "C", diff_index=0))
-        matrix = build_cochange(pairs)
-        # independent recount straight off the pair list
-        expected = sum(1 for p in pairs if p.label == 1 and (p.anchor, p.candidate) == ("A", "B"))
-        assert matrix.count("A", "B") == expected == 3
+        views = [view({"A"}, {"B"}, {"C"}, diff_index=i) for i in range(3)]
+        matrix = build_cochange(views)
+        assert matrix.count("A", "B") == 3
         assert matrix.count("A", "C") == 0
 
     def test_counts_only_from_supplied_pairs(self):
-        """Pairs outside the training slice leave no trace in the matrix."""
-        train = [positive_pair("A", "B", diff_index=0)]
-        held_out = [positive_pair("A", "C", diff_index=9)]
+        """Views outside the training slice leave no trace in the matrix."""
+        train = [view({"A"}, {"B"}, diff_index=0)]
+        held_out = [view({"A"}, {"C"}, diff_index=9)]
         matrix = build_cochange(train)
         assert matrix.count("A", "B") == 1
         assert matrix.count("A", "C") == 0
         assert len(build_cochange(train + held_out)._counts) == 2
+
+    def test_counts_equal_the_labeled_pair_recount(self):
+        """One count per positive labeled pair of the training diffs, the
+        definition the counts had when they were read off listed pairs."""
+        corpus, _ = build_corpus(GenConfig(projects=3, commits_per_project=5, seed=3))
+        keys = [(name, i) for name in sorted(corpus) for i in range(corpus[name].n_diffs)]
+        expected = Counter()
+        for name, i in keys:
+            d = corpus[name].diff_at(i)
+            if d.changed_nodes():
+                pairs = label_pairs(d, corpus[name].versions[i + 1], d.changed_nodes())
+                expected.update((p.anchor, p.candidate) for p in pairs if p.label == 1)
+        assert expected
+        assert build_cochange(diff_views(corpus, keys)).counts() == dict(expected)
 
     def test_ranking_by_count_then_id(self):
         matrix = CoChangeMatrix({("A", "B"): 5, ("A", "C"): 2})
@@ -158,33 +183,21 @@ class TestCoChange:
         assert rank_cochange(matrix, "A", ["y", "x"]) == ["x", "y"]
 
     def test_counts_are_additive_over_slices(self):
-        """Building once from all pairs equals merging matrices built from
-        any partition of the pairs."""
-        pairs = [
-            positive_pair("A", "B", 0),
-            positive_pair("A", "B", 1),
-            positive_pair("B", "C", 1),
-            negative_pair("A", "C", 2),
-            positive_pair("A", "C", 3),
+        """Building once from all views equals merging matrices built from
+        any partition of the views."""
+        views = [
+            view({"A"}, {"B"}, diff_index=0),
+            view({"A", "B"}, {"C"}, diff_index=1),
+            view({"A"}, set(), {"C"}, diff_index=2),
+            view({"A"}, {"C", "D"}, diff_index=3),
         ]
-        full = build_cochange(pairs).counts()
-        for cut in range(len(pairs) + 1):
-            head = build_cochange(pairs[:cut]).counts()
-            tail = build_cochange(pairs[cut:]).counts()
+        full = build_cochange(views).counts()
+        for cut in range(len(views) + 1):
+            head = build_cochange(views[:cut]).counts()
+            tail = build_cochange(views[cut:]).counts()
             merged = Counter(head)
             merged.update(Counter(tail))
             assert dict(merged) == full
-
-    def test_literal_variant_counts_changed_with_changed(self):
-        old = ModelGraph({"A": "1", "B": "1", "C": "1"})
-        both_ab = ModelGraph({"A": "2", "B": "2", "C": "1"})
-        then_ac = ModelGraph({"A": "3", "B": "2", "C": "2"})
-        diffs = [diff(old, both_ab), diff(both_ab, then_ac)]
-        matrix = build_cochange_literal(diffs)
-        assert matrix.count("A", "B") == 1
-        assert matrix.count("B", "A") == 1
-        assert matrix.count("A", "C") == 1
-        assert matrix.count("C", "B") == 0
 
     def test_jsonl_round_trip_and_stable_bytes(self, tmp_path):
         matrix = CoChangeMatrix({("A", "B"): 3, ("B", "A"): 1, ("A", "C"): 2})
@@ -192,7 +205,8 @@ class TestCoChange:
         save_cochange(matrix, first)
         save_cochange(matrix, second)
         assert first.read_bytes() == second.read_bytes()
-        assert load_cochange(first).counts() == matrix.counts()
+        rows = [json.loads(line) for line in first.read_text().splitlines()]
+        assert {(r["anchor"], r["candidate"]): r["count"] for r in rows} == matrix.counts()
 
     @settings(max_examples=40, deadline=None)
     @given(ids=ids_strategy)

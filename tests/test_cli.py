@@ -1,13 +1,18 @@
 """End-to-end command pipeline, exit codes, config loading and overrides."""
 
+import contextlib
 import json
+import logging
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import focusrank
 from focusrank import ranker
@@ -66,14 +71,11 @@ class TestPipeline:
 
     def test_prepare_outputs(self, pipeline):
         _, out_dir, _ = pipeline
-        for name in (
-            "split.json",
-            "pairs.train.jsonl",
-            "pairs.train.balanced.jsonl",
-            "pairs.val.jsonl",
-            "pairs.test.jsonl",
-        ):
+        for name in ("split.json", "pairs.train.balanced.jsonl", "manifest-prepare.json"):
             assert (out_dir / name).exists(), name
+        assert [p.name for p in out_dir.glob("pairs.*.jsonl")] == ["pairs.train.balanced.jsonl"]
+        manifest = json.loads((out_dir / "manifest-prepare.json").read_text())
+        assert manifest["outputs"] == ["pairs.train.balanced.jsonl", "split.json"]
         balanced = (out_dir / "pairs.train.balanced.jsonl").read_text().splitlines()
         assert len(balanced) == 3 * 120
 
@@ -196,7 +198,8 @@ class TestExitCodes:
             },
         )
         assert main(["--config", config_path, "gen"]) == EXIT_OK
-        assert main(["--config", config_path, "prepare"]) == EXIT_RUNTIME
+        assert main(["--config", config_path, "prepare"]) == EXIT_OK
+        assert main(["--config", config_path, "train"]) == EXIT_RUNTIME
 
     @pytest.mark.parametrize(
         "assignment, message",
@@ -287,6 +290,24 @@ class TestRunConfig:
         with pytest.raises(ConfigInvalidError):
             load_run_config(None, set_args=["grid.momentum=[0.9]"])
 
+    def test_cochange_mode_is_gone(self, tmp_path, caplog):
+        config_path = write_config(tmp_path)
+        argv = ["--config", config_path, "--set", "eval.cochange_mode=literal", "gen"]
+        assert main(argv) == EXIT_VALIDATION
+        assert "unknown config key: eval.cochange_mode" in caplog.text
+
+    def test_grid_values_must_be_number_lists(self):
+        for assignment in ("grid.h=4", "grid.h=[2.5]", 'grid.alpha=["x"]'):
+            with pytest.raises(ConfigInvalidError):
+                load_run_config(None, set_args=[assignment])
+
+    def test_remote_needs_string_endpoint_and_model(self):
+        for remote in ('{"model":"m"}', '{"endpoint":5,"model":"m"}'):
+            with pytest.raises(ConfigInvalidError):
+                load_run_config(None, set_args=[f"provider.remote={remote}"])
+        with pytest.raises(ConfigInvalidError):
+            load_run_config(None, set_args=["provider.cache_dir=5"])
+
     def test_unknown_key_rejected_with_path(self):
         with pytest.raises(ConfigInvalidError, match="eval.typo"):
             load_run_config(None, set_args=["eval.typo=1"])
@@ -330,3 +351,254 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+# --- malformed input: exit 1 or 2 with one error line, never a traceback ----
+
+
+class _Lines(logging.Handler):
+    """Every focusrank log record as the CLI prints it on stderr."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.lines = []
+
+    def emit(self, record):
+        text = f"{record.levelname} {record.name}: {record.getMessage()}"
+        self.lines.extend(text.splitlines())
+        if record.exc_info:
+            self.lines.append("Traceback")
+
+
+def run_cli(argv):
+    """(exit code, stderr lines) of one in-process run. An exception that
+    escapes `main` fails the calling test, as a traceback would."""
+    handler = _Lines()
+    logger = logging.getLogger("focusrank")
+    logger.addHandler(handler)
+    try:
+        code = main(argv)
+    finally:
+        logger.removeHandler(handler)
+    return code, handler.lines
+
+
+def assert_one_line_failure(code, lines):
+    assert code in (EXIT_VALIDATION, EXIT_RUNTIME)
+    assert len(lines) == 1 and lines[0].startswith("ERROR "), lines
+
+
+@pytest.fixture(scope="module")
+def artifacts(pipeline, tmp_path_factory):
+    """A private copy of the prepared pipeline, for tests that corrupt it."""
+    _, out_dir, corpus_dir = pipeline
+    base = tmp_path_factory.mktemp("artifacts")
+    shutil.copytree(corpus_dir, base / "corpus")
+    shutil.copytree(out_dir, base / "out")
+    return write_config(base), base
+
+
+@contextlib.contextmanager
+def corrupting(path: Path, text: str):
+    """`path` holds `text` inside the block and its old bytes after it."""
+    before = path.read_bytes() if path.exists() else None
+    path.write_text(text)
+    try:
+        yield
+    finally:
+        if before is None:
+            path.unlink()
+        else:
+            path.write_bytes(before)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+not_int = json_values.filter(lambda v: isinstance(v, bool) or not isinstance(v, int))
+not_str = json_values.filter(lambda v: not isinstance(v, str))
+not_list = json_values.filter(lambda v: not isinstance(v, list))
+not_object = json_values.filter(lambda v: not isinstance(v, dict))
+
+
+def leaf_paths(node, prefix=()):
+    for key, value in node.items():
+        if isinstance(value, dict) and value:
+            yield from leaf_paths(value, prefix + (key,))
+        elif prefix + (key,) not in {("out_dir",), ("corpus_dir",)}:
+            yield prefix + (key,)
+
+
+CONFIG_PATHS = sorted(leaf_paths(default_run_config())) + [("bogus",), ("train", "bogus")]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(path=st.sampled_from(CONFIG_PATHS), value=json_values)
+def test_malformed_config_fails_in_one_line(tmp_path_factory, path, value):
+    """Any value at any config entry: rejected, or run against an empty
+    corpus directory; either way one error line."""
+    base = tmp_path_factory.mktemp("config")
+    config = {"out_dir": str(base / "out"), "corpus_dir": str(base / "corpus")}
+    node = config
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    (base / "config.json").write_text(json.dumps(config))
+    assert_one_line_failure(*run_cli(["--config", str(base / "config.json"), "prepare"]))
+
+
+def versions_with(bad_version):
+    return st.tuples(st.integers(0, 2), bad_version).map(
+        lambda pos_bad: [{}] * pos_bad[0] + [pos_bad[1]]
+    )
+
+
+malformed_projects = st.one_of(
+    not_object,
+    st.fixed_dictionaries({"project": not_str.filter(lambda v: v is not None), "versions": json_values}),
+    st.fixed_dictionaries({"versions": json_values}),
+    st.fixed_dictionaries({"project": st.just("zz"), "versions": not_list}),
+    st.fixed_dictionaries({"project": st.just("zz"), "versions": versions_with(not_object)}),
+    st.fixed_dictionaries({"project": st.just("zz"), "versions": versions_with(
+        st.one_of(st.fixed_dictionaries({"nodes": not_list}), st.fixed_dictionaries({"edges": not_list}))
+    )}),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(payload=malformed_projects)
+def test_malformed_project_file_fails_in_one_line(artifacts, payload):
+    config_path, base = artifacts
+    with corrupting(base / "corpus" / "zz.json", json.dumps(payload)):
+        assert_one_line_failure(*run_cli(["--config", config_path, "prepare"]))
+
+
+def bad_split_entries():
+    return st.one_of(
+        not_list,
+        st.lists(json_values, max_size=3).filter(lambda v: len(v) != 2),
+        st.tuples(not_str, st.integers(0, 3)).map(list),
+        st.tuples(st.just("proj00"), not_int).map(list),
+        st.sampled_from([["nope", 0], ["proj00", 99], ["proj00", -1]]),
+    )
+
+
+@st.composite
+def malformed_splits(draw, split):
+    kind = draw(st.sampled_from(["root", "drop", "mode", "part", "entry"]))
+    record = json.loads(json.dumps(split))
+    if kind == "root":
+        return draw(not_object)
+    if kind == "drop":
+        del record[draw(st.sampled_from(sorted(record)))]
+    elif kind == "mode":
+        record["mode"] = draw(json_values.filter(lambda v: v not in ("temporal", "cross_project")))
+    elif kind == "part":
+        record[draw(st.sampled_from(["train", "validation", "test"]))] = draw(not_list)
+    else:
+        part = draw(st.sampled_from(["train", "validation", "test"]))
+        record[part].insert(draw(st.integers(0, len(record[part]))), draw(bad_split_entries()))
+    return record
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_malformed_split_fails_in_one_line(artifacts, data):
+    config_path, base = artifacts
+    path = base / "out" / "split.json"
+    record = data.draw(malformed_splits(json.loads(path.read_text())))
+    command = data.draw(st.sampled_from([["train"], ["eval", "--approach", "random"]]))
+    with corrupting(path, json.dumps(record)):
+        assert_one_line_failure(*run_cli(["--config", config_path, *command]))
+
+
+ghost = st.text(max_size=4).map(lambda t: "ghost-" + t)
+bad_fields = {
+    "project": st.one_of(not_str, st.just("nope")),
+    "diff": st.one_of(not_int, st.just(99), st.just(-1)),
+    "anchor": st.one_of(not_str, ghost),
+    "candidate": st.one_of(not_str, ghost),
+    "label": json_values.filter(lambda v: isinstance(v, bool) or v not in (0, 1)),
+}
+
+
+@st.composite
+def malformed_rows(draw, row):
+    kind = draw(st.sampled_from(["line", "drop", "field"]))
+    if kind == "line":
+        return draw(st.one_of(not_object.map(json.dumps), st.just("{not json")))
+    row = dict(row)
+    key = draw(st.sampled_from(sorted(row)))
+    if kind == "drop":
+        del row[key]
+    else:
+        row[key] = draw(bad_fields[key])
+    return json.dumps(row)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_malformed_pairs_fail_in_one_line(artifacts, data):
+    config_path, base = artifacts
+    path = base / "out" / "pairs.train.balanced.jsonl"
+    lines = path.read_text().splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1))
+    lines[at] = data.draw(malformed_rows(json.loads(lines[at])))
+    with corrupting(path, "\n".join(lines) + "\n"):
+        assert_one_line_failure(*run_cli(["--config", config_path, "train"]))
+
+
+@pytest.mark.parametrize("key", [["nope", 0], ["proj00", 99], ["proj00", -1]])
+@pytest.mark.parametrize("part", ["train", "validation", "test"])
+def test_split_keys_must_name_corpus_diffs(artifacts, part, key):
+    config_path, base = artifacts
+    path = base / "out" / "split.json"
+    split = json.loads(path.read_text())
+    split[part].append(key)
+    with corrupting(path, json.dumps(split)):
+        code, lines = run_cli(["--config", config_path, "eval", "--approach", "random"])
+    assert_one_line_failure(code, lines)
+    assert f"project {key[0]!r} has no diff {key[1]}" in lines[0]
+
+
+@pytest.mark.parametrize("project, diff", [("nope", 0), ("proj00", 99), ("proj00", -1)])
+def test_pair_keys_must_name_corpus_diffs(artifacts, project, diff):
+    config_path, base = artifacts
+    path = base / "out" / "pairs.train.balanced.jsonl"
+    row = {"project": project, "diff": diff, "anchor": "n1", "candidate": "n2", "label": 0}
+    with corrupting(path, path.read_text() + json.dumps(row) + "\n"):
+        code, lines = run_cli(["--config", config_path, "train"])
+    assert_one_line_failure(code, lines)
+    assert f"project {project!r} has no diff {diff}" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "relative, text, command",
+    [
+        ("corpus/zz.json", '{"project": "zz", "versions": [1]}', "prepare"),
+        ("out/split.json", '{"mode": "temporal", "validation": [], "test": []}', "train"),
+        ("out/pairs.train.balanced.jsonl", '{"project": "proj00", "diff": 0}\n', "train"),
+        (
+            "out/pairs.train.balanced.jsonl",
+            '{"project": "proj00", "diff": 0, "anchor": "a\\nb", "candidate": "n1", "label": 0}\n',
+            "train",
+        ),
+    ],
+)
+def test_malformed_artifact_exits_1_with_one_stderr_line(artifacts, relative, text, command):
+    """Through the console entry point: stderr is one line, no traceback."""
+    config_path, base = artifacts
+    src = str(Path(focusrank.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with corrupting(base / relative, text):
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from focusrank.cli import main; sys.exit(main())",
+             "--config", config_path, command],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+    assert done.returncode == EXIT_VALIDATION
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR focusrank.cli: "), lines

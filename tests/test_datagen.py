@@ -42,6 +42,7 @@ class TestGenConfig:
             dict(noise_rate=1.5),
             dict(vocabulary=("Solo",)),
             dict(vocabulary=("Has Space", "Ok")),
+            dict(vocabulary=(True, "Ok")),
             dict(base_nodes=10),
         ]
         for overrides in bad:

@@ -1,30 +1,39 @@
 """Pair labeling, temporal/cross-project splits, and per-project balancing."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from focusrank.datagen import GenConfig, build_corpus
 from focusrank.dataset import (
     BalanceConfig,
     DatasetSplit,
+    DiffView,
     LabeledPair,
+    ViewPairs,
     balance,
+    diff_views,
     group_by_project,
     label_pairs,
     load_pairs,
     load_split,
+    pairs_by_project,
     save_pairs,
     save_split,
     split_cross_project,
     split_temporal,
 )
 from focusrank.errors import (
+    ArtifactFormatError,
     EmptyAnchorSetError,
     EmptyProjectError,
     TooFewCommitsError,
     TooFewProjectsError,
 )
-from focusrank.graphs import ModelGraph, diff, union_graph
+from focusrank.graphs import ModelGraph, Project, diff, union_graph
 
 
 def graph(nodes, edges=()):
@@ -92,6 +101,103 @@ class TestLabelPairs:
             for p in pairs:
                 expected = int(any(u in changed for u in target.successors(p.candidate)))
                 assert p.label == expected
+
+
+def random_project(rng, name, versions):
+    """Versions over a shared pool of node ids, so diffs add, remove,
+    relabel and keep nodes, and some diffs change nothing."""
+    pool = [f"v{i}" for i in range(rng.randint(2, 8))]
+    graphs = []
+    for _ in range(versions):
+        if graphs and rng.random() < 0.15:
+            graphs.append(graphs[-1])
+            continue
+        nodes = {v: rng.choice("XY") for v in pool if rng.random() < 0.8}
+        edges = {(a, b, "e") for a in nodes for b in nodes if a != b and rng.random() < 0.3}
+        graphs.append(ModelGraph(nodes, edges))
+    return Project(name=name, versions=graphs)
+
+
+def random_corpus(seed):
+    rng = random.Random(f"corpus:{seed}")
+    names = [f"p{i}" for i in range(rng.randint(1, 4))]
+    return {name: random_project(rng, name, rng.randint(2, 5)) for name in names}
+
+
+def all_keys(corpus):
+    return [(name, i) for name in sorted(corpus) for i in range(corpus[name].n_diffs)]
+
+
+def listed_pairs(corpus, keys):
+    """The labeled pairs of each keyed diff, listed with `label_pairs`."""
+    out = []
+    for name, i in keys:
+        d = corpus[name].diff_at(i)
+        if d.changed_nodes():
+            out.extend(label_pairs(d, corpus[name].versions[i + 1], d.changed_nodes(), name))
+    return out
+
+
+class TestDiffView:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_expansion_equals_label_pairs(self, seed):
+        corpus = random_corpus(seed)
+        keys = all_keys(corpus)
+        assert list(ViewPairs(diff_views(corpus, keys))) == listed_pairs(corpus, keys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), target=st.integers(1, 40), balance_seed=st.integers(0, 9))
+    def test_balance_over_views_equals_balance_over_listed_pairs(
+        self, seed, target, balance_seed
+    ):
+        corpus = random_corpus(seed)
+        keys = all_keys(corpus)
+        cfg = BalanceConfig(target_pairs_per_project=target, seed=balance_seed)
+        listed = group_by_project(listed_pairs(corpus, keys))
+        viewed = pairs_by_project(diff_views(corpus, keys))
+        assert sorted(viewed) == sorted(listed)
+        assert {name: len(pairs) for name, pairs in viewed.items()} == {
+            name: len(pairs) for name, pairs in listed.items()
+        }
+        assert balance(viewed, cfg) == balance(listed, cfg)
+
+    def test_default_corpus_balances_identically(self):
+        corpus, _ = build_corpus(GenConfig())
+        train = split_temporal(all_keys(corpus)).train
+        cfg = BalanceConfig(target_pairs_per_project=400, seed=7)
+        listed = balance(group_by_project(listed_pairs(corpus, train)), cfg)
+        assert balance(pairs_by_project(diff_views(corpus, train)), cfg) == listed
+        assert len(listed) == 400 * len(corpus)
+
+    def test_parts_of_a_diff(self):
+        old = graph("ABD", [("A", "B", "e")])
+        new = graph("ABC", [("A", "B", "e"), ("B", "C", "e")])
+        view = DiffView.of(Project("p", [old, new]), 0)
+        assert view.anchors == ("C", "D")
+        assert view.candidates == ("A", "B")
+        assert view.positives == {"B"}
+        assert view.n_pairs == 4
+        assert view.pair(1) == LabeledPair("p", 0, "C", "B", 1)
+        assert view.pair(2) == LabeledPair("p", 0, "D", "A", 0)
+        assert sorted(view.union.node_ids) == ["A", "B", "C", "D"]
+
+    def test_views_without_pairs_are_left_out(self):
+        g = graph("AB", [("A", "B", "e")])
+        idle = Project("idle", [g, g])
+        fresh = Project("fresh", [graph(""), graph("A")])
+        assert DiffView.of(idle, 0).n_pairs == 0
+        assert DiffView.of(fresh, 0).n_pairs == 0
+        pairs = ViewPairs([DiffView.of(idle, 0), DiffView.of(fresh, 0)])
+        assert len(pairs) == 0 and not pairs.views
+        assert pairs_by_project([DiffView.of(idle, 0)]) == {}
+
+    def test_index_out_of_range(self):
+        view = DiffView.of(Project("p", [graph("A"), graph("AB")]), 0)
+        pairs = ViewPairs([view])
+        assert len(pairs) == 1
+        with pytest.raises(IndexError):
+            pairs[1]
 
 
 class TestTemporalSplit:
@@ -242,3 +348,39 @@ class TestPersistence:
         path = tmp_path / "split.json"
         save_split(split, path)
         assert load_split(path) == split
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"project": "p", "diff": 0, "anchor": "A", "candidate": "B"},
+            {"project": "p", "diff": "0", "anchor": "A", "candidate": "B", "label": 1},
+            {"project": "p", "diff": 0, "anchor": 3, "candidate": "B", "label": 1},
+            {"project": "p", "diff": 0, "anchor": "A", "candidate": "B", "label": 2},
+            {"project": "p", "diff": 0, "anchor": "A", "candidate": "B", "label": True},
+            ["p", 0, "A", "B", 1],
+        ],
+    )
+    def test_malformed_pair_row_names_its_line(self, tmp_path, record):
+        path = tmp_path / "pairs.jsonl"
+        save_pairs([LabeledPair("p", 0, "A", "C", 0)], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        with pytest.raises(ArtifactFormatError, match="line 2"):
+            load_pairs(path)
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            {"mode": "temporal", "validation": [], "test": []},
+            {"mode": "sideways", "train": [], "validation": [], "test": []},
+            {"mode": "temporal", "train": 5, "validation": [], "test": []},
+            {"mode": "temporal", "train": [["p", "1"]], "validation": [], "test": []},
+            {"mode": "temporal", "train": [["p", 1, 2]], "validation": [], "test": []},
+            [["p", 1]],
+        ],
+    )
+    def test_malformed_split_rejected(self, tmp_path, manifest):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactFormatError):
+            load_split(path)

@@ -236,7 +236,8 @@ def endpoint():
     script = _Script()
     handler = type("Handler", (_Handler,), {"script": script})
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval, so that shutdown() at teardown returns promptly
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     url = f"http://127.0.0.1:{server.server_address[1]}/embeddings"
     try:

@@ -10,7 +10,6 @@ from focusrank.errors import NoPositivesError
 from focusrank.evaluation import (
     AnchorResult,
     CoChangeScorer,
-    EvalContext,
     EvalReport,
     NeuralScorer,
     RandomScorer,
@@ -18,6 +17,7 @@ from focusrank.evaluation import (
     Scorer,
     SemanticScorer,
     aggregate_by_project,
+    by_score,
     dynamic_k,
     evaluate,
     precision_at_k,
@@ -116,6 +116,15 @@ def chain_graph():
     )
 
 
+class TestByScore:
+    def test_descending_score_then_ascending_id(self):
+        scores = {"b": 1.0, "a": 1.0, "c": 2.0, "d": -1.0}
+        assert by_score(["d", "c", "b", "a"], scores) == ["c", "a", "b", "d"]
+
+    def test_only_the_given_candidates_are_ranked(self):
+        assert by_score(["b"], {"a": 5.0, "b": 0.0}) == ["b"]
+
+
 class TestRadiusFilter:
     def test_tau_one_is_immediate_neighborhood(self):
         g = chain_graph()
@@ -155,7 +164,7 @@ class OracleScorer(Scorer):
     def __init__(self, positives):
         self.positives = set(positives)
 
-    def scores(self, anchor, candidates, ctx):
+    def scores(self, anchor, candidates, view):
         return {c: 1.0 if c in self.positives else 0.0 for c in candidates}
 
 
@@ -165,15 +174,8 @@ class InverseScorer(Scorer):
     def __init__(self, positives):
         self.positives = set(positives)
 
-    def scores(self, anchor, candidates, ctx):
+    def scores(self, anchor, candidates, view):
         return {c: 0.0 if c in self.positives else 1.0 for c in candidates}
-
-
-class BrokenScorer(Scorer):
-    name = "broken"
-
-    def order(self, anchor, candidates, ctx):
-        return list(candidates)[:-1]
 
 
 class TestEvaluate:
@@ -232,10 +234,28 @@ class TestEvaluate:
             r.ranking.ordered for r in capped.results
         ]
 
-    def test_non_permutation_scorer_rejected(self):
+    def test_random_scorer_ranks_in_rank_random_order(self):
         corpus = {"proj": growing_project()}
-        with pytest.raises(ValueError):
-            evaluate(BrokenScorer(), corpus, [("proj", 0)])
+        for seed in range(20):
+            (result,) = evaluate(RandomScorer(seed), corpus, [("proj", 0)]).results
+            expected = rank_random(["A", "B", "C", "D"], seed, "E")
+            assert list(result.ranking.ordered) == expected
+
+    def test_scorer_sees_the_diff_view(self):
+        seen = []
+
+        class Spy(Scorer):
+            def scores(self, anchor, candidates, view):
+                seen.append((anchor, tuple(candidates), view))
+                return {c: 0.0 for c in candidates}
+
+        evaluate(Spy(), {"proj": growing_project()}, [("proj", 0)])
+        ((anchor, candidates, view),) = seen
+        assert (view.project, view.diff_index) == ("proj", 0)
+        assert anchor == view.anchors[0] == "E"
+        assert candidates == view.candidates == ("A", "B", "C", "D")
+        assert view.positives == {"B"}
+        assert view.union.label("E") == "E"
 
     def test_semantic_scorer_end_to_end(self):
         v0 = ModelGraph(
@@ -348,11 +368,3 @@ class TestReport:
         text = radius_rows_csv(rows)
         assert text.splitlines()[0] == "tau,k,precision,prevalence,ratio,margin"
         assert len(text.splitlines()) == 7
-
-    def test_rank_statistics_reachable_from_evaluation(self):
-        from focusrank.evaluation import mann_whitney_u, spearman_rho
-
-        u, p = mann_whitney_u([3.0, 4.0], [1.0, 2.0])
-        assert u == 4.0
-        rho, _ = spearman_rho([1, 2, 3], [1, 2, 3])
-        assert rho == 1.0

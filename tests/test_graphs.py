@@ -1,11 +1,12 @@
 """Graph construction, diffing, distances, and change-radius behavior."""
 
+import json
 import math
 import random
 
 import pytest
 
-from focusrank.errors import UnknownNodeError
+from focusrank.errors import ArtifactFormatError, UnknownNodeError
 from focusrank.graphs import (
     INFINITE,
     ChangeRadius,
@@ -15,9 +16,9 @@ from focusrank.graphs import (
     change_radius,
     diff,
     distance,
+    load_corpus,
     load_project,
     save_project,
-    succ,
     union_graph,
 )
 
@@ -68,21 +69,21 @@ class TestModelGraph:
 class TestSucc:
     def test_direct_read_of_edge_set(self):
         g = graph("ABC", [("A", "B", "e"), ("A", "C", "e"), ("B", "C", "e")])
-        assert succ(g, "A") == {"B", "C"}
+        assert g.successors("A") == {"B", "C"}
 
     def test_sink_has_no_successors(self):
         g = graph("ABC", [("A", "B", "e"), ("A", "C", "e"), ("B", "C", "e")])
-        assert succ(g, "C") == set()
+        assert g.successors("C") == set()
 
     def test_parallel_edges_deduplicate(self):
         g = graph("AB", [("A", "B", "x"), ("A", "B", "y")])
         # brute force over the edge set
         expected = {dst for src, dst, _ in g.edges if src == "A"}
-        assert succ(g, "A") == expected == {"B"}
+        assert g.successors("A") == expected == {"B"}
 
     def test_unknown_node(self):
         with pytest.raises(UnknownNodeError):
-            succ(graph("A"), "Z")
+            graph("A").successors("Z")
 
 
 class TestDistance:
@@ -262,6 +263,47 @@ class TestProjectPersistence:
         assert loaded.versions[0].node_ids == {"A"}
         assert loaded.versions[0].edges == frozenset()
         assert "dropped" in caplog.text
+
+    def test_file_is_one_compact_json_line(self, tmp_path):
+        p = Project(name="demo", versions=[graph("AB", [("A", "B", "e")])])
+        path = tmp_path / "demo.json"
+        save_project(p, path)
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert ", " not in text and ": " not in text
+        assert json.loads(text) == {
+            "project": "demo",
+            "versions": [{
+                "nodes": [{"id": "A", "label": "LA"}, {"id": "B", "label": "LB"}],
+                "edges": [{"src": "A", "dst": "B", "label": "e"}],
+            }],
+        }
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            "proj",
+            {"versions": []},
+            {"project": "p", "versions": {"nodes": []}},
+            {"project": "p", "versions": [1]},
+            {"project": "p", "versions": [{}, None]},
+            {"project": "p", "versions": [{"nodes": 5}]},
+            {"project": "p", "versions": [{"nodes": [], "edges": "A->B"}]},
+        ],
+    )
+    def test_malformed_structure_is_a_typed_error(self, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ArtifactFormatError):
+            load_project(path)
+
+    def test_duplicate_project_ids_rejected(self, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            save_project(Project(name="same", versions=[graph("A")]), path)
+        with pytest.raises(ArtifactFormatError, match="same"):
+            load_corpus(paths)
 
     def test_diff_at_uses_consecutive_versions(self):
         versions = [graph("A"), graph("AB"), graph("ABC")]

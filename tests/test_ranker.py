@@ -503,6 +503,27 @@ class TestTraining:
         reloss = batch_loss(forward(ckpt.params, anchors, cands), labels, toy_config().loss)
         assert reloss == pytest.approx(best, rel=1e-9)
 
+    @pytest.mark.parametrize("rows", [1, 7, 48, 1000])
+    def test_validation_chunks_leave_the_loss_unchanged(self, monkeypatch, rows):
+        """Logits computed chunk by chunk, then one batch_loss: the history
+        matches the single forward pass over the whole validation set."""
+        from focusrank import ranker
+
+        data = toy_task()
+        cfg = toy_config(epochs=5, early_stop_patience=0)
+        monkeypatch.setattr(ranker, "VAL_CHUNK_ROWS", 10**9)
+        whole = train(data, data, cfg)
+        monkeypatch.setattr(ranker, "VAL_CHUNK_ROWS", rows)
+        chunked = train(data, data, cfg)
+        for a, b in zip(whole.history, chunked.history):
+            assert a["train_loss"] == b["train_loss"]
+            assert b["val_loss"] == pytest.approx(a["val_loss"], rel=0, abs=1e-12)
+        anchors, cands, labels = data
+        best = batch_loss(forward(chunked.params, anchors, cands), labels, cfg.loss)
+        assert best == pytest.approx(
+            min(row["val_loss"] for row in chunked.history), rel=0, abs=1e-12
+        )
+
     def test_empty_sets_rejected(self):
         empty = (np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
         with pytest.raises(EmptyDatasetError):
