@@ -23,7 +23,7 @@ from .dataset import (
     split_cross_project,
     split_temporal,
 )
-from .datagen import GenConfig, build_corpus, describe, generate
+from .datagen import GenConfig, build_corpus, describe, write_corpus
 from .embedding import HashedProvider, ProviderConfig, RemoteConfig, make_provider
 from .errors import FocusRankError
 from .evaluation import (
@@ -99,7 +99,6 @@ __all__ = [
     "dynamic_k",
     "evaluate",
     "forward",
-    "generate",
     "grad",
     "label_pairs",
     "load_checkpoint",
@@ -119,4 +118,5 @@ __all__ = [
     "split_temporal",
     "train",
     "union_graph",
+    "write_corpus",
 ]

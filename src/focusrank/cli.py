@@ -344,9 +344,8 @@ def _load_split(config: dict, corpus) -> DatasetSplit:
 
 
 def cmd_gen(config: dict) -> int:
-    gen_cfg = datagen.GenConfig.from_dict(config["gen"])
-    paths = datagen.generate(gen_cfg, config["corpus_dir"])
-    corpus = _load_corpus(config)
+    corpus, manifest = datagen.build_corpus(datagen.GenConfig.from_dict(config["gen"]))
+    paths = datagen.write_corpus(corpus, manifest, config["corpus_dir"])
     stats = datagen.describe(corpus)
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

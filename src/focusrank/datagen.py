@@ -263,21 +263,39 @@ def build_corpus(cfg: GenConfig) -> tuple[dict[str, Project], dict]:
     return corpus, manifest
 
 
-def generate(cfg: GenConfig, out_dir) -> list[Path]:
+def write_corpus(corpus: Mapping[str, Project], manifest: dict, out_dir) -> list[Path]:
     """Write one JSON file per project plus manifest.json; returns the
-    project file paths."""
-    corpus, manifest = build_corpus(cfg)
+    project file paths. Project files that the replaced manifest.json lists
+    but this corpus lacks are deleted, so no stale project outlives its run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    stale = _listed_files(out / "manifest.json")
     paths = []
     for name in sorted(corpus):
         path = out / f"{name}.json"
         save_project(corpus[name], path)
         paths.append(path)
+    for file_name in sorted(stale - {path.name for path in paths}):
+        (out / file_name).unlink(missing_ok=True)
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return paths
+
+
+def _listed_files(manifest_path: Path) -> set[str]:
+    """Project file names a manifest.json lists: plain `*.json` names in its
+    directory; empty when the manifest is missing or unreadable."""
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            names = {entry["file"] for entry in json.load(fh)["projects"]}
+    except (OSError, ValueError, KeyError, TypeError):
+        return set()
+    return {
+        name for name in names
+        if isinstance(name, str) and name.endswith(".json")
+        and Path(name).name == name != "manifest.json"
+    }
 
 
 def describe(corpus: Mapping[str, Project]) -> dict:
@@ -295,7 +313,7 @@ def describe(corpus: Mapping[str, Project]) -> dict:
             n_nodes += len(g)
         for i, d in project.iter_diffs():
             n_diffs += 1
-            n_changed += len(d.changed)
+            n_changed += len(d.changed_node_ids) + len(d.changed_edges)
             # every (changed, preserved) pair; its label is the candidate's
             n_anchors = len(d.changed_nodes())
             total_pairs += n_anchors * len(d.preserved_nodes())

@@ -69,9 +69,10 @@ class LabeledPair:
 
 def positive_candidates(d: StructuralDiff, g_target: ModelGraph) -> set[str]:
     """Preserved nodes with a direct successor, in the target graph, among
-    the diff's changed nodes."""
-    changed = d.changed_nodes()
-    return {v for v in d.preserved_nodes() if g_target.successors(v) & changed}
+    the diff's changed nodes: the sources of the target's edges from a
+    preserved node into a changed one."""
+    changed, preserved = d.changed_nodes(), d.preserved_nodes()
+    return {src for src, dst, _ in g_target.edges if dst in changed and src in preserved}
 
 
 def label_pairs(

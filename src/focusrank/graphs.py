@@ -29,7 +29,8 @@ class ModelGraph:
     """One immutable model version: labeled nodes plus labeled directed edges.
 
     Raises ValueError when an edge endpoint is missing, a node id repeats,
-    or the same (src, dst, label) triple appears twice.
+    or the same (src, dst, label) triple appears twice. Adjacency sets are
+    built by the first `successors` or `distances_from` call, then kept.
     """
 
     __slots__ = ("_labels", "_edges", "_succ", "_undirected")
@@ -52,8 +53,6 @@ class ModelGraph:
                 raise ValueError("node ids must be non-empty")
 
         edge_set: set[EdgeKey] = set()
-        succ: dict[str, set[str]] = {node_id: set() for node_id in labels}
-        undirected: dict[str, set[str]] = {node_id: set() for node_id in labels}
         for src, dst, label in edges:
             if src not in labels:
                 raise ValueError(f"edge source {src!r} not a node")
@@ -63,14 +62,10 @@ class ModelGraph:
             if key in edge_set:
                 raise ValueError(f"duplicate edge {key!r}")
             edge_set.add(key)
-            succ[src].add(dst)
-            undirected[src].add(dst)
-            undirected[dst].add(src)
 
         self._labels = labels
         self._edges = frozenset(edge_set)
-        self._succ = succ
-        self._undirected = undirected
+        self._succ = self._undirected = None
 
     @property
     def node_ids(self) -> set[str]:
@@ -103,20 +98,32 @@ class ModelGraph:
     def __repr__(self) -> str:
         return f"ModelGraph(nodes={len(self._labels)}, edges={len(self._edges)})"
 
+    def _adjacency(self) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+        if self._succ is None:
+            succ = {node_id: set() for node_id in self._labels}
+            undirected = {node_id: set() for node_id in self._labels}
+            for src, dst, _ in self._edges:
+                succ[src].add(dst)
+                undirected[src].add(dst)
+                undirected[dst].add(src)
+            self._succ, self._undirected = succ, undirected
+        return self._succ, self._undirected
+
     def successors(self, node_id: str) -> set[str]:
         if node_id not in self._labels:
             raise UnknownNodeError(node_id)
-        return set(self._succ[node_id])
+        return set(self._adjacency()[0][node_id])
 
     def distances_from(self, source: str) -> dict[str, int]:
         """Hop counts from `source` to every reachable node, edges undirected."""
         if source not in self._labels:
             raise UnknownNodeError(source)
+        undirected = self._adjacency()[1]
         dist = {source: 0}
         queue = deque([source])
         while queue:
             current = queue.popleft()
-            for nxt in self._undirected[current]:
+            for nxt in undirected[current]:
                 if nxt not in dist:
                     dist[nxt] = dist[current] + 1
                     queue.append(nxt)
@@ -156,57 +163,53 @@ class StructuralDiff:
 
     A node present in only one version, or present in both with different
     labels, is changed; an edge is changed when its triple exists in exactly
-    one version. Everything else is preserved.
+    one version. Everything else is preserved. Nodes are held as id sets and
+    edges as triple sets; `changed` and `preserved` list both as ElementRefs.
     """
 
-    changed: frozenset[ElementRef]
-    preserved: frozenset[ElementRef]
+    changed_node_ids: frozenset[str]
+    preserved_node_ids: frozenset[str]
+    changed_edges: frozenset[EdgeKey]
+    preserved_edges: frozenset[EdgeKey]
     source_version: int
     target_version: int
 
-    def changed_nodes(self) -> set[str]:
-        return {ref.key for ref in self.changed if ref.kind == "node"}
+    @property
+    def changed(self) -> frozenset[ElementRef]:
+        return _refs(self.changed_node_ids, self.changed_edges)
 
-    def preserved_nodes(self) -> set[str]:
-        return {ref.key for ref in self.preserved if ref.kind == "node"}
+    @property
+    def preserved(self) -> frozenset[ElementRef]:
+        return _refs(self.preserved_node_ids, self.preserved_edges)
+
+    def changed_nodes(self) -> frozenset[str]:
+        return self.changed_node_ids
+
+    def preserved_nodes(self) -> frozenset[str]:
+        return self.preserved_node_ids
 
     def involved_nodes(self) -> set[str]:
         """Changed nodes plus endpoints of changed edges."""
-        nodes = set()
-        for ref in self.changed:
-            if ref.kind == "node":
-                nodes.add(ref.key)
-            else:
-                src, dst, _ = ref.key
-                nodes.add(src)
-                nodes.add(dst)
+        nodes = set(self.changed_node_ids)
+        for src, dst, _ in self.changed_edges:
+            nodes.add(src)
+            nodes.add(dst)
         return nodes
+
+
+def _refs(node_ids: Iterable[str], edges: Iterable[EdgeKey]) -> frozenset[ElementRef]:
+    return frozenset([*map(ElementRef.node, node_ids), *(ElementRef.edge(*e) for e in edges)])
 
 
 def diff(m: ModelGraph, n: ModelGraph, source_version: int = 0, target_version: int = 1) -> StructuralDiff:
     """Structural difference between versions m and n, matched by identifier."""
-    m_labels = m.labels()
-    n_labels = n.labels()
-    changed: set[ElementRef] = set()
-    preserved: set[ElementRef] = set()
-
-    for node_id in set(m_labels) | set(n_labels):
-        in_m = node_id in m_labels
-        in_n = node_id in n_labels
-        if in_m and in_n and m_labels[node_id] == n_labels[node_id]:
-            preserved.add(ElementRef.node(node_id))
-        else:
-            changed.add(ElementRef.node(node_id))
-
-    for key in m.edges | n.edges:
-        if key in m.edges and key in n.edges:
-            preserved.add(ElementRef.edge(*key))
-        else:
-            changed.add(ElementRef.edge(*key))
-
+    m_labels, n_labels = m._labels, n._labels
+    preserved = frozenset(v for v in m_labels.keys() & n_labels.keys() if m_labels[v] == n_labels[v])
     return StructuralDiff(
-        changed=frozenset(changed),
-        preserved=frozenset(preserved),
+        changed_node_ids=frozenset(m_labels.keys() | n_labels.keys()) - preserved,
+        preserved_node_ids=preserved,
+        changed_edges=m.edges ^ n.edges,
+        preserved_edges=m.edges & n.edges,
         source_version=source_version,
         target_version=target_version,
     )
@@ -218,9 +221,7 @@ def union_graph(m: ModelGraph, n: ModelGraph) -> ModelGraph:
     Labels are irrelevant to distances; where a node's label differs the
     target version wins.
     """
-    labels = m.labels()
-    labels.update(n.labels())
-    return ModelGraph(labels, m.edges | n.edges)
+    return ModelGraph(m._labels | n._labels, m.edges | n.edges)
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,7 @@ def change_radius(g_union: ModelGraph, d: StructuralDiff) -> ChangeRadius:
     for node_id in involved:
         if node_id not in g_union:
             raise UnknownNodeError(node_id)
-    c = len(d.changed)
+    c = len(d.changed_node_ids) + len(d.changed_edges)
     if len(involved) <= 1:
         return ChangeRadius(c=c, s=0)
     s: float = 0

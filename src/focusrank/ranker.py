@@ -436,10 +436,14 @@ def load_checkpoint(path) -> Checkpoint:
             f"(this build reads version {CHECKPOINT_VERSION}; retrain to convert)"
         )
     try:
-        d, h = int(payload["d"]), int(payload["h"])
+        d, h = payload["d"], payload["h"]
+        if not all(type(v) is int and v >= 1 for v in (d, h)):
+            raise CheckpointFormatError(f"{path}: d and h must be positive integers, got {d!r}, {h!r}")
         theta = np.frombuffer(base64.b64decode(payload["theta"]), dtype="<f8").astype(np.float64)
         if theta.size != 3 * d * h + h + 1:
             raise CheckpointFormatError(f"{path}: theta has {theta.size} values, d={d} h={h}")
+        if not np.isfinite(theta).all():
+            raise CheckpointFormatError(f"{path}: theta holds non-finite values")
         params = RankerParams.from_theta(theta, d, h)
         train_config = TrainConfig.from_dict(payload["train_config"])
     except (KeyError, TypeError, ValueError) as exc:

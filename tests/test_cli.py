@@ -1,5 +1,6 @@
 """End-to-end command pipeline, exit codes, config loading and overrides."""
 
+import base64
 import contextlib
 import json
 import logging
@@ -10,12 +11,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focusrank
-from focusrank import ranker
+from focusrank import datagen, ranker
 from focusrank.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -27,6 +29,7 @@ from focusrank.cli import (
     main,
 )
 from focusrank.errors import ConfigInvalidError, MissingArtifactError, TrainingDivergedError
+from focusrank.graphs import load_corpus
 
 
 def write_config(base_dir, **section_overrides) -> str:
@@ -68,6 +71,12 @@ class TestPipeline:
         stats = json.loads((out_dir / "corpus-stats.json").read_text())
         assert stats["projects"] == 3
         assert stats["versions"] == 3 * 7
+
+    def test_corpus_stats_describe_the_written_files(self, pipeline):
+        _, out_dir, corpus_dir = pipeline
+        stats = json.loads((out_dir / "corpus-stats.json").read_text())
+        written = load_corpus(sorted(corpus_dir.glob("proj*.json")))
+        assert stats == datagen.describe(written)
 
     def test_prepare_outputs(self, pipeline):
         _, out_dir, _ = pipeline
@@ -602,3 +611,72 @@ def test_malformed_artifact_exits_1_with_one_stderr_line(artifacts, relative, te
     assert "Traceback" not in done.stderr
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERROR focusrank.cli: "), lines
+
+
+def test_regenerating_fewer_projects_leaves_no_stale_ones(tmp_path):
+    """gen 10 then gen 8 into one corpus_dir: the two projects the first
+    run alone wrote are gone from the directory, the stats and prepare."""
+    config_path = write_config(tmp_path)
+    for projects in (10, 8):
+        assert main(["--config", config_path, "--set", f"gen.projects={projects}", "gen"]) == EXIT_OK
+    expected = [f"proj{i:02d}" for i in range(8)]
+    assert sorted(p.stem for p in (tmp_path / "corpus").glob("proj*.json")) == expected
+    stats = json.loads((tmp_path / "out" / "corpus-stats.json").read_text())
+    assert stats["projects"] == 8 and stats["versions"] == 8 * 7
+    assert main(["--config", config_path, "prepare"]) == EXIT_OK
+    split = json.loads((tmp_path / "out" / "split.json").read_text())
+    assert sorted(name for name, _ in split["test"]) == expected
+
+
+@st.composite
+def malformed_checkpoints(draw, payload):
+    kind = draw(st.sampled_from(["root", "drop", "value", "dims", "non-finite", "truncated"]))
+    record = dict(payload)
+    raw = base64.b64decode(payload["theta"])
+    if kind == "root":
+        return draw(not_object)
+    if kind == "drop":
+        del record[draw(st.sampled_from(["format", "version", "d", "h", "theta", "train_config"]))]
+    elif kind == "value":
+        key = draw(st.sampled_from(["format", "version", "theta"]))
+        record[key] = draw(json_values.filter(lambda v: v != payload[key]))
+    elif kind == "dims":
+        key = draw(st.sampled_from(["d", "h"]))
+        record[key] = draw(st.one_of(json_values, st.just(float(payload[key])), st.floats())
+                           .filter(lambda v: not (type(v) is int and v == payload[key])))
+    elif kind == "non-finite":
+        at = 8 * draw(st.integers(0, len(raw) // 8 - 1))
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        raw = raw[:at] + np.float64(value).tobytes() + raw[at + 8:]
+        record["theta"] = base64.b64encode(raw).decode("ascii")
+    else:
+        record["theta"] = base64.b64encode(raw[:draw(st.integers(0, len(raw) - 1))]).decode("ascii")
+    if kind != "value":
+        record["train_config"] = draw(st.one_of(st.just(payload["train_config"]), not_object))
+    return record
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_malformed_checkpoint_fails_in_one_line(artifacts, data):
+    config_path, base = artifacts
+    path = base / "out" / "checkpoint.json"
+    record = data.draw(malformed_checkpoints(json.loads(path.read_text())))
+    with corrupting(path, json.dumps(record)):
+        assert_one_line_failure(*run_cli(["--config", config_path, "eval", "--approach", "nextfocus"]))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p.update(theta=base64.b64encode(b"\xff" * len(base64.b64decode(p["theta"]))).decode()),
+    lambda p: p.update(d=p["d"] + 0.7),
+    lambda p: p.update(h=float(p["h"])),
+])
+def test_non_finite_or_mistyped_checkpoint_exits_1(artifacts, edit):
+    config_path, base = artifacts
+    path = base / "out" / "checkpoint.json"
+    payload = json.loads(path.read_text())
+    edit(payload)
+    with corrupting(path, json.dumps(payload)):
+        code, lines = run_cli(["--config", config_path, "eval", "--approach", "nextfocus"])
+    assert code == EXIT_VALIDATION
+    assert_one_line_failure(code, lines)

@@ -11,7 +11,7 @@ from focusrank.datagen import (
     build_corpus,
     default_config,
     describe,
-    generate,
+    write_corpus,
 )
 from focusrank.embedding import HashedProvider, cosine, tokenize
 from focusrank.errors import ConfigInvalidError
@@ -58,8 +58,8 @@ class TestDeterminism:
     def test_same_seed_writes_identical_bytes(self, tmp_path):
         cfg = small_config()
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        generate(cfg, a_dir)
-        generate(cfg, b_dir)
+        write_corpus(*build_corpus(cfg), a_dir)
+        write_corpus(*build_corpus(cfg), b_dir)
         a_files = sorted(p.name for p in a_dir.iterdir())
         b_files = sorted(p.name for p in b_dir.iterdir())
         assert a_files == b_files
@@ -67,17 +67,40 @@ class TestDeterminism:
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
     def test_different_seed_changes_output(self, tmp_path):
-        generate(small_config(seed=1), tmp_path / "a")
-        generate(small_config(seed=2), tmp_path / "b")
+        write_corpus(*build_corpus(small_config(seed=1)), tmp_path / "a")
+        write_corpus(*build_corpus(small_config(seed=2)), tmp_path / "b")
         a = json.loads((tmp_path / "a" / "manifest.json").read_text())
         b = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert a != b
 
     def test_written_corpus_round_trips(self, tmp_path):
         cfg = small_config()
-        corpus, _ = build_corpus(cfg)
-        paths = generate(cfg, tmp_path)
+        corpus, manifest = build_corpus(cfg)
+        paths = write_corpus(corpus, manifest, tmp_path)
         assert load_corpus(paths) == corpus
+
+    def test_rewrite_deletes_only_projects_the_old_manifest_lists(self, tmp_path):
+        write_corpus(*build_corpus(small_config(projects=3)), tmp_path)
+        (tmp_path / "mine.json").write_text("{}")
+        write_corpus(*build_corpus(small_config(projects=2)), tmp_path)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["manifest.json", "mine.json", "proj00.json", "proj01.json"]
+
+    @pytest.mark.parametrize("manifest", [
+        "{not json",
+        json.dumps({"projects": [{"file": "../outside.json"}, {"file": "manifest.json"},
+                                 {"file": "sub/x.json"}, {"file": 3}, {"no": "file"}]}),
+        json.dumps({"projects": 5}),
+    ])
+    def test_unreadable_or_foreign_manifest_entries_delete_nothing(self, tmp_path, manifest):
+        out = tmp_path / "corpus"
+        (out / "sub").mkdir(parents=True)
+        for path in (tmp_path / "outside.json", out / "sub" / "x.json"):
+            path.write_text("{}")
+        (out / "manifest.json").write_text(manifest)
+        write_corpus(*build_corpus(small_config(projects=2)), out)
+        assert (tmp_path / "outside.json").exists() and (out / "sub" / "x.json").exists()
+        assert json.loads((out / "manifest.json").read_text())["config"]["projects"] == 2
 
 
 class TestPlantedPattern:

@@ -21,6 +21,7 @@ from focusrank.dataset import (
     load_pairs,
     load_split,
     pairs_by_project,
+    positive_candidates,
     save_pairs,
     save_split,
     split_cross_project,
@@ -101,6 +102,29 @@ class TestLabelPairs:
             for p in pairs:
                 expected = int(any(u in changed for u in target.successors(p.candidate)))
                 assert p.label == expected
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10**6))
+    def test_positive_candidates_match_successor_rule(self, seed):
+        """The edge scan equals the per-candidate rule: preserved nodes with a
+        changed successor, for the target version and the union graph, with
+        self-loops and parallel edges allowed."""
+        rng = random.Random(seed)
+        names = [f"v{i}" for i in range(rng.randint(1, 8))]
+
+        def rand_graph():
+            nodes = {v: rng.choice("XY") for v in names if rng.random() < 0.8}
+            edges = {(a, b, label) for a in nodes for b in nodes for label in "pq"
+                     if rng.random() < 0.2}
+            return ModelGraph(nodes, edges)
+
+        old, new = rand_graph(), rand_graph()
+        d = diff(old, new)
+        changed = d.changed_nodes()
+        for target in (new, union_graph(old, new)):
+            expected = {v for v in d.preserved_nodes() if target.successors(v) & changed}
+            assert positive_candidates(d, target) == expected
 
 
 def random_project(rng, name, versions):

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focusrank.errors import ArtifactFormatError, UnknownNodeError
 from focusrank.graphs import (
@@ -120,6 +122,48 @@ class TestDistance:
             assert distance(g, u, w) <= distance(g, u, v) + distance(g, v, w)
 
 
+@st.composite
+def random_graphs(draw):
+    """Up to 7 nodes with any edges between them, self-loops and parallel
+    edges (distinct labels) included."""
+    names = draw(st.lists(st.sampled_from("ABCDEFG"), unique=True, max_size=7))
+    labels = {v: draw(st.sampled_from("xy")) for v in names}
+    if not names:
+        return ModelGraph(labels)
+    ends = st.sampled_from(names)
+    return ModelGraph(labels, draw(st.sets(st.tuples(ends, ends, st.sampled_from("pq")), max_size=14)))
+
+
+def bfs_over_edges(g: ModelGraph, source: str) -> dict:
+    """Hop counts from `source`, scanning the edge triples level by level."""
+    dist, frontier, level = {source: 0}, {source}, 0
+    while frontier:
+        level += 1
+        reached = {b for a, b, _ in g.edges if a in frontier} | {a for a, b, _ in g.edges if b in frontier}
+        frontier = reached - dist.keys()
+        dist.update(dict.fromkeys(frontier, level))
+    return dist
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(m=random_graphs(), n=random_graphs(), made_by=st.sampled_from(["constructor", "load_project", "union_graph"]))
+def test_adjacency_matches_edge_scan(tmp_path_factory, m, n, made_by):
+    """`successors` and `distances_from`, built on first use, agree with a
+    scan of `g.edges` however the graph was made."""
+    if made_by == "load_project":
+        path = tmp_path_factory.mktemp("graph") / "p.json"
+        save_project(Project("p", [m]), path)
+        g = load_project(path).versions[0]
+        assert g == m
+    elif made_by == "union_graph":
+        g = union_graph(m, n)
+    else:
+        g = ModelGraph(list(m.labels().items()), list(m.edges))
+    for v in sorted(g.node_ids):
+        assert g.distances_from(v) == bfs_over_edges(g, v)
+        assert g.successors(v) == {b for a, b, _ in g.edges if a == v}
+
+
 def elements(g: ModelGraph) -> set:
     refs = {ElementRef.node(v) for v in g.node_ids}
     refs |= {ElementRef.edge(*e) for e in g.edges}
@@ -187,6 +231,16 @@ class TestDiff:
             assert d.preserved == exp_preserved
             assert d.changed.isdisjoint(d.preserved)
             assert len(d.changed) + len(d.preserved) == len(elements(m) | elements(n))
+            # the id and triple sets the diff holds are the same partition
+            assert d.changed_node_ids == d.changed_nodes() == {r.key for r in exp_changed if r.kind == "node"}
+            assert d.preserved_node_ids == d.preserved_nodes() == {
+                r.key for r in exp_preserved if r.kind == "node"
+            }
+            assert d.changed_edges == {r.key for r in exp_changed if r.kind == "edge"}
+            assert d.preserved_edges == {r.key for r in exp_preserved if r.kind == "edge"}
+            endpoints = {v for r in exp_changed if r.kind == "edge" for v in r.key[:2]}
+            assert d.involved_nodes() == d.changed_node_ids | endpoints
+            assert change_radius(union_graph(m, n), d).c == len(exp_changed)
 
 
 class TestUnionGraph:

@@ -649,6 +649,38 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
+    @staticmethod
+    def rewritten(tmp_path, edit):
+        """A saved checkpoint whose JSON payload `edit` changed in place."""
+        data = toy_task(n=16)
+        ckpt = train(data, data, toy_config(epochs=1, early_stop_patience=0))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize("poison", [
+        lambda raw: b"\xff" * len(raw),  # every value a NaN
+        lambda raw: raw[:8] + np.float64(math.inf).tobytes() + raw[16:],
+        lambda raw: raw[:-8] + np.float64(-math.inf).tobytes(),
+    ])
+    def test_non_finite_theta_rejected(self, tmp_path, poison):
+        def edit(payload):
+            raw = base64.b64decode(payload["theta"])
+            payload["theta"] = base64.b64encode(poison(raw)).decode("ascii")
+
+        with pytest.raises(CheckpointFormatError, match="non-finite"):
+            load_checkpoint(self.rewritten(tmp_path, edit))
+
+    @pytest.mark.parametrize("key", ["d", "h"])
+    @pytest.mark.parametrize("value", [256.7, 6.0, True, "6", 0, -6, None, [6]])
+    def test_non_integer_dimensions_rejected(self, tmp_path, key, value):
+        path = self.rewritten(tmp_path, lambda payload: payload.__setitem__(key, value))
+        with pytest.raises(CheckpointFormatError, match="positive integers"):
+            load_checkpoint(path)
+
     def test_mismatched_dimension_fails_at_forward(self, tmp_path):
         data = toy_task(n=16, d=6)
         ckpt = train(data, data, toy_config(epochs=1, early_stop_patience=0))
