@@ -37,13 +37,11 @@ from .evaluation import (
 )
 from .graphs import (
     ChangeRadius,
-    ElementRef,
     ModelGraph,
     Project,
     StructuralDiff,
     change_radius,
     diff,
-    distance,
     load_corpus,
     load_project,
     save_project,
@@ -72,7 +70,6 @@ __all__ = [
     "CoChangeMatrix",
     "DatasetSplit",
     "DiffView",
-    "ElementRef",
     "EvalReport",
     "FocusRankError",
     "GenConfig",
@@ -95,7 +92,6 @@ __all__ = [
     "change_radius",
     "describe",
     "diff",
-    "distance",
     "dynamic_k",
     "evaluate",
     "forward",

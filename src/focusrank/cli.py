@@ -98,7 +98,6 @@ def default_run_config() -> dict:
     }
 
 
-_GRID_KEYS = {"learning_rate", "alpha", "beta", "lambda_penalty", "h"}
 _REMOTE_KEYS = {"endpoint", "model", "auth_env"}
 
 
@@ -125,7 +124,7 @@ def _merge_config(defaults: dict, user: dict, path: str = "") -> dict:
         if key == "grid":
             if not isinstance(value, dict):
                 raise ConfigInvalidError("grid must be an object of value lists")
-            bad = set(value) - _GRID_KEYS
+            bad = set(value) - ranker.GRID_KEYS
             if bad:
                 raise ConfigInvalidError(f"unknown grid keys: {sorted(bad)}")
             for knob, values in value.items():
@@ -300,12 +299,11 @@ def _pair_arrays(pairs, corpus, provider):
         texts.append(union.label(pair.anchor))
         texts.append(union.label(pair.candidate))
     unique = sorted(set(texts))
+    row_of = {t: i for i, t in enumerate(unique)}
+    rows = np.array([row_of[t] for t in texts], dtype=np.intp)
     vectors = provider.embed(unique)
-    by_text = {t: vectors[i] for i, t in enumerate(unique)}
-    anchors = np.stack([by_text[texts[2 * i]] for i in range(len(pairs))])
-    cands = np.stack([by_text[texts[2 * i + 1]] for i in range(len(pairs))])
     labels = np.asarray([pair.label for pair in pairs], dtype=np.float64)
-    return anchors, cands, labels
+    return vectors[rows[0::2]], vectors[rows[1::2]], labels
 
 
 def _split_for(config: dict, corpus) -> DatasetSplit:
@@ -382,6 +380,8 @@ def cmd_train(config: dict) -> int:
     )
     split = _load_split(config, corpus)
     train_pairs = load_pairs(train_path)
+    if not train_pairs:
+        raise ArtifactFormatError(f"{train_path} holds no pairs; rerun `focusrank prepare`")
     _check_keys(corpus, dict.fromkeys((p.project, p.diff_index) for p in train_pairs), train_path)
 
     provider = make_provider(_provider_config(config))

@@ -13,6 +13,7 @@ it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -49,6 +50,13 @@ def fnv1a_64(data: bytes) -> int:
         value ^= byte
         value = (value * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return value
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _bucket(token: str, dimension: int) -> int:
+    """The hashed provider's bucket for one token; labels share tokens, so
+    each distinct token is hashed once."""
+    return fnv1a_64(token.encode("utf-8")) % dimension
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -100,16 +108,15 @@ class _EmbeddingCache:
         key = hashlib.sha256(f"{fingerprint}\x00{text_sha}".encode("utf-8")).hexdigest()
         return self.dir / f"{key}.json"
 
-    def get(self, fingerprint: str, text: str) -> Optional[np.ndarray]:
-        path = self._path(fingerprint, text)
-        if not path.exists():
-            return None
+    def get(self, fingerprint: str, text: str, dimension: int) -> Optional[np.ndarray]:
+        """The cached vector, or None when the entry is missing, unreadable,
+        or not `dimension` finite numbers."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                record = json.load(fh)
-            return np.asarray(record["vector"], dtype=np.float64)
-        except (OSError, ValueError, KeyError):
+            with open(self._path(fingerprint, text), "r", encoding="utf-8") as fh:
+                vector = np.asarray(json.load(fh)["vector"], dtype=np.float64)
+        except (OSError, ValueError, KeyError, TypeError, OverflowError):
             return None
+        return vector if vector.shape == (dimension,) and np.isfinite(vector).all() else None
 
     def put(self, fingerprint: str, text: str, vector: np.ndarray) -> None:
         path = self._path(fingerprint, text)
@@ -124,7 +131,39 @@ class _EmbeddingCache:
         os.replace(tmp, path)
 
 
-class HashedProvider:
+class _Provider:
+    """The embedding loop both providers share: cache hits are read, and the
+    misses go to the provider's `_embed_missing` in blocks of `max_batch`
+    texts, each block cached as soon as it is computed."""
+
+    max_batch = 128
+    dimension: int
+    fingerprint: str
+    _cache: Optional[_EmbeddingCache]
+
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """One float64 row per text: shape (len(texts), dimension). A cache
+        entry that is unreadable or has the wrong shape counts as a miss,
+        so it is recomputed and rewritten."""
+        rows = [
+            self._cache.get(self.fingerprint, text, self.dimension) if self._cache else None
+            for text in texts
+        ]
+        missing = [i for i, row in enumerate(rows) if row is None]
+        for start in range(0, len(missing), self.max_batch):
+            chunk = missing[start : start + self.max_batch]
+            for i, row in zip(chunk, self._embed_missing([texts[i] for i in chunk])):
+                rows[i] = row
+                if self._cache:
+                    self._cache.put(self.fingerprint, texts[i], row)
+        return np.array(rows, dtype=np.float64).reshape(len(texts), self.dimension)
+
+    def _embed_missing(self, texts: list[str]) -> Sequence[np.ndarray]:
+        """One float64 row of length `dimension` per text not cached."""
+        raise NotImplementedError
+
+
+class HashedProvider(_Provider):
     """Deterministic bag-of-tokens embedding over FNV-1a bucket hashing."""
 
     kind = "hashed"
@@ -133,11 +172,8 @@ class HashedProvider:
         if dimension < 8:
             raise ConfigInvalidError("embedding dimension must be >= 8")
         self.dimension = dimension
+        self.fingerprint = f"hashed:d={dimension}"
         self._cache = _EmbeddingCache(cache_dir) if cache_dir else None
-
-    @property
-    def fingerprint(self) -> str:
-        return f"hashed:d={self.dimension}"
 
     def _embed_one(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=np.float64)
@@ -146,38 +182,25 @@ class HashedProvider:
             logger.warning("embedding empty label -> zero vector")
             return vec
         for token in tokens:
-            vec[fnv1a_64(token.encode("utf-8")) % self.dimension] += 1.0
+            vec[_bucket(token, self.dimension)] += 1.0
         return vec / np.linalg.norm(vec)
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        out = []
-        for text in texts:
-            cached = self._cache.get(self.fingerprint, text) if self._cache else None
-            if cached is not None:
-                if cached.shape != (self.dimension,):
-                    raise DimensionMismatchError("cached vector has wrong dimension")
-                out.append(cached)
-                continue
-            vec = self._embed_one(text)
-            if self._cache:
-                self._cache.put(self.fingerprint, text, vec)
-            out.append(vec)
-        return out
+    def _embed_missing(self, texts: list[str]) -> list[np.ndarray]:
+        return [self._embed_one(text) for text in texts]
 
 
-class RemoteProvider:
+class RemoteProvider(_Provider):
     """Client for a hosted embeddings endpoint.
 
     POSTs {"model": name, "input": [texts]} and reads
-    {"data": [{"index": i, "embedding": [...]}]}. Requests are batched and
-    retried with exponential backoff, except on 4xx answers, which a retry
-    cannot fix; each attempt waits at most `timeout_seconds` for the
-    endpoint. The bearer token comes from the environment variable named in
-    the config.
+    {"data": [{"index": i, "embedding": [...]}]}, whose indices must be
+    0..n-1, one each. Requests are batched and retried with exponential
+    backoff, except on 4xx answers, which a retry cannot fix; each attempt
+    waits at most `timeout_seconds` for the endpoint. The bearer token
+    comes from the environment variable named in the config.
     """
 
     kind = "remote"
-    max_batch = 128
     max_attempts = 3
     timeout_seconds = 30.0
 
@@ -187,14 +210,12 @@ class RemoteProvider:
             raise ConfigInvalidError("RemoteProvider needs kind='remote'")
         self.dimension = config.dimension
         self.remote = config.remote
+        self.fingerprint = f"remote:{config.remote.model}:d={config.dimension}"
         self.retry_base_seconds = retry_base_seconds
         self._cache = _EmbeddingCache(config.cache_dir) if config.cache_dir else None
 
-    @property
-    def fingerprint(self) -> str:
-        return f"remote:{self.remote.model}:d={self.dimension}"
-
-    def _post_batch(self, texts: list[str]) -> list[np.ndarray]:
+    def _post(self, texts: list[str]):
+        """The parsed JSON answer to one request, after retries."""
         body = json.dumps({"model": self.remote.model, "input": texts}).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.remote.auth_env, "") if self.remote.auth_env else ""
@@ -208,8 +229,7 @@ class RemoteProvider:
             request = urllib.request.Request(self.remote.endpoint, data=body, headers=headers)
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout_seconds) as response:
-                    payload = json.loads(response.read().decode("utf-8"))
-                break
+                    return json.loads(response.read().decode("utf-8"))
             except urllib.error.HTTPError as exc:
                 if 400 <= exc.code < 500:
                     raise RemoteUnavailableError(f"endpoint refused the request: {exc}") from exc
@@ -217,46 +237,31 @@ class RemoteProvider:
             except (OSError, ValueError) as exc:  # URLError and timeouts are OSErrors
                 last_error = exc
             logger.warning("embedding request failed (attempt %d): %s", attempt + 1, last_error)
-        else:
-            raise RemoteUnavailableError(str(last_error))
+        raise RemoteUnavailableError(str(last_error))
 
+    def _embed_missing(self, texts: list[str]) -> np.ndarray:
+        payload = self._post(texts)
         try:
-            rows = sorted(payload["data"], key=lambda item: item["index"])
-            embeddings = [row["embedding"] for row in rows]
-        except (KeyError, TypeError) as exc:
+            rows = payload["data"]
+            index = [row["index"] for row in rows]
+            vectors = np.asarray([row["embedding"] for row in rows], dtype=np.float64)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise RemoteUnavailableError(f"malformed endpoint response ({exc!r})") from exc
-        if len(rows) != len(texts):
+        n = len(texts)
+        if any(type(i) is not int for i in index) or sorted(index) != list(range(n)):
             raise RemoteUnavailableError(
-                f"endpoint returned {len(rows)} vectors for {len(texts)} inputs"
+                f"endpoint returned {len(index)} rows for {n} inputs, not indexed 0..{n - 1} once each"
             )
-        vectors = []
-        for embedding in embeddings:
-            vec = np.asarray(embedding, dtype=np.float64)
-            if vec.shape != (self.dimension,):
-                raise DimensionMismatchError(
-                    f"endpoint returned dimension {vec.shape[0]}, expected {self.dimension}"
-                )
-            vectors.append(vec)
-        return vectors
-
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        out: list[Optional[np.ndarray]] = [None] * len(texts)
-        missing: list[int] = []
-        for i, text in enumerate(texts):
-            cached = self._cache.get(self.fingerprint, text) if self._cache else None
-            if cached is not None:
-                out[i] = cached
-            else:
-                missing.append(i)
-
-        for start in range(0, len(missing), self.max_batch):
-            chunk = missing[start : start + self.max_batch]
-            vectors = self._post_batch([texts[i] for i in chunk])
-            for i, vec in zip(chunk, vectors):
-                out[i] = vec
-                if self._cache:
-                    self._cache.put(self.fingerprint, texts[i], vec)
-        return [vec for vec in out]  # type: ignore[return-value]
+        if vectors.ndim == 2 and vectors.shape[1] != self.dimension:
+            raise DimensionMismatchError(
+                f"endpoint returned dimension {vectors.shape[1]}, expected {self.dimension}"
+            )
+        if vectors.shape != (n, self.dimension) or not np.isfinite(vectors).all():
+            raise RemoteUnavailableError(
+                f"malformed endpoint response: embeddings are not {n} rows of "
+                f"{self.dimension} finite numbers"
+            )
+        return vectors[np.argsort(index)]
 
 
 def make_provider(config: ProviderConfig, retry_base_seconds: float = 0.5):

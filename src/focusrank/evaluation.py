@@ -82,8 +82,7 @@ def neural_scores(params, provider, graph: ModelGraph, anchor: str, candidates: 
     """Predicted probability that each candidate changes with the anchor,
     from their labels in `graph`."""
     embs = provider.embed([graph.label(v) for v in [anchor, *candidates]])
-    anchor_emb = np.tile(embs[0], (len(candidates), 1))
-    return ranker_mod.predict_proba(params, anchor_emb, embs[1:])
+    return ranker_mod.predict_proba(params, np.broadcast_to(embs[0], embs[1:].shape), embs[1:])
 
 
 class Scorer:
@@ -131,9 +130,8 @@ class SemanticScorer(Scorer):
         self.provider = provider
 
     def scores(self, anchor, candidates, view):
-        texts = [view.union.label(v) for v in [anchor, *candidates]]
-        embs = self.provider.embed(texts)
-        return semantic_scores(embs[0], {c: embs[i + 1] for i, c in enumerate(candidates)})
+        embs = self.provider.embed([view.union.label(v) for v in [anchor, *candidates]])
+        return semantic_scores(embs[0], dict(zip(candidates, embs[1:])))
 
 
 class CoChangeScorer(Scorer):

@@ -12,7 +12,7 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ArtifactFormatError, UnknownNodeError
 
@@ -130,33 +130,6 @@ class ModelGraph:
         return dist
 
 
-def distance(g: ModelGraph, u: str, v: str) -> float:
-    """Shortest-path hop count between u and v on the undirected view.
-
-    Dispersion of a change is a locality notion, so edge direction is
-    ignored. Returns INFINITE for nodes in different components.
-    """
-    if v not in g:
-        raise UnknownNodeError(v)
-    return g.distances_from(u).get(v, INFINITE)
-
-
-@dataclass(frozen=True, order=True)
-class ElementRef:
-    """Reference to one diffable element: a node id or an edge triple."""
-
-    kind: str  # "node" | "edge"
-    key: Union[str, EdgeKey]
-
-    @staticmethod
-    def node(node_id: str) -> "ElementRef":
-        return ElementRef("node", node_id)
-
-    @staticmethod
-    def edge(src: str, dst: str, label: str) -> "ElementRef":
-        return ElementRef("edge", (src, dst, label))
-
-
 @dataclass(frozen=True)
 class StructuralDiff:
     """Partition of two versions' elements into changed and preserved sets.
@@ -164,7 +137,7 @@ class StructuralDiff:
     A node present in only one version, or present in both with different
     labels, is changed; an edge is changed when its triple exists in exactly
     one version. Everything else is preserved. Nodes are held as id sets and
-    edges as triple sets; `changed` and `preserved` list both as ElementRefs.
+    edges as triple sets.
     """
 
     changed_node_ids: frozenset[str]
@@ -173,14 +146,6 @@ class StructuralDiff:
     preserved_edges: frozenset[EdgeKey]
     source_version: int
     target_version: int
-
-    @property
-    def changed(self) -> frozenset[ElementRef]:
-        return _refs(self.changed_node_ids, self.changed_edges)
-
-    @property
-    def preserved(self) -> frozenset[ElementRef]:
-        return _refs(self.preserved_node_ids, self.preserved_edges)
 
     def changed_nodes(self) -> frozenset[str]:
         return self.changed_node_ids
@@ -195,10 +160,6 @@ class StructuralDiff:
             nodes.add(src)
             nodes.add(dst)
         return nodes
-
-
-def _refs(node_ids: Iterable[str], edges: Iterable[EdgeKey]) -> frozenset[ElementRef]:
-    return frozenset([*map(ElementRef.node, node_ids), *(ElementRef.edge(*e) for e in edges)])
 
 
 def diff(m: ModelGraph, n: ModelGraph, source_version: int = 0, target_version: int = 1) -> StructuralDiff:

@@ -37,6 +37,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Knobs a grid search may vary: the loss factors and two training settings.
+_LOSS_KEYS = frozenset({"alpha", "beta", "lambda_penalty"})
+GRID_KEYS = _LOSS_KEYS | {"learning_rate", "h"}
+
 # Validation pairs per forward pass, so that the validation loss needs
 # working memory for this many rows rather than for the whole set.
 VAL_CHUNK_ROWS = 4096
@@ -241,21 +245,25 @@ def bce_with_logits(z, y):
     return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
 
 
-def per_sample_loss(z, y, cfg: LossConfig):
-    """Product of the four loss factors for each sample."""
-    z = np.asarray(z, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    scalar = z.ndim == 0
-    p = np.atleast_1d(np.asarray(sigmoid(z)))
-    z = np.atleast_1d(z)
-    y = np.atleast_1d(y)
+def _loss_terms(z, y, cfg: LossConfig) -> tuple[np.ndarray, tuple]:
+    """The per-sample loss a * w * l * m for logits z and labels y, as 1-D
+    arrays, and what its gradient reuses: y, the sigmoid p, the BCE l and
+    the factors t, w, a, m."""
+    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    p = sigmoid(z)
     l = bce_with_logits(z, y)
     t = p * y + (1.0 - p) * (1.0 - y)
     w = 1.0 - t**cfg.beta
     a = cfg.alpha * y + (1.0 - cfg.alpha) * (1.0 - y)
     m = (1.0 - y) * p * cfg.lambda_penalty + 1.0
-    values = a * w * l * m
-    return float(values[0]) if scalar else values
+    return a * w * l * m, (y, p, l, t, w, a, m)
+
+
+def per_sample_loss(z, y, cfg: LossConfig):
+    """Product of the four loss factors for each sample."""
+    values, _ = _loss_terms(z, y, cfg)
+    return float(values[0]) if np.ndim(z) == 0 else values
 
 
 def batch_loss(z, y, cfg: LossConfig) -> float:
@@ -264,22 +272,17 @@ def batch_loss(z, y, cfg: LossConfig) -> float:
 
 def loss_grad_z(z, y, cfg: LossConfig) -> np.ndarray:
     """d(per-sample loss)/dz, elementwise."""
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    p = np.asarray(sigmoid(z))
-    l = bce_with_logits(z, y)
-    t = p * y + (1.0 - p) * (1.0 - y)
-    a = cfg.alpha * y + (1.0 - cfg.alpha) * (1.0 - y)
-    m = (1.0 - y) * p * cfg.lambda_penalty + 1.0
+    return _grad_z(cfg, *_loss_terms(z, y, cfg)[1])
 
+
+def _grad_z(cfg: LossConfig, y, p, l, t, w, a, m) -> np.ndarray:
+    """`loss_grad_z` from the terms `_loss_terms` returns."""
     dp = p * (1.0 - p)
     dl = p - y
     dt = dp * (2.0 * y - 1.0)
     if cfg.beta == 0.0:
-        w = np.zeros_like(z)
-        dw = np.zeros_like(z)
+        dw = np.zeros_like(p)
     else:
-        w = 1.0 - t**cfg.beta
         dw = -cfg.beta * t ** (cfg.beta - 1.0) * dt
     dm = (1.0 - y) * cfg.lambda_penalty * dp
     return a * (dw * l * m + w * dl * m + w * l * dm)
@@ -301,9 +304,10 @@ def grad(
     state = _attention_forward(params, x)
     z = state["logits"]
     n = z.shape[0]
-    loss = batch_loss(z, labels, cfg)
+    values, terms = _loss_terms(z, labels, cfg)
+    loss = float(np.mean(values))
 
-    gz = loss_grad_z(z, labels, cfg) / n  # (n,)
+    gz = _grad_z(cfg, *terms) / n  # (n,)
     h = params.h
 
     dpooled = gz[:, None] * params.w_out[None, :]  # (n, h)
@@ -568,13 +572,11 @@ def grid_search(
 ) -> tuple[Checkpoint, list[dict]]:
     """Exhaustive search over explicit value lists for selected knobs.
 
-    Grid keys: learning_rate, alpha, beta, lambda_penalty, h. Returns the
-    checkpoint with the lowest best-epoch validation loss plus one result
-    row per combination; ties resolve to the earliest combination in
-    sorted-key order.
+    Grid keys are those of GRID_KEYS. Returns the checkpoint with the
+    lowest best-epoch validation loss plus one result row per combination;
+    ties resolve to the earliest combination in sorted-key order.
     """
-    allowed = {"learning_rate", "alpha", "beta", "lambda_penalty", "h"}
-    unknown = set(grid) - allowed
+    unknown = set(grid) - GRID_KEYS
     if unknown:
         raise ValueError(f"unknown grid keys: {sorted(unknown)}")
 
@@ -585,14 +587,9 @@ def grid_search(
     rows = []
     for combo in combos:
         chosen = dict(zip(keys, combo))
-        loss_cfg = replace(
-            base_cfg.loss,
-            **{k: v for k, v in chosen.items() if k in ("alpha", "beta", "lambda_penalty")},
-        )
+        loss_cfg = replace(base_cfg.loss, **{k: v for k, v in chosen.items() if k in _LOSS_KEYS})
         cfg = replace(
-            base_cfg,
-            loss=loss_cfg,
-            **{k: v for k, v in chosen.items() if k in ("learning_rate", "h")},
+            base_cfg, loss=loss_cfg, **{k: v for k, v in chosen.items() if k not in _LOSS_KEYS}
         )
         ckpt = train(train_set, val_set, cfg, provider_fingerprint)
         val = min((row["val_loss"] for row in ckpt.history), default=math.inf)

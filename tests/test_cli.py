@@ -23,13 +23,16 @@ from focusrank.cli import (
     EXIT_RUNTIME,
     EXIT_VALIDATION,
     _config_hash,
+    _pair_arrays,
     _parse_tau,
     default_run_config,
     load_run_config,
     main,
 )
 from focusrank.errors import ConfigInvalidError, MissingArtifactError, TrainingDivergedError
-from focusrank.graphs import load_corpus
+from focusrank.dataset import load_pairs
+from focusrank.embedding import HashedProvider
+from focusrank.graphs import load_corpus, union_graph
 
 
 def write_config(base_dir, **section_overrides) -> str:
@@ -77,6 +80,24 @@ class TestPipeline:
         stats = json.loads((out_dir / "corpus-stats.json").read_text())
         written = load_corpus(sorted(corpus_dir.glob("proj*.json")))
         assert stats == datagen.describe(written)
+
+    def test_pair_arrays_hold_each_pairs_label_embeddings(self, pipeline):
+        """Row i of the anchor and candidate arrays embeds pair i's labels,
+        read off its diff's union graph, embedded one at a time."""
+        _, out_dir, corpus_dir = pipeline
+        corpus = load_corpus(sorted(corpus_dir.glob("proj*.json")))
+        pairs = load_pairs(out_dir / "pairs.train.balanced.jsonl")
+        provider = HashedProvider(dimension=64)
+        anchors, cands, labels = _pair_arrays(pairs, corpus, provider)
+        assert anchors.shape == cands.shape == (len(pairs), 64)
+        for i, pair in enumerate(pairs[::7]):
+            versions = corpus[pair.project].versions
+            union = union_graph(versions[pair.diff_index], versions[pair.diff_index + 1])
+            (anchor,) = provider.embed([union.label(pair.anchor)])
+            (cand,) = provider.embed([union.label(pair.candidate)])
+            assert np.array_equal(anchors[7 * i], anchor)
+            assert np.array_equal(cands[7 * i], cand)
+            assert labels[7 * i] == pair.label
 
     def test_prepare_outputs(self, pipeline):
         _, out_dir, _ = pipeline
@@ -237,6 +258,15 @@ class TestExitCodes:
         assert main(["--config", config_path, "train"]) == EXIT_RUNTIME
         assert "batch loss is nan" in caplog.text
         assert (out_dir / "checkpoint.json").read_bytes() == before
+
+    def test_empty_pair_file_is_a_validation_error(self, artifacts):
+        config_path, base = artifacts
+        path = base / "out" / "pairs.train.balanced.jsonl"
+        with corrupting(path, ""):
+            code, lines = run_cli(["--config", config_path, "train"])
+        assert code == EXIT_VALIDATION
+        assert_one_line_failure(code, lines)
+        assert f"{path} holds no pairs" in lines[0]
 
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck", "--trials", "4"]) == EXIT_OK

@@ -183,7 +183,7 @@ class TestCorpusShape:
         corpus, _ = build_corpus(cfg)
         for project in corpus.values():
             for _, d in project.iter_diffs():
-                assert d.changed
+                assert d.changed_node_ids or d.changed_edges
 
     def test_base_version_holds_the_configured_node_count(self):
         cfg = small_config(base_nodes=64)

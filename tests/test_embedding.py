@@ -1,5 +1,6 @@
 """Label tokenization, hashed embeddings, caching, and the remote client."""
 
+import contextlib
 import json
 import logging
 import math
@@ -22,9 +23,11 @@ from focusrank.embedding import (
     make_provider,
     tokenize,
 )
+from focusrank.cli import EXIT_OK, EXIT_RUNTIME, main
 from focusrank.errors import (
     ConfigInvalidError,
     DimensionMismatchError,
+    FocusRankError,
     RemoteUnavailableError,
     ZeroVectorError,
 )
@@ -175,6 +178,42 @@ class TestCache:
         (again,) = provider.embed(["Node"])
         assert np.array_equal(again, expected)
 
+    @pytest.mark.parametrize("vector", [[0.5, 0.5, 0.5], [[1.0] * 8], None, [math.nan] * 8])
+    def test_wrong_shape_entry_recomputed_and_rewritten(self, tmp_path, vector):
+        provider = HashedProvider(dimension=8, cache_dir=str(tmp_path))
+        (expected,) = provider.embed(["Node"])
+        (path,) = tmp_path.glob("*.json")
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps({**record, "vector": vector}))
+        (again,) = provider.embed(["Node"])
+        assert np.array_equal(again, expected)
+        assert json.loads(path.read_text()) == record
+
+
+class TestEmbedMatrix:
+    """Both providers return one float64 (len(texts), dimension) array."""
+
+    @pytest.mark.parametrize("texts", [[], ["A"], ["A", "B", "A", ""]])
+    def test_hashed_shape_and_rows(self, texts):
+        provider = HashedProvider(dimension=16)
+        out = provider.embed(texts)
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64
+        assert out.shape == (len(texts), 16)
+        for text, row in zip(texts, out):
+            np.testing.assert_allclose(row, oracle_hashed(text, 16), atol=1e-12)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_remote_shape_and_rows(self, endpoint, tmp_path, cached):
+        url, script = endpoint
+        texts = [f"t{i}" for i in range(130)] + ["t0"]
+        if cached:  # half the texts come from the cache, half over HTTP
+            remote_provider(url, cache_dir=str(tmp_path)).embed(texts[::2])
+        out = remote_provider(url, cache_dir=str(tmp_path) if cached else None).embed(texts)
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64
+        assert out.shape == (131, 8)
+        assert np.array_equal(out, np.array([fake_vector(t, 8) for t in texts]))
+        assert remote_provider(url).embed([]).shape == (0, 8)
+
 
 def fake_vector(text: str, dimension: int) -> list[float]:
     digest = text.encode("utf-8")
@@ -191,6 +230,7 @@ class _Script:
         self.reverse_order = False
         self.drop_key = ""  # omit this key from every response row
         self.stall = False  # hold every request until the test ends
+        self.reply = None  # when set: request texts -> response body, sent instead
         self.released = threading.Event()
         self.requests: list[dict] = []
 
@@ -212,15 +252,15 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(self.script.fail_status)
             self.end_headers()
             return
-        data = [
-            {"index": i, "embedding": fake_vector(text, self.script.dimension)}
-            for i, text in enumerate(body["input"])
-        ]
-        for row in data:
-            row.pop(self.script.drop_key, None)
-        if self.script.reverse_order:
-            data = list(reversed(data))
-        payload = json.dumps({"data": data}).encode("utf-8")
+        if self.script.reply is not None:
+            payload = self.script.reply(body["input"])
+        else:
+            data = answer(body["input"], self.script.dimension)
+            for row in data:
+                row.pop(self.script.drop_key, None)
+            if self.script.reverse_order:
+                data = list(reversed(data))
+            payload = json.dumps({"data": data}).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -231,8 +271,13 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def endpoint():
+def answer(texts: list[str], dimension: int) -> list[dict]:
+    """The rows of a well-formed response."""
+    return [{"index": i, "embedding": fake_vector(text, dimension)} for i, text in enumerate(texts)]
+
+
+@contextlib.contextmanager
+def serving():
     script = _Script()
     handler = type("Handler", (_Handler,), {"script": script})
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
@@ -246,6 +291,19 @@ def endpoint():
         script.released.set()
         server.shutdown()
         thread.join()
+
+
+@pytest.fixture
+def endpoint():
+    with serving() as served:
+        yield served
+
+
+@pytest.fixture(scope="module")
+def shared_endpoint():
+    """One server for every example of a Hypothesis test."""
+    with serving() as served:
+        yield served
 
 
 def remote_provider(url: str, dimension: int = 8, auth_env: str = "", cache_dir=None):
@@ -349,6 +407,176 @@ class TestRemoteProvider:
         assert len(script.requests) == 1
         for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()
+
+    def test_wrong_shape_entry_recomputed_and_rewritten(self, endpoint, tmp_path):
+        url, script = endpoint
+        provider = remote_provider(url, cache_dir=str(tmp_path))
+        (expected,) = provider.embed(["Node"])
+        (path,) = tmp_path.glob("*.json")
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps({**record, "vector": [0.5, 0.5, 0.5]}))
+        (again,) = provider.embed(["Node"])
+        assert np.array_equal(again, expected)
+        assert len(script.requests) == 2
+        assert json.loads(path.read_text()) == record
+
+    def test_finished_batches_stay_cached_when_a_later_one_fails(self, endpoint, tmp_path):
+        url, script = endpoint
+        texts = [f"t{i}" for i in range(130)]
+        script.reply = lambda batch: (
+            json.dumps({"data": answer(batch, 8)}).encode("utf-8") if len(batch) == 128 else b"{"
+        )
+        with pytest.raises(RemoteUnavailableError):
+            remote_provider(url, cache_dir=str(tmp_path)).embed(texts)
+        assert len(list(tmp_path.glob("*.json"))) == 128
+
+
+def _with_row(edit):
+    """A reply whose second row is passed through `edit` first."""
+
+    def reply(texts):
+        data = answer(texts, 8)
+        data[1] = edit(data[1])
+        return json.dumps({"data": data}).encode("utf-8")
+
+    return reply
+
+
+class TestMalformedResponses:
+    """Each malformed answer is a RemoteUnavailableError, not an IndexError,
+    a NumPy conversion error, or vectors on the wrong texts."""
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            _with_row(lambda row: {**row, "embedding": None}),
+            _with_row(lambda row: {**row, "embedding": 3.5}),
+            _with_row(lambda row: {**row, "embedding": ["x"] * 8}),
+            _with_row(lambda row: {**row, "embedding": "abc"}),
+            _with_row(lambda row: {**row, "index": 0}),
+            _with_row(lambda row: {**row, "index": 7}),
+            _with_row(lambda row: {**row, "index": 1.0}),
+            _with_row(lambda row: {**row, "index": True}),
+            _with_row(lambda row: {**row, "embedding": [1.0] * 7 + [None]}),
+            lambda texts: json.dumps({"data": [{"index": i + 7, "embedding": [1.0] * 8}
+                                               for i in range(len(texts))]}).encode(),
+            lambda texts: json.dumps({"data": [{"index": 0, "embedding": None}] * len(texts)}).encode(),
+            lambda texts: json.dumps({"data": [{"index": i, "embedding": 1} for i in range(len(texts))]}).encode(),
+            lambda texts: json.dumps({"data": answer(texts, 8)[:1]}).encode(),
+            lambda texts: json.dumps({"data": {"0": 1}}).encode(),
+            lambda texts: json.dumps([1, 2]).encode(),
+            lambda texts: b"not json",
+        ],
+        ids=[
+            "null-embedding", "scalar-embedding", "string-components", "string-embedding",
+            "duplicate-index", "index-out-of-range", "float-index", "bool-index",
+            "null-component", "indices-7-and-up", "all-null", "all-scalar", "one-row-short",
+            "data-object", "list-root", "not-json",
+        ],
+    )
+    def test_malformed_answer_is_remote_unavailable(self, endpoint, reply):
+        url, script = endpoint
+        script.reply = reply
+        with pytest.raises(RemoteUnavailableError):
+            remote_provider(url).embed(["A", "B"])
+
+    def test_uniformly_wrong_width_is_a_dimension_mismatch(self, endpoint):
+        url, script = endpoint
+        script.reply = lambda texts: json.dumps({"data": answer(texts, 5)}).encode()
+        with pytest.raises(DimensionMismatchError, match="dimension 5, expected 8"):
+            remote_provider(url).embed(["A", "B"])
+
+    def test_train_with_a_malformed_endpoint_exits_2_in_one_line(self, endpoint, tmp_path, caplog):
+        url, script = endpoint
+        script.reply = _with_row(lambda row: {**row, "embedding": None})
+        config = {
+            "out_dir": str(tmp_path / "out"),
+            "corpus_dir": str(tmp_path / "corpus"),
+            "gen": {"projects": 2, "commits_per_project": 4},
+            "provider": {"kind": "remote", "dimension": 8,
+                         "remote": {"endpoint": url, "model": "test-model"}},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "gen"]) == EXIT_OK
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        caplog.clear()
+        assert main(["--config", str(path), "train"]) == EXIT_RUNTIME
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "malformed endpoint response" in errors[0]
+
+
+def _not_a_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    _containers,
+    max_leaves=5,
+)
+# what may stand for one embedding component without being a number
+not_a_number = st.one_of(
+    st.none(),
+    st.text(max_size=4).filter(_not_a_float),
+    st.lists(json_values, max_size=2),
+    st.dictionaries(st.text(max_size=3), json_values, max_size=2),
+)
+
+
+@st.composite
+def malformed_replies(draw, texts: list[str]):
+    """A response body for `texts` that breaks the wire format in one place."""
+    data = answer(texts, 8)
+    row = draw(st.integers(0, len(data) - 1))
+    kind = draw(st.sampled_from(
+        ["bytes", "root", "data", "count", "row", "key", "index", "embedding", "width", "component"]
+    ))
+    if kind == "bytes":
+        return draw(st.sampled_from([b"", b"{", b"[1,", b"\xff\xfe", b"{'data': []}"]))
+    if kind == "root":
+        payload = draw(json_values.filter(lambda v: not isinstance(v, dict)))
+    elif kind == "data":
+        payload = {"data": draw(json_values.filter(lambda v: not isinstance(v, list)))}
+    else:
+        if kind == "count":
+            data = data[:row] + data[row + 1:] if draw(st.booleans()) else data + [data[row]]
+        elif kind == "row":
+            data[row] = draw(json_values.filter(lambda v: not isinstance(v, dict)))
+        elif kind == "key":
+            del data[row][draw(st.sampled_from(["index", "embedding"]))]
+        elif kind == "index":
+            data[row]["index"] = draw(json_values.filter(lambda v: not (type(v) is int and v == row)))
+        elif kind == "embedding":
+            data[row]["embedding"] = draw(json_values.filter(lambda v: not isinstance(v, list)))
+        elif kind == "width":
+            data[row]["embedding"] = draw(st.lists(st.floats(-9, 9), max_size=10).filter(lambda v: len(v) != 8))
+        else:
+            data[row]["embedding"][draw(st.integers(0, 7))] = draw(not_a_number)
+        payload = {"data": data}
+    return json.dumps(payload).encode("utf-8")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_malformed_response_raises_a_typed_error(shared_endpoint, data):
+    """Whatever breaks in a response, `embed` raises a FocusRankError and
+    nothing else. NumPy reads JSON `true` and numeric strings as numbers,
+    so they are left out of the non-numbers."""
+    url, script = shared_endpoint
+    texts = ["A", "B", "C"]
+    body = data.draw(malformed_replies(texts))
+    script.reply = lambda _: body
+    with pytest.raises(FocusRankError):
+        remote_provider(url).embed(texts)
 
 
 class TestProviderConfig:

@@ -12,12 +12,10 @@ from focusrank.errors import ArtifactFormatError, UnknownNodeError
 from focusrank.graphs import (
     INFINITE,
     ChangeRadius,
-    ElementRef,
     ModelGraph,
     Project,
     change_radius,
     diff,
-    distance,
     load_corpus,
     load_project,
     save_project,
@@ -88,22 +86,28 @@ class TestSucc:
             graph("A").successors("Z")
 
 
+def hops(g: ModelGraph, u: str, v: str) -> float:
+    """Hop count between u and v on the undirected view, INFINITE across
+    components."""
+    return g.distances_from(u).get(v, INFINITE)
+
+
 class TestDistance:
     def test_chain_length(self):
         g = graph("ABC", [("A", "B", "e"), ("B", "C", "e")])
-        assert distance(g, "A", "C") == 2
+        assert hops(g, "A", "C") == 2
 
     def test_self_distance_zero(self):
-        assert distance(graph("A"), "A", "A") == 0
+        assert hops(graph("A"), "A", "A") == 0
 
     def test_disconnected_is_infinite(self):
         g = graph("ABC", [("A", "B", "e")])
-        assert distance(g, "A", "C") == INFINITE
-        assert distance(g, "A", "C") == math.inf
+        assert hops(g, "A", "C") == INFINITE
+        assert hops(g, "A", "C") == math.inf
 
     def test_undirected_view(self):
         g = graph("AB", [("B", "A", "e")])
-        assert distance(g, "A", "B") == 1
+        assert hops(g, "A", "B") == 1
 
     def test_symmetry_and_triangle_inequality(self):
         """Random connected graphs: d(u,v) = d(v,u) and
@@ -118,8 +122,8 @@ class TestDistance:
                 edges.add((a, b, "x"))
             g = ModelGraph({v: v for v in nodes}, edges)
             u, v, w = (rng.choice(nodes) for _ in range(3))
-            assert distance(g, u, v) == distance(g, v, u)
-            assert distance(g, u, w) <= distance(g, u, v) + distance(g, v, w)
+            assert hops(g, u, v) == hops(g, v, u)
+            assert hops(g, u, w) <= hops(g, u, v) + hops(g, v, w)
 
 
 @st.composite
@@ -164,25 +168,23 @@ def test_adjacency_matches_edge_scan(tmp_path_factory, m, n, made_by):
         assert g.successors(v) == {b for a, b, _ in g.edges if a == v}
 
 
-def elements(g: ModelGraph) -> set:
-    refs = {ElementRef.node(v) for v in g.node_ids}
-    refs |= {ElementRef.edge(*e) for e in g.edges}
-    return refs
+def diff_sets(d) -> tuple:
+    """(changed nodes, preserved nodes, changed edges, preserved edges)."""
+    return d.changed_node_ids, d.preserved_node_ids, d.changed_edges, d.preserved_edges
 
 
-def brute_force_diff(m: ModelGraph, n: ModelGraph):
-    """Literal membership check per element, including label comparison."""
-    changed, preserved = set(), set()
+def brute_force_diff(m: ModelGraph, n: ModelGraph) -> tuple:
+    """Literal membership check per element, including label comparison;
+    the four sets in the order of `diff_sets`."""
+    changed_nodes, preserved_nodes, changed_edges, preserved_edges = set(), set(), set(), set()
     for v in m.node_ids | n.node_ids:
-        ref = ElementRef.node(v)
         if v in m and v in n and m.label(v) == n.label(v):
-            preserved.add(ref)
+            preserved_nodes.add(v)
         else:
-            changed.add(ref)
+            changed_nodes.add(v)
     for e in m.edges | n.edges:
-        ref = ElementRef.edge(*e)
-        (preserved if e in m.edges and e in n.edges else changed).add(ref)
-    return changed, preserved
+        (preserved_edges if e in m.edges and e in n.edges else changed_edges).add(e)
+    return changed_nodes, preserved_nodes, changed_edges, preserved_edges
 
 
 class TestDiff:
@@ -190,24 +192,18 @@ class TestDiff:
         m = graph("AB", [("A", "B", "e")])
         n = graph("ABC", [("A", "B", "e"), ("B", "C", "e")])
         d = diff(m, n)
-        assert d.changed == frozenset({ElementRef.node("C"), ElementRef.edge("B", "C", "e")})
-        assert d.preserved == frozenset(
-            {ElementRef.node("A"), ElementRef.node("B"), ElementRef.edge("A", "B", "e")}
-        )
+        assert diff_sets(d) == ({"C"}, {"A", "B"}, {("B", "C", "e")}, {("A", "B", "e")})
 
     def test_identity_diff_is_empty(self):
         m = graph("AB", [("A", "B", "e")])
         d = diff(m, m)
-        assert d.changed == frozenset()
-        assert d.preserved == elements(m)
+        assert diff_sets(d) == (set(), m.node_ids, set(), m.edges)
 
     def test_label_change_marks_node_changed(self):
         m = labeled([("A", "Foo")])
         n = labeled([("A", "Bar")])
         d = diff(m, n)
-        exp_changed, exp_preserved = brute_force_diff(m, n)
-        assert d.changed == exp_changed == {ElementRef.node("A")}
-        assert d.preserved == exp_preserved == set()
+        assert diff_sets(d) == brute_force_diff(m, n) == ({"A"}, set(), set(), set())
 
     def test_matches_brute_force_on_random_graph_pairs(self):
         """changed/preserved partition the element union, per element."""
@@ -226,21 +222,17 @@ class TestDiff:
 
             m, n = rand_graph(), rand_graph()
             d = diff(m, n)
-            exp_changed, exp_preserved = brute_force_diff(m, n)
-            assert d.changed == exp_changed
-            assert d.preserved == exp_preserved
-            assert d.changed.isdisjoint(d.preserved)
-            assert len(d.changed) + len(d.preserved) == len(elements(m) | elements(n))
-            # the id and triple sets the diff holds are the same partition
-            assert d.changed_node_ids == d.changed_nodes() == {r.key for r in exp_changed if r.kind == "node"}
-            assert d.preserved_node_ids == d.preserved_nodes() == {
-                r.key for r in exp_preserved if r.kind == "node"
-            }
-            assert d.changed_edges == {r.key for r in exp_changed if r.kind == "edge"}
-            assert d.preserved_edges == {r.key for r in exp_preserved if r.kind == "edge"}
-            endpoints = {v for r in exp_changed if r.kind == "edge" for v in r.key[:2]}
+            changed_nodes, preserved_nodes, changed_edges, preserved_edges = brute_force_diff(m, n)
+            assert diff_sets(d) == (changed_nodes, preserved_nodes, changed_edges, preserved_edges)
+            assert d.changed_nodes() == changed_nodes
+            assert d.preserved_nodes() == preserved_nodes
+            assert d.changed_node_ids.isdisjoint(d.preserved_node_ids)
+            assert d.changed_node_ids | d.preserved_node_ids == m.node_ids | n.node_ids
+            assert d.changed_edges.isdisjoint(d.preserved_edges)
+            assert d.changed_edges | d.preserved_edges == m.edges | n.edges
+            endpoints = {v for e in changed_edges for v in e[:2]}
             assert d.involved_nodes() == d.changed_node_ids | endpoints
-            assert change_radius(union_graph(m, n), d).c == len(exp_changed)
+            assert change_radius(union_graph(m, n), d).c == len(changed_nodes) + len(changed_edges)
 
 
 class TestUnionGraph:
@@ -277,7 +269,7 @@ class TestChangeRadius:
         # all-pairs BFS oracle over the involved nodes
         g = union_graph(m, n)
         involved = sorted(diff(m, n).changed_nodes())
-        expected = max(distance(g, a, b) for a in involved for b in involved)
+        expected = max(hops(g, a, b) for a in involved for b in involved)
         assert r.s == expected == 3
         assert r.is_multi_location
 
