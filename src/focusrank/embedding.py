@@ -13,8 +13,8 @@ it.
 
 from __future__ import annotations
 
-import functools
 import hashlib
+import http.client
 import json
 import logging
 import os
@@ -45,18 +45,21 @@ def tokenize(text: str) -> list[str]:
 
 def fnv1a_64(data: bytes) -> int:
     """64-bit FNV-1a; portable and stable across runs and platforms."""
-    value = _FNV_OFFSET
-    for byte in data:
-        value ^= byte
-        value = (value * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    return int(fnv1a_64_all([data])[0])
+
+
+def fnv1a_64_all(items: Sequence[bytes]) -> np.ndarray:
+    """`fnv1a_64` of every byte string, as uint64: one vectorized FNV step
+    per byte position, applied to the strings that are that long."""
+    lengths = np.fromiter(map(len, items), dtype=np.intp, count=len(items))
+    live = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    data = np.zeros(live.shape, dtype=np.uint64)
+    data[live] = np.frombuffer(b"".join(items), dtype=np.uint8)
+    value = np.full(len(items), _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for byte, alive in zip(data.T, live.T):
+        value = np.where(alive, (value ^ byte) * prime, value)  # uint64 wraps mod 2**64
     return value
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _bucket(token: str, dimension: int) -> int:
-    """The hashed provider's bucket for one token; labels share tokens, so
-    each distinct token is hashed once."""
-    return fnv1a_64(token.encode("utf-8")) % dimension
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -145,21 +148,24 @@ class _Provider:
         """One float64 row per text: shape (len(texts), dimension). A cache
         entry that is unreadable or has the wrong shape counts as a miss,
         so it is recomputed and rewritten."""
-        rows = [
-            self._cache.get(self.fingerprint, text, self.dimension) if self._cache else None
-            for text in texts
-        ]
-        missing = [i for i, row in enumerate(rows) if row is None]
+        out = np.empty((len(texts), self.dimension), dtype=np.float64)
+        missing = []
+        for i, text in enumerate(texts):
+            cached = self._cache.get(self.fingerprint, text, self.dimension) if self._cache else None
+            if cached is None:
+                missing.append(i)
+            else:
+                out[i] = cached
         for start in range(0, len(missing), self.max_batch):
             chunk = missing[start : start + self.max_batch]
-            for i, row in zip(chunk, self._embed_missing([texts[i] for i in chunk])):
-                rows[i] = row
-                if self._cache:
-                    self._cache.put(self.fingerprint, texts[i], row)
-        return np.array(rows, dtype=np.float64).reshape(len(texts), self.dimension)
+            out[chunk] = self._embed_missing([texts[i] for i in chunk])
+            if self._cache:
+                for i in chunk:
+                    self._cache.put(self.fingerprint, texts[i], out[i])
+        return out
 
-    def _embed_missing(self, texts: list[str]) -> Sequence[np.ndarray]:
-        """One float64 row of length `dimension` per text not cached."""
+    def _embed_missing(self, texts: list[str]) -> np.ndarray:
+        """The (len(texts), dimension) float64 rows of texts not cached."""
         raise NotImplementedError
 
 
@@ -175,18 +181,23 @@ class HashedProvider(_Provider):
         self.fingerprint = f"hashed:d={dimension}"
         self._cache = _EmbeddingCache(cache_dir) if cache_dir else None
 
-    def _embed_one(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        tokens = tokenize(text)
-        if not tokens:
-            logger.warning("embedding empty label -> zero vector")
-            return vec
-        for token in tokens:
-            vec[_bucket(token, self.dimension)] += 1.0
-        return vec / np.linalg.norm(vec)
-
-    def _embed_missing(self, texts: list[str]) -> list[np.ndarray]:
-        return [self._embed_one(text) for text in texts]
+    def _embed_missing(self, texts: list[str]) -> np.ndarray:
+        """Each row counts its label's tokens per bucket and is scaled to
+        unit norm; the counts are exact, so summation order does not
+        change a bit of the result."""
+        tokens = [tokenize(text) for text in texts]
+        rows = np.repeat(np.arange(len(texts)), [len(toks) for toks in tokens])
+        hashes = fnv1a_64_all([tok.encode("utf-8") for toks in tokens for tok in toks])
+        cells = rows * self.dimension + (hashes % np.uint64(self.dimension)).astype(np.intp)
+        block = np.bincount(cells, minlength=len(texts) * self.dimension).astype(np.float64)
+        block = block.reshape(len(texts), self.dimension)
+        norms = np.linalg.norm(block, axis=1, keepdims=True)
+        empty = norms[:, 0] == 0.0
+        if empty.any():
+            logger.warning("embedding %d empty label(s) -> zero vectors", int(empty.sum()))
+        norms[empty] = 1.0
+        block /= norms
+        return block
 
 
 class RemoteProvider(_Provider):
@@ -195,9 +206,10 @@ class RemoteProvider(_Provider):
     POSTs {"model": name, "input": [texts]} and reads
     {"data": [{"index": i, "embedding": [...]}]}, whose indices must be
     0..n-1, one each. Requests are batched and retried with exponential
-    backoff, except on 4xx answers, which a retry cannot fix; each attempt
-    waits at most `timeout_seconds` for the endpoint. The bearer token
-    comes from the environment variable named in the config.
+    backoff, except on 4xx answers and bodies that are not JSON, which a
+    retry cannot fix; each attempt waits at most `timeout_seconds` for the
+    endpoint. The bearer token comes from the environment variable named in
+    the config.
     """
 
     kind = "remote"
@@ -222,6 +234,7 @@ class RemoteProvider(_Provider):
         if token:
             headers["Authorization"] = f"Bearer {token}"
 
+        raw: bytes | None = None
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
             if attempt:
@@ -229,22 +242,32 @@ class RemoteProvider(_Provider):
             request = urllib.request.Request(self.remote.endpoint, data=body, headers=headers)
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout_seconds) as response:
-                    return json.loads(response.read().decode("utf-8"))
+                    raw = response.read()
+                break
             except urllib.error.HTTPError as exc:
                 if 400 <= exc.code < 500:
                     raise RemoteUnavailableError(f"endpoint refused the request: {exc}") from exc
                 last_error = exc
-            except (OSError, ValueError) as exc:  # URLError and timeouts are OSErrors
+            except (OSError, http.client.HTTPException) as exc:  # URLError and timeouts are OSErrors
                 last_error = exc
             logger.warning("embedding request failed (attempt %d): %s", attempt + 1, last_error)
-        raise RemoteUnavailableError(str(last_error))
+        if raw is None:
+            raise RemoteUnavailableError(str(last_error))
+        try:  # an answer that arrived is not retried: it would come back the same
+            return json.loads(raw.decode("utf-8"))
+        except ValueError as exc:
+            raise RemoteUnavailableError(f"malformed endpoint response ({exc!r})") from exc
 
     def _embed_missing(self, texts: list[str]) -> np.ndarray:
         payload = self._post(texts)
         try:
             rows = payload["data"]
             index = [row["index"] for row in rows]
-            vectors = np.asarray([row["embedding"] for row in rows], dtype=np.float64)
+            embeddings = [row["embedding"] for row in rows]
+            # NumPy would read JSON true/false and numeric strings as numbers
+            if not {type(x) for embedding in embeddings for x in embedding} <= {int, float}:
+                raise TypeError("embedding components must be JSON numbers")
+            vectors = np.asarray(embeddings, dtype=np.float64)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise RemoteUnavailableError(f"malformed endpoint response ({exc!r})") from exc
         n = len(texts)
