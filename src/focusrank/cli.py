@@ -61,6 +61,7 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 APPROACHES = ("nextfocus", "random", "semantic", "cochange")
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 _VALIDATION_ERRORS = (
     ArtifactFormatError,
@@ -285,9 +286,9 @@ def _load_corpus(config: dict) -> dict[str, Project]:
     return load_corpus(paths)
 
 
-def _pair_arrays(pairs, corpus, provider):
-    """Embed anchor/candidate labels, read off each diff's union graph,
-    into (anchors, cands, labels) arrays."""
+def _pair_arrays(pairs, corpus, provider) -> ranker.PairTable:
+    """The pairs as a table over the embeddings of their distinct labels,
+    each label read off its diff's union graph."""
     unions: dict[tuple[str, int], object] = {}
     texts: list[str] = []
     for pair in pairs:
@@ -301,9 +302,8 @@ def _pair_arrays(pairs, corpus, provider):
     unique = sorted(set(texts))
     row_of = {t: i for i, t in enumerate(unique)}
     rows = np.array([row_of[t] for t in texts], dtype=np.intp)
-    vectors = provider.embed(unique)
     labels = np.asarray([pair.label for pair in pairs], dtype=np.float64)
-    return vectors[rows[0::2]], vectors[rows[1::2]], labels
+    return ranker.PairTable(provider.embed(unique), rows[0::2], rows[1::2], labels)
 
 
 def _split_for(config: dict, corpus) -> DatasetSplit:
@@ -533,6 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="override every section seed")
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument(
+        "--log-level", choices=LOG_LEVELS, default="INFO",
+        help="least severe log records printed on stderr (default: INFO)",
+    )
+    parser.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE",
         help="override one config entry, e.g. --set train.loss.alpha=0.7",
     )
@@ -563,14 +567,14 @@ def _one_line(exc: Exception) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    logging.basicConfig(
-        stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
-    )
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    logging.basicConfig(
+        stream=sys.stderr, level=args.log_level, format="%(levelname)s %(name)s: %(message)s"
+    )
     try:
         if args.command == "gradcheck":
             return cmd_gradcheck(args.trials, args.seed if args.seed is not None else 0)

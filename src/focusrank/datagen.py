@@ -112,10 +112,6 @@ class GenConfig:
         return GenConfig(**record)
 
 
-def default_config() -> GenConfig:
-    return GenConfig()
-
-
 def _member_role(i: int) -> str:
     base = MEMBER_ROLES[i % len(MEMBER_ROLES)]
     return base if i < len(MEMBER_ROLES) else f"{base}{i}"

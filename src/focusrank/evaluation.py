@@ -80,9 +80,12 @@ def by_score(candidates: Sequence[str], scores: Mapping[str, float]) -> list[str
 
 def neural_scores(params, provider, graph: ModelGraph, anchor: str, candidates: Sequence[str]):
     """Predicted probability that each candidate changes with the anchor,
-    from their labels in `graph`."""
+    from their labels in `graph`. The anchor is row 0 of the embedded
+    labels, so it is projected once for all candidates."""
     embs = provider.embed([graph.label(v) for v in [anchor, *candidates]])
-    return ranker_mod.predict_proba(params, np.broadcast_to(embs[0], embs[1:].shape), embs[1:])
+    n = len(candidates)
+    logits = ranker_mod.pair_logits(params, embs, np.zeros(n, np.intp), np.arange(1, n + 1))
+    return ranker_mod.sigmoid(logits)
 
 
 class Scorer:

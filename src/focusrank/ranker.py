@@ -10,6 +10,11 @@ is no autograd dependency.
 Every weight lives in one contiguous float64 vector, so the Q/K/V
 projection is one GEMM, their three weight gradients are another, and an
 Adam step is a handful of in-place vector operations.
+
+Labels repeat across pairs, so a set of pairs is a `PairTable`: row
+indices into the matrix of distinct label embeddings. Scoring without a
+gradient (`pair_logits`) projects each distinct label once and reads every
+pair off the per-label projections.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ ADAM_EPS = 1e-8
 _LOSS_KEYS = frozenset({"alpha", "beta", "lambda_penalty"})
 GRID_KEYS = _LOSS_KEYS | {"learning_rate", "h"}
 
-# Validation pairs per forward pass, so that the validation loss needs
-# working memory for this many rows rather than for the whole set.
+# Pairs per step of `pair_logits`, so that scoring needs working memory
+# for this many gathered rows rather than for the whole set.
 VAL_CHUNK_ROWS = 4096
 
 
@@ -198,7 +203,11 @@ def init_params(d: int, h: int, init_scale: float, seed: int) -> RankerParams:
     )
 
 
-def _stack_pairs(params: RankerParams, anchors: np.ndarray, cands: np.ndarray) -> np.ndarray:
+def _stack_pairs(
+    params: RankerParams, anchors: np.ndarray, cands: np.ndarray, out=None
+) -> np.ndarray:
+    """The (n, 2, d) token stack of n pairs, in the first n rows of `out`
+    when that is given."""
     anchors = np.asarray(anchors, dtype=np.float64)
     cands = np.asarray(cands, dtype=np.float64)
     if anchors.ndim == 1:
@@ -209,13 +218,16 @@ def _stack_pairs(params: RankerParams, anchors: np.ndarray, cands: np.ndarray) -
         raise DimensionMismatchError(
             f"expected two (n, {params.d}) blocks, got {anchors.shape} and {cands.shape}"
         )
-    return np.stack([anchors, cands], axis=1)  # (n, 2, d)
+    if out is not None:
+        out = out[: len(anchors)]
+    return np.stack([anchors, cands], axis=1, out=out)  # (n, 2, d)
 
 
-def _attention_forward(params: RankerParams, x: np.ndarray) -> dict:
-    """Forward pass keeping every intermediate needed for backprop."""
+def _attention_forward(params: RankerParams, x: np.ndarray, qkv_out=None) -> dict:
+    """Forward pass keeping every intermediate needed for backprop. The
+    projection goes into `qkv_out`, a (2n, 3h) array, when one is given."""
     n, h = x.shape[0], params.h
-    qkv = (x.reshape(2 * n, params.d) @ params.w_qkv).reshape(n, 2, 3 * h)
+    qkv = np.matmul(x.reshape(2 * n, params.d), params.w_qkv, out=qkv_out).reshape(n, 2, 3 * h)
     q, k, v = qkv[..., :h], qkv[..., h : 2 * h], qkv[..., 2 * h :]  # (n, 2, h) each
     scores = q @ k.transpose(0, 2, 1) / math.sqrt(h)  # (n, 2, 2)
     shifted = scores - scores.max(axis=2, keepdims=True)
@@ -236,6 +248,110 @@ def forward(params: RankerParams, anchor: np.ndarray, cand: np.ndarray):
 
 def predict_proba(params: RankerParams, anchor: np.ndarray, cand: np.ndarray):
     return sigmoid(forward(params, anchor, cand))
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
+def pair_logits(
+    params: RankerParams, vectors: np.ndarray, a_rows: np.ndarray, c_rows: np.ndarray
+) -> np.ndarray:
+    """Logits of the pairs (vectors[a_rows[i]], vectors[c_rows[i]]): what
+    `forward` gives on the gathered rows, up to rounding.
+
+    With two tokens, a softmax row is a sigmoid of a score difference and
+    mean pooling mixes the two value rows with one weight w0, so a logit is
+    b + w0 * vw[a] + (1 - w0) * vw[c], where vw = V @ w_out and
+    w0 = (sigmoid(s_aa - s_ac) + sigmoid(s_ca - s_cc)) / 2. Q, K and V are
+    projected once per row of `vectors`; the cross scores s_ac and s_ca are
+    row dot products over VAL_CHUNK_ROWS pairs at a time.
+    """
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2 or vectors.shape[1] != params.d:
+        raise DimensionMismatchError(
+            f"expected a (u, {params.d}) matrix of vectors, got shape {vectors.shape}"
+        )
+    h = params.h
+    root_h = math.sqrt(h)
+    qkv = vectors @ params.w_qkv  # (u, 3h)
+    q, k = qkv[:, :h], qkv[:, h : 2 * h]
+    s_self = _rowdot(q, k) / root_h
+    vw = qkv[:, 2 * h :] @ params.w_out
+    logits = np.empty(len(a_rows))
+    for start in range(0, len(a_rows), VAL_CHUNK_ROWS):
+        a = a_rows[start : start + VAL_CHUNK_ROWS]
+        c = c_rows[start : start + VAL_CHUNK_ROWS]
+        s_ac = _rowdot(q[a], k[c]) / root_h
+        s_ca = _rowdot(q[c], k[a]) / root_h
+        w0 = 0.5 * (sigmoid(s_self[a] - s_ac) + sigmoid(s_ca - s_self[c]))
+        logits[start : start + len(a)] = params.b_out + w0 * vw[a] + (1.0 - w0) * vw[c]
+    return logits
+
+
+@dataclass(eq=False)
+class PairTable:
+    """Labelled pairs as row indices into a matrix of embeddings: pair i is
+    (vectors[anchors[i]], vectors[cands[i]]) with label labels[i].
+
+    Labels repeat across pairs, so `vectors` holds each distinct label once.
+    Inputs that do not fit together raise DimensionMismatchError.
+    """
+
+    vectors: np.ndarray  # (u, d) float64
+    anchors: np.ndarray  # (n,) intp
+    cands: np.ndarray  # (n,) intp
+    labels: np.ndarray  # (n,) float64
+
+    def __post_init__(self):
+        self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        if self.vectors.ndim != 2:
+            raise DimensionMismatchError(
+                f"pair vectors must be a (u, d) matrix, got shape {self.vectors.shape}"
+            )
+        self.labels = np.asarray(self.labels, dtype=np.float64)
+        if self.labels.ndim != 1:
+            raise DimensionMismatchError(f"pair labels must be 1-D, got shape {self.labels.shape}")
+        self.anchors = self._rows(self.anchors, "anchor")
+        self.cands = self._rows(self.cands, "candidate")
+
+    def _rows(self, rows, role: str) -> np.ndarray:
+        rows = np.asarray(rows)
+        if rows.shape != self.labels.shape:
+            raise DimensionMismatchError(
+                f"{role} rows have shape {rows.shape}, labels {self.labels.shape}"
+            )
+        if rows.size == 0:
+            return rows.astype(np.intp)
+        if rows.dtype.kind not in "iu":
+            raise DimensionMismatchError(f"{role} rows must be integers, got {rows.dtype}")
+        if rows.min() < 0 or rows.max() >= len(self.vectors):
+            raise DimensionMismatchError(
+                f"{role} rows must lie in [0, {len(self.vectors)}), "
+                f"got {rows.min()}..{rows.max()}"
+            )
+        return rows.astype(np.intp, copy=False)
+
+    @classmethod
+    def of(cls, data) -> "PairTable":
+        """`data` itself if it is a table; per-pair (anchors, cands, labels)
+        arrays become the table over their stacked rows."""
+        if isinstance(data, cls):
+            return data
+        anchors, cands, labels = (np.asarray(a, dtype=np.float64) for a in data)
+        if anchors.ndim != 2 or anchors.shape != cands.shape:
+            raise DimensionMismatchError(
+                f"expected two (n, d) blocks, got {anchors.shape} and {cands.shape}"
+            )
+        n = len(anchors)
+        return cls(np.concatenate([anchors, cands]), np.arange(n), np.arange(n, 2 * n), labels)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def gather(self, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-pair (anchors, cands, labels) arrays of the pairs `idx`."""
+        return self.vectors[self.anchors[idx]], self.vectors[self.cands[idx]], self.labels[idx]
 
 
 def bce_with_logits(z, y):
@@ -288,22 +404,39 @@ def _grad_z(cfg: LossConfig, y, p, l, t, w, a, m) -> np.ndarray:
     return a * (dw * l * m + w * dl * m + w * l * dm)
 
 
+class _GradWorkspace:
+    """The arrays `grad` fills for a batch of up to `rows` pairs: the token
+    stack, the Q/K/V projection, its gradient and the parameter gradient."""
+
+    def __init__(self, rows: int, d: int, h: int):
+        self.x = np.empty((rows, 2, d))
+        self.qkv = np.empty((2 * rows, 3 * h))
+        self.dqkv = np.empty((rows, 2, 3 * h))
+        self.grads = RankerParams.from_theta(np.empty(3 * d * h + h + 1), d, h)
+
+
 def grad(
     params: RankerParams,
     anchors: np.ndarray,
     cands: np.ndarray,
     labels: np.ndarray,
     cfg: LossConfig,
+    *,
+    workspace: Optional[_GradWorkspace] = None,
 ) -> tuple[float, RankerParams]:
     """Mean loss over the batch and its exact gradient, laid out like the
-    parameters."""
+    parameters. With a `workspace`, the returned gradient lives in it and
+    the next call with that workspace overwrites it."""
     labels = np.asarray(labels, dtype=np.float64)
     if labels.size == 0:
         raise EmptyDatasetError("gradient of an empty batch")
-    x = _stack_pairs(params, anchors, cands)
-    state = _attention_forward(params, x)
+    ws = workspace
+    if ws is None:
+        ws = _GradWorkspace(len(np.atleast_2d(anchors)), params.d, params.h)
+    x = _stack_pairs(params, anchors, cands, out=ws.x)
+    n = x.shape[0]
+    state = _attention_forward(params, x, qkv_out=ws.qkv[: 2 * n])
     z = state["logits"]
-    n = z.shape[0]
     values, terms = _loss_terms(z, labels, cfg)
     loss = float(np.mean(values))
 
@@ -319,12 +452,12 @@ def grad(
     # softmax backward per row
     dscores = attn * (dattn - (dattn * attn).sum(axis=2, keepdims=True))
     scale = 1.0 / math.sqrt(h)
-    dqkv = np.empty((n, 2, 3 * h))
+    dqkv = ws.dqkv[:n]
     dqkv[..., :h] = dscores @ k * scale
     dqkv[..., h : 2 * h] = dscores.transpose(0, 2, 1) @ q * scale
     dqkv[..., 2 * h :] = attn.transpose(0, 2, 1) @ dout
 
-    grads = RankerParams.from_theta(np.empty_like(params.theta), params.d, h)
+    grads = ws.grads
     np.matmul(x.reshape(2 * n, params.d).T, dqkv.reshape(2 * n, 3 * h), out=grads.w_qkv)
     grads.w_out = state["pooled"].T @ gz
     grads.b_out = gz.sum()
@@ -495,50 +628,51 @@ class _Adam:
 
 
 def train(
-    train_set: tuple[np.ndarray, np.ndarray, np.ndarray],
-    val_set: tuple[np.ndarray, np.ndarray, np.ndarray],
+    train_set: PairTable | tuple,
+    val_set: PairTable | tuple,
     cfg: TrainConfig,
     provider_fingerprint: str = "",
 ) -> Checkpoint:
     """Mini-batch Adam with early stopping on validation mean loss.
 
-    Inputs are (anchors, candidates, labels) arrays with matching first
-    dimensions; balancing is the caller's responsibility. Returns the
-    best-validation parameters. Deterministic given cfg.seed. Raises
-    TrainingDivergedError as soon as a batch or validation loss is not
-    finite.
+    Each set is a `PairTable` or per-pair (anchors, candidates, labels)
+    arrays with matching first dimensions; balancing is the caller's
+    responsibility. Returns the best-validation parameters. Deterministic
+    given cfg.seed. Raises TrainingDivergedError as soon as a batch or
+    validation loss is not finite.
     """
-    tr_anchors, tr_cands, tr_labels = (np.asarray(a, dtype=np.float64) for a in train_set)
-    va_anchors, va_cands, va_labels = (np.asarray(a, dtype=np.float64) for a in val_set)
-    if tr_labels.size == 0 or va_labels.size == 0:
+    tr, va = PairTable.of(train_set), PairTable.of(val_set)
+    if len(tr) == 0 or len(va) == 0:
         raise EmptyDatasetError("train and validation sets must be non-empty")
-    d = tr_anchors.shape[1]
+    d = tr.vectors.shape[1]
+    if va.vectors.shape[1] != d:
+        raise DimensionMismatchError(
+            f"validation vectors have width {va.vectors.shape[1]}, training vectors {d}"
+        )
 
     params = init_params(d, cfg.h, cfg.init_scale, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
     adam = _Adam(params.theta.size, cfg.learning_rate)
+    n = len(tr)
+    workspace = _GradWorkspace(min(cfg.batch_size, n), d, cfg.h)
 
     best_params = params.copy()
     best_val = math.inf
     history: list[dict] = []
     stale = 0
-    n = tr_labels.shape[0]
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grads = grad(params, tr_anchors[idx], tr_cands[idx], tr_labels[idx], cfg.loss)
+            loss, grads = grad(params, *tr.gather(idx), cfg.loss, workspace=workspace)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(f"epoch {epoch}: batch loss is {loss}")
             epoch_losses.append(loss)
             adam.step(params.theta, grads.theta)
-        val_logits = np.concatenate([
-            forward(params, va_anchors[i : i + VAL_CHUNK_ROWS], va_cands[i : i + VAL_CHUNK_ROWS])
-            for i in range(0, va_labels.shape[0], VAL_CHUNK_ROWS)
-        ])
-        val_loss = batch_loss(val_logits, va_labels, cfg.loss)
+        val_logits = pair_logits(params, va.vectors, va.anchors, va.cands)
+        val_loss = batch_loss(val_logits, va.labels, cfg.loss)
         if not math.isfinite(val_loss):
             raise TrainingDivergedError(f"epoch {epoch}: validation loss is {val_loss}")
         history.append({
@@ -564,8 +698,8 @@ def train(
 
 
 def grid_search(
-    train_set: tuple[np.ndarray, np.ndarray, np.ndarray],
-    val_set: tuple[np.ndarray, np.ndarray, np.ndarray],
+    train_set: PairTable | tuple,
+    val_set: PairTable | tuple,
     base_cfg: TrainConfig,
     grid: dict[str, Sequence],
     provider_fingerprint: str = "",
@@ -580,6 +714,7 @@ def grid_search(
     if unknown:
         raise ValueError(f"unknown grid keys: {sorted(unknown)}")
 
+    train_set, val_set = PairTable.of(train_set), PairTable.of(val_set)
     keys = sorted(grid)
     combos = list(product(*(grid[k] for k in keys))) if keys else [()]
     best: Optional[Checkpoint] = None

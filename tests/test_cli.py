@@ -82,22 +82,28 @@ class TestPipeline:
         assert stats == datagen.describe(written)
 
     def test_pair_arrays_hold_each_pairs_label_embeddings(self, pipeline):
-        """Row i of the anchor and candidate arrays embeds pair i's labels,
-        read off its diff's union graph, embedded one at a time."""
+        """The table's anchor and candidate rows of pair i point at the
+        embeddings of pair i's labels, read off its diff's union graph and
+        embedded one at a time; each distinct label has one row."""
         _, out_dir, corpus_dir = pipeline
         corpus = load_corpus(sorted(corpus_dir.glob("proj*.json")))
         pairs = load_pairs(out_dir / "pairs.train.balanced.jsonl")
         provider = HashedProvider(dimension=64)
-        anchors, cands, labels = _pair_arrays(pairs, corpus, provider)
-        assert anchors.shape == cands.shape == (len(pairs), 64)
-        for i, pair in enumerate(pairs[::7]):
+        table = _pair_arrays(pairs, corpus, provider)
+        assert table.anchors.shape == table.cands.shape == table.labels.shape == (len(pairs),)
+        texts = set()
+        for i, pair in enumerate(pairs):
             versions = corpus[pair.project].versions
             union = union_graph(versions[pair.diff_index], versions[pair.diff_index + 1])
+            texts.update((union.label(pair.anchor), union.label(pair.candidate)))
+            if i % 7:
+                continue
             (anchor,) = provider.embed([union.label(pair.anchor)])
             (cand,) = provider.embed([union.label(pair.candidate)])
-            assert np.array_equal(anchors[7 * i], anchor)
-            assert np.array_equal(cands[7 * i], cand)
-            assert labels[7 * i] == pair.label
+            assert np.array_equal(table.vectors[table.anchors[i]], anchor)
+            assert np.array_equal(table.vectors[table.cands[i]], cand)
+            assert table.labels[i] == pair.label
+        assert table.vectors.shape == (len(texts), 64)
 
     def test_prepare_outputs(self, pipeline):
         _, out_dir, _ = pipeline
@@ -390,6 +396,29 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("flags, expect_info", [([], True), (["--log-level", "WARNING"], False)])
+def test_log_level_flag_filters_stderr(tmp_path, flags, expect_info):
+    """INFO is the default; at WARNING a successful `gen` prints nothing."""
+    src = str(Path(focusrank.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from focusrank.cli import main; sys.exit(main())",
+         *flags, "--config", write_config(tmp_path), "gen"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    lines = done.stderr.splitlines()
+    if expect_info:
+        assert lines == [f"INFO focusrank.cli: generated 3 projects under {tmp_path / 'corpus'}"]
+    else:
+        assert lines == []
+
+
+def test_unknown_log_level_is_a_validation_error(capsys):
+    assert main(["--log-level", "CHATTY", "gradcheck"]) == EXIT_VALIDATION
+    assert "--log-level" in capsys.readouterr().err
 
 
 # --- malformed input: exit 1 or 2 with one error line, never a traceback ----

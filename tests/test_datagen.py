@@ -9,7 +9,6 @@ from focusrank.datagen import (
     DEFAULT_VOCABULARY,
     GenConfig,
     build_corpus,
-    default_config,
     describe,
     write_corpus,
 )
@@ -26,7 +25,7 @@ def small_config(**overrides) -> GenConfig:
 
 class TestGenConfig:
     def test_default_config_is_valid(self):
-        cfg = default_config()
+        cfg = GenConfig()
         cfg.validate()
         assert cfg.projects == 8
         assert cfg.commits_per_project == 10

@@ -4,8 +4,12 @@ import base64
 import json
 import math
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focusrank.errors import (
     CheckpointFormatError,
@@ -16,6 +20,7 @@ from focusrank.errors import (
 from focusrank.ranker import (
     Checkpoint,
     LossConfig,
+    PairTable,
     RankerParams,
     TrainConfig,
     batch_loss,
@@ -27,6 +32,7 @@ from focusrank.ranker import (
     grid_search,
     init_params,
     load_checkpoint,
+    pair_logits,
     per_sample_loss,
     predict_proba,
     save_checkpoint,
@@ -37,6 +43,7 @@ from focusrank.ranker import (
     ADAM_BETA2,
     ADAM_EPS,
     _Adam,
+    _GradWorkspace,
     _attention_forward,
     _stack_pairs,
 )
@@ -200,6 +207,146 @@ class TestForward:
             forward(FIXED, np.ones(4), np.ones(4))
         with pytest.raises(DimensionMismatchError):
             forward(FIXED, np.ones(3), np.ones(2))
+
+
+def term_scale(params: RankerParams, anchors, cands) -> np.ndarray:
+    """Per pair, |b| plus a bound on the magnitude of the value terms a
+    logit sums: the yardstick for rounding differences between two ways of
+    computing the same logit."""
+    reach = (np.abs(anchors) + np.abs(cands)) @ np.abs(params.wv) @ np.abs(params.w_out)
+    return abs(params.b_out) + reach
+
+
+@st.composite
+def scored_pairs(draw):
+    """Random weights scaled up to 2, u label rows (u may be 1) and n pairs
+    drawn from them with repeats."""
+    u, n = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    d, h = draw(st.integers(1, 10)), draw(st.integers(1, 8))
+    weight_scale = draw(st.floats(0.01, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = RankerParams(
+        wq=weight_scale * rng.normal(size=(d, h)),
+        wk=weight_scale * rng.normal(size=(d, h)),
+        wv=weight_scale * rng.normal(size=(d, h)),
+        w_out=weight_scale * rng.normal(size=h),
+        b_out=float(weight_scale * rng.normal()),
+    )
+    vectors = rng.normal(size=(u, d))
+    return params, vectors, rng.integers(0, u, size=n), rng.integers(0, u, size=n)
+
+
+class TestPairLogits:
+    @settings(max_examples=200, deadline=None)
+    @given(case=scored_pairs())
+    def test_equals_forward_on_gathered_rows(self, case):
+        params, vectors, a_rows, c_rows = case
+        anchors, cands = vectors[a_rows], vectors[c_rows]
+        got = pair_logits(params, vectors, a_rows, c_rows)
+        want = forward(params, anchors, cands)
+        assert np.all(np.abs(got - want) <= 1e-12 * term_scale(params, anchors, cands))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=scored_pairs())
+    def test_neural_scores_equal_predict_proba_on_a_tiled_anchor(self, case):
+        """The anchor is row 0 of the embedded labels and every candidate
+        is scored against it; candidates may share a label."""
+        from focusrank.evaluation import neural_scores
+
+        params, vectors, _, c_rows = case
+        labels = {"anchor": "0", **{f"n{i}": str(row) for i, row in enumerate(c_rows)}}
+        graph = SimpleNamespace(label=labels.__getitem__)
+        provider = SimpleNamespace(embed=lambda texts: vectors[[int(t) for t in texts]])
+        candidates = [f"n{i}" for i in range(len(c_rows))]
+        got = neural_scores(params, provider, graph, "anchor", candidates)
+        anchors, cands = np.tile(vectors[0], (len(c_rows), 1)), vectors[c_rows]
+        want = predict_proba(params, anchors, cands)
+        bound = 1e-12 * (1.0 + term_scale(params, anchors, cands)) * want
+        assert np.all(np.abs(got - want) <= bound)
+
+    def test_repeated_rows_score_alike(self):
+        """Pairs naming the same rows get the same logit, bit for bit."""
+        rng = np.random.default_rng(4)
+        params, vectors = random_params(rng, d=3, h=2), rng.normal(size=(3, 3))
+        logits = pair_logits(params, vectors, np.array([0, 2, 0, 1]), np.array([2, 0, 2, 1]))
+        assert logits[0] == logits[2]
+        assert logits[3] == pytest.approx(forward(params, vectors[1], vectors[1]), rel=1e-12)
+
+    def test_fresh_params_emit_bias_exactly(self):
+        params = init_params(d=4, h=3, init_scale=1.0, seed=0)
+        vectors = np.random.default_rng(5).normal(size=(6, 4))
+        logits = pair_logits(params, vectors, np.arange(6), np.arange(6)[::-1])
+        assert np.all(logits == params.b_out)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (2, 3, 1)])
+    def test_vectors_of_the_wrong_shape_raise(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            pair_logits(FIXED, np.ones(shape), np.array([0]), np.array([0]))
+
+    def test_no_pairs_give_no_logits(self):
+        assert pair_logits(FIXED, np.ones((1, 3)), np.array([], np.intp), np.array([], np.intp)).shape == (0,)
+
+
+class TestPairTable:
+    def test_per_pair_arrays_become_a_table_over_their_rows(self):
+        anchors, cands, labels = toy_task(n=5)
+        table = PairTable.of((anchors, cands, labels))
+        assert np.array_equal(table.vectors, np.concatenate([anchors, cands]))
+        assert np.array_equal(table.anchors, np.arange(5))
+        assert np.array_equal(table.cands, np.arange(5, 10))
+        assert table.anchors.dtype == table.cands.dtype == np.intp
+        got = table.gather([3, 1])
+        for part, want in zip(got, (anchors[[3, 1]], cands[[3, 1]], labels[[3, 1]])):
+            assert np.array_equal(part, want)
+
+    def test_a_table_is_its_own_table(self):
+        table = PairTable(np.eye(2), [0, 1], [1, 1], [1.0, 0.0])
+        assert PairTable.of(table) is table
+        assert len(table) == 2
+
+    def test_unsigned_rows_become_intp(self):
+        table = PairTable(np.eye(3), np.array([2], np.uint8), np.array([0], np.int32), [1.0])
+        assert table.anchors.dtype == table.cands.dtype == np.intp
+
+    @pytest.mark.parametrize(
+        "anchors, cands, labels",
+        [
+            ([0, 1], [1], [1.0, 0.0]),  # candidate rows short of the labels
+            ([0, 1], [1, 0], [1.0]),  # more rows than labels
+            ([0, 3], [1, 0], [1.0, 0.0]),  # row past the end
+            ([0, -1], [1, 0], [1.0, 0.0]),  # negative row
+            ([0.0, 1.0], [1, 0], [1.0, 0.0]),  # float rows
+            ([True, False], [1, 0], [1.0, 0.0]),  # a boolean mask is not rows
+            ([[0, 1]], [[1, 0]], [[1.0, 0.0]]),  # 2-D rows and labels
+        ],
+    )
+    def test_rows_that_do_not_fit_raise(self, anchors, cands, labels):
+        with pytest.raises(DimensionMismatchError):
+            PairTable(np.eye(3), anchors, cands, labels)
+
+    @pytest.mark.parametrize("vectors", [np.ones(3), np.ones((2, 3, 1)), np.float64(1.0)])
+    def test_vectors_that_are_not_a_matrix_raise(self, vectors):
+        with pytest.raises(DimensionMismatchError):
+            PairTable(vectors, [0], [0], [1.0])
+
+    def test_mismatched_per_pair_blocks_raise(self):
+        with pytest.raises(DimensionMismatchError):
+            PairTable.of((np.ones((2, 3)), np.ones((2, 4)), np.ones(2)))
+        with pytest.raises(DimensionMismatchError):
+            PairTable.of((np.ones(3), np.ones(3), np.ones(1)))
+        with pytest.raises(DimensionMismatchError):
+            PairTable.of((np.ones((2, 3)), np.ones((2, 3)), np.ones(3)))
+
+    def test_validation_width_other_than_the_training_width_raises(self):
+        anchors, cands, labels = toy_task()
+        narrow = (anchors[:, :4], cands[:, :4], labels)
+        with pytest.raises(DimensionMismatchError):
+            train((anchors, cands, labels), narrow, toy_config(epochs=1))
+
+    def test_empty_table_cannot_be_trained_on(self):
+        empty = PairTable(np.eye(3), [], [], [])
+        with pytest.raises(EmptyDatasetError):
+            train(PairTable.of(toy_task()), empty, toy_config(epochs=1))
 
 
 def oracle_loss(z: float, y: int, alpha: float, beta: float, lam: float) -> float:
@@ -420,6 +567,22 @@ class TestGradient:
         assert all(row["passed"] for row in results)
         assert all(row["max_rel_error"] <= 1e-4 for row in results)
 
+    def test_reused_workspace_matches_no_workspace_bit_for_bit(self):
+        """Batches of varying size through one workspace: each loss and
+        gradient equals that of a call without one, so training with a
+        workspace follows the same path."""
+        rng = np.random.default_rng(31)
+        params, cfg = random_params(rng, d=5, h=3), LossConfig()
+        workspace = _GradWorkspace(8, 5, 3)
+        for n in (8, 3, 8, 1, 5):
+            anchors, cands = rng.normal(size=(n, 5)), rng.normal(size=(n, 5))
+            labels = rng.integers(0, 2, size=n).astype(float)
+            loss, fresh = grad(params, anchors, cands, labels, cfg)
+            reused_loss, reused = grad(params, anchors, cands, labels, cfg, workspace=workspace)
+            assert reused_loss == loss
+            assert reused.theta.tobytes() == fresh.theta.tobytes()
+            assert reused is workspace.grads
+
     def test_empty_batch_rejected(self):
         params = init_params(d=3, h=2, init_scale=1.0, seed=0)
         with pytest.raises(EmptyDatasetError):
@@ -523,6 +686,21 @@ class TestTraining:
         assert best == pytest.approx(
             min(row["val_loss"] for row in chunked.history), rel=0, abs=1e-12
         )
+
+    def test_table_trains_like_its_expanded_pairs(self):
+        """A table whose labels repeat trains on the very batches of its
+        per-pair expansion: the same train losses and weights."""
+        rng = np.random.default_rng(12)
+        vectors = toy_task(n=10)[0]
+        table = PairTable(vectors, rng.integers(0, 10, 60), rng.integers(0, 10, 60),
+                          rng.integers(0, 2, 60).astype(float))
+        expanded = table.gather(slice(None))
+        cfg = toy_config(epochs=6, early_stop_patience=0)
+        a, b = train(table, table, cfg), train(expanded, expanded, cfg)
+        assert [r["train_loss"] for r in a.history] == [r["train_loss"] for r in b.history]
+        for x, y in zip(a.history, b.history):
+            assert x["val_loss"] == pytest.approx(y["val_loss"], rel=1e-12)
+        assert a.params.theta.tobytes() == b.params.theta.tobytes()
 
     def test_empty_sets_rejected(self):
         empty = (np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
