@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigInvalidError, DimensionMismatchError, RemoteUnavailableError, ZeroVectorError
+from .errors import ConfigInvalidError, DimensionMismatchError, RemoteUnavailableError
 
 logger = logging.getLogger(__name__)
 
@@ -60,19 +60,6 @@ def fnv1a_64_all(items: Sequence[bytes]) -> np.ndarray:
     for byte, alive in zip(data.T, live.T):
         value = np.where(alive, (value ^ byte) * prime, value)  # uint64 wraps mod 2**64
     return value
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; rejects zero vectors and dimension mismatches."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"{a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVectorError("cosine undefined for zero vectors")
-    return float(np.dot(a, b) / (norm_a * norm_b))
 
 
 @dataclass

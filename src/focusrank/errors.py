@@ -33,10 +33,6 @@ class DimensionMismatchError(FocusRankError):
     """Vector or parameter dimensions are inconsistent."""
 
 
-class ZeroVectorError(FocusRankError):
-    """Cosine similarity was requested for an all-zero vector."""
-
-
 class EmptyDatasetError(FocusRankError):
     """Training was requested on an empty train or validation set."""
 

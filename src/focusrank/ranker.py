@@ -7,6 +7,10 @@ emits a single logit. Training minimizes a focal-style reshaping of
 BCE-with-logits under Adam. All gradients are computed analytically; there
 is no autograd dependency.
 
+With two tokens the attention has an exact closed form, `_closed_form`:
+the one forward pass that `forward`, `pair_logits` and `grad` share, and
+the one `grad` backpropagates through.
+
 Every weight lives in one contiguous float64 vector, so the Q/K/V
 projection is one GEMM, their three weight gradients are another, and an
 Adam step is a handful of in-place vector operations.
@@ -203,89 +207,84 @@ def init_params(d: int, h: int, init_scale: float, seed: int) -> RankerParams:
     )
 
 
-def _stack_pairs(
-    params: RankerParams, anchors: np.ndarray, cands: np.ndarray, out=None
-) -> np.ndarray:
-    """The (n, 2, d) token stack of n pairs, in the first n rows of `out`
-    when that is given."""
-    anchors = np.asarray(anchors, dtype=np.float64)
-    cands = np.asarray(cands, dtype=np.float64)
-    if anchors.ndim == 1:
-        anchors = anchors[None, :]
-    if cands.ndim == 1:
-        cands = cands[None, :]
-    if anchors.shape != cands.shape or anchors.shape[1] != params.d:
+def _pair_rows(params: RankerParams, anchors, cands, out=None) -> np.ndarray:
+    """The rows [anchors; cands] of n pairs as one (2n, d) block, so pair i
+    is rows i and n + i; in the first 2n rows of `out` when that is given."""
+    anchors = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
+    cands = np.atleast_2d(np.asarray(cands, dtype=np.float64))
+    if anchors.ndim != 2 or anchors.shape != cands.shape or anchors.shape[1] != params.d:
         raise DimensionMismatchError(
             f"expected two (n, {params.d}) blocks, got {anchors.shape} and {cands.shape}"
         )
     if out is not None:
-        out = out[: len(anchors)]
-    return np.stack([anchors, cands], axis=1, out=out)  # (n, 2, d)
-
-
-def _attention_forward(params: RankerParams, x: np.ndarray, qkv_out=None) -> dict:
-    """Forward pass keeping every intermediate needed for backprop. The
-    projection goes into `qkv_out`, a (2n, 3h) array, when one is given."""
-    n, h = x.shape[0], params.h
-    qkv = np.matmul(x.reshape(2 * n, params.d), params.w_qkv, out=qkv_out).reshape(n, 2, 3 * h)
-    q, k, v = qkv[..., :h], qkv[..., h : 2 * h], qkv[..., 2 * h :]  # (n, 2, h) each
-    scores = q @ k.transpose(0, 2, 1) / math.sqrt(h)  # (n, 2, 2)
-    shifted = scores - scores.max(axis=2, keepdims=True)
-    expo = np.exp(shifted)
-    attn = expo / expo.sum(axis=2, keepdims=True)
-    out = attn @ v  # (n, 2, h)
-    pooled = out.mean(axis=1)  # (n, h)
-    logits = pooled @ params.w_out + params.b_out  # (n,)
-    return {"x": x, "q": q, "k": k, "v": v, "attn": attn, "pooled": pooled, "logits": logits}
-
-
-def forward(params: RankerParams, anchor: np.ndarray, cand: np.ndarray):
-    """Logit for one pair, or a vector of logits for batched inputs."""
-    single = np.asarray(anchor).ndim == 1
-    state = _attention_forward(params, _stack_pairs(params, anchor, cand))
-    return float(state["logits"][0]) if single else state["logits"]
-
-
-def predict_proba(params: RankerParams, anchor: np.ndarray, cand: np.ndarray):
-    return sigmoid(forward(params, anchor, cand))
+        out = out[: 2 * len(anchors)]
+    return np.concatenate([anchors, cands], out=out)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
+def _project(params: RankerParams, rows: np.ndarray, out=None):
+    """Per row: the Q/K/V projection (into `out` when given), the self score
+    q·k/√h and the head value v·w_out."""
+    h = params.h
+    qkv = np.matmul(rows, params.w_qkv, out=out)
+    s_self = _rowdot(qkv[:, :h], qkv[:, h : 2 * h]) / math.sqrt(h)
+    return qkv, s_self, qkv[:, 2 * h :] @ params.w_out
+
+
+def _closed_form(params: RankerParams, qkv, s_self, vw, a, c):
+    """Logits of the pairs (row a[i], row c[i]) of `_project`'s output, and
+    the attention weights p0, p1 and w0 the gradient reuses. `a` and `c`
+    are index arrays or slices.
+
+    With two tokens, softmax row x puts sigmoid(s_xa - s_xc) on the anchor,
+    where s_xy = q_x·k_y/√h, and mean pooling mixes the two value rows with
+    one weight, so a logit is b + w0 * vw[a] + (1 - w0) * vw[c] with
+    w0 = (p0 + p1) / 2, p0 = sigmoid(s_aa - s_ac), p1 = sigmoid(s_ca - s_cc).
+    """
+    h = params.h
+    root_h = math.sqrt(h)
+    q, k = qkv[:, :h], qkv[:, h : 2 * h]
+    p0 = sigmoid(s_self[a] - _rowdot(q[a], k[c]) / root_h)
+    p1 = sigmoid(_rowdot(q[c], k[a]) / root_h - s_self[c])
+    w0 = 0.5 * (p0 + p1)
+    return params.b_out + w0 * vw[a] + (1.0 - w0) * vw[c], p0, p1, w0
+
+
+def forward(params: RankerParams, anchor: np.ndarray, cand: np.ndarray):
+    """Logit for one pair, or a vector of logits for batched inputs."""
+    single = np.asarray(anchor).ndim == 1
+    rows = _pair_rows(params, anchor, cand)
+    n = len(rows) // 2
+    logits = _closed_form(params, *_project(params, rows), slice(0, n), slice(n, None))[0]
+    return float(logits[0]) if single else logits
+
+
+def predict_proba(params: RankerParams, anchor: np.ndarray, cand: np.ndarray):
+    return sigmoid(forward(params, anchor, cand))
+
+
 def pair_logits(
     params: RankerParams, vectors: np.ndarray, a_rows: np.ndarray, c_rows: np.ndarray
 ) -> np.ndarray:
     """Logits of the pairs (vectors[a_rows[i]], vectors[c_rows[i]]): what
-    `forward` gives on the gathered rows, up to rounding.
-
-    With two tokens, a softmax row is a sigmoid of a score difference and
-    mean pooling mixes the two value rows with one weight w0, so a logit is
-    b + w0 * vw[a] + (1 - w0) * vw[c], where vw = V @ w_out and
-    w0 = (sigmoid(s_aa - s_ac) + sigmoid(s_ca - s_cc)) / 2. Q, K and V are
-    projected once per row of `vectors`; the cross scores s_ac and s_ca are
-    row dot products over VAL_CHUNK_ROWS pairs at a time.
+    `forward` gives on the gathered rows, up to rounding. Q, K and V are
+    projected once per row of `vectors`; the closed form reads the pairs
+    off those rows VAL_CHUNK_ROWS pairs at a time.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != params.d:
         raise DimensionMismatchError(
             f"expected a (u, {params.d}) matrix of vectors, got shape {vectors.shape}"
         )
-    h = params.h
-    root_h = math.sqrt(h)
-    qkv = vectors @ params.w_qkv  # (u, 3h)
-    q, k = qkv[:, :h], qkv[:, h : 2 * h]
-    s_self = _rowdot(q, k) / root_h
-    vw = qkv[:, 2 * h :] @ params.w_out
+    projected = _project(params, vectors)
     logits = np.empty(len(a_rows))
     for start in range(0, len(a_rows), VAL_CHUNK_ROWS):
         a = a_rows[start : start + VAL_CHUNK_ROWS]
         c = c_rows[start : start + VAL_CHUNK_ROWS]
-        s_ac = _rowdot(q[a], k[c]) / root_h
-        s_ca = _rowdot(q[c], k[a]) / root_h
-        w0 = 0.5 * (sigmoid(s_self[a] - s_ac) + sigmoid(s_ca - s_self[c]))
-        logits[start : start + len(a)] = params.b_out + w0 * vw[a] + (1.0 - w0) * vw[c]
+        logits[start : start + len(a)] = _closed_form(params, *projected, a, c)[0]
     return logits
 
 
@@ -405,13 +404,13 @@ def _grad_z(cfg: LossConfig, y, p, l, t, w, a, m) -> np.ndarray:
 
 
 class _GradWorkspace:
-    """The arrays `grad` fills for a batch of up to `rows` pairs: the token
-    stack, the Q/K/V projection, its gradient and the parameter gradient."""
+    """The arrays `grad` fills for a batch of up to `rows` pairs: the pair
+    rows, the Q/K/V projection, its gradient and the parameter gradient."""
 
     def __init__(self, rows: int, d: int, h: int):
-        self.x = np.empty((rows, 2, d))
+        self.x = np.empty((2 * rows, d))
         self.qkv = np.empty((2 * rows, 3 * h))
-        self.dqkv = np.empty((rows, 2, 3 * h))
+        self.dqkv = np.empty((2 * rows, 3 * h))
         self.grads = RankerParams.from_theta(np.empty(3 * d * h + h + 1), d, h)
 
 
@@ -426,41 +425,46 @@ def grad(
 ) -> tuple[float, RankerParams]:
     """Mean loss over the batch and its exact gradient, laid out like the
     parameters. With a `workspace`, the returned gradient lives in it and
-    the next call with that workspace overwrites it."""
-    labels = np.asarray(labels, dtype=np.float64)
+    the next call with that workspace overwrites it.
+
+    With g = dL/dz / n and e_j = g * (vw_a - vw_c) * p_j * (1 - p_j) / (2√h),
+    the closed form gives dq_a = e0 * (k_a - k_c), dq_c = e1 * (k_a - k_c),
+    dk_a = e0 * q_a + e1 * q_c = -dk_c and dv_a = g * w0 * w_out,
+    dv_c = g * (1 - w0) * w_out.
+    """
+    labels = np.atleast_1d(np.asarray(labels, dtype=np.float64))
     if labels.size == 0:
         raise EmptyDatasetError("gradient of an empty batch")
-    ws = workspace
-    if ws is None:
-        ws = _GradWorkspace(len(np.atleast_2d(anchors)), params.d, params.h)
-    x = _stack_pairs(params, anchors, cands, out=ws.x)
-    n = x.shape[0]
-    state = _attention_forward(params, x, qkv_out=ws.qkv[: 2 * n])
-    z = state["logits"]
+    ws = workspace or _GradWorkspace(len(np.atleast_2d(anchors)), params.d, params.h)
+    x = _pair_rows(params, anchors, cands, out=ws.x)
+    n, h = len(x) // 2, params.h
+    if labels.shape != (n,):
+        raise DimensionMismatchError(f"need one label per pair, got {labels.shape} for {n} pairs")
+    qkv, s_self, vw = _project(params, x, out=ws.qkv[: 2 * n])
+    a, c = slice(0, n), slice(n, 2 * n)
+    z, p0, p1, w0 = _closed_form(params, qkv, s_self, vw, a, c)
     values, terms = _loss_terms(z, labels, cfg)
     loss = float(np.mean(values))
 
-    gz = _grad_z(cfg, *terms) / n  # (n,)
-    h = params.h
-
-    dpooled = gz[:, None] * params.w_out[None, :]  # (n, h)
-    dout = np.repeat(dpooled[:, None, :], 2, axis=1) * 0.5  # (n, 2, h)
-
-    attn, q, k, v = state["attn"], state["q"], state["k"], state["v"]
-    dattn = dout @ v.transpose(0, 2, 1)  # (n, 2, 2)
-
-    # softmax backward per row
-    dscores = attn * (dattn - (dattn * attn).sum(axis=2, keepdims=True))
-    scale = 1.0 / math.sqrt(h)
-    dqkv = ws.dqkv[:n]
-    dqkv[..., :h] = dscores @ k * scale
-    dqkv[..., h : 2 * h] = dscores.transpose(0, 2, 1) @ q * scale
-    dqkv[..., 2 * h :] = attn.transpose(0, 2, 1) @ dout
+    g = _grad_z(cfg, *terms) / n  # (n,)
+    q, k, v = qkv[:, :h], qkv[:, h : 2 * h], qkv[:, 2 * h :]
+    e = 0.5 * g * (vw[a] - vw[c]) / math.sqrt(h)
+    e0 = (e * p0 * (1.0 - p0))[:, None]
+    e1 = (e * p1 * (1.0 - p1))[:, None]
+    k_diff = k[a] - k[c]
+    dqkv = ws.dqkv[: 2 * n]
+    np.multiply(e0, k_diff, out=dqkv[a, :h])
+    np.multiply(e1, k_diff, out=dqkv[c, :h])
+    np.add(e0 * q[a], e1 * q[c], out=dqkv[a, h : 2 * h])
+    np.negative(dqkv[a, h : 2 * h], out=dqkv[c, h : 2 * h])
+    g_a, g_c = g * w0, g * (1.0 - w0)
+    np.multiply.outer(g_a, params.w_out, out=dqkv[a, 2 * h :])
+    np.multiply.outer(g_c, params.w_out, out=dqkv[c, 2 * h :])
 
     grads = ws.grads
-    np.matmul(x.reshape(2 * n, params.d).T, dqkv.reshape(2 * n, 3 * h), out=grads.w_qkv)
-    grads.w_out = state["pooled"].T @ gz
-    grads.b_out = gz.sum()
+    np.matmul(x.T, dqkv, out=grads.w_qkv)
+    grads.w_out = g_a @ v[a] + g_c @ v[c]
+    grads.b_out = g.sum()
     return loss, grads
 
 
@@ -474,20 +478,15 @@ def finite_difference_grad(
 ) -> RankerParams:
     """Central-difference gradient; the reference the analytic path is
     checked against in `gradient_check` and the gradcheck command."""
-
-    def loss_at(p: RankerParams) -> float:
-        state = _attention_forward(p, _stack_pairs(p, anchors, cands))
-        return batch_loss(state["logits"], labels, cfg)
-
     work = params.copy()
     theta = work.theta
     out = np.empty_like(theta)
     for i in range(theta.size):
         saved = theta[i]
         theta[i] = saved + epsilon
-        plus = loss_at(work)
+        plus = batch_loss(forward(work, anchors, cands), labels, cfg)
         theta[i] = saved - epsilon
-        minus = loss_at(work)
+        minus = batch_loss(forward(work, anchors, cands), labels, cfg)
         theta[i] = saved
         out[i] = (plus - minus) / (2.0 * epsilon)
     return RankerParams.from_theta(out, params.d, params.h)

@@ -2,8 +2,8 @@
 
 Pure-Python implementations with explicit branch behavior so results are
 reproducible across platforms: Spearman correlation with average ranks and
-a t-distribution p-value, and a one-sided Mann-Whitney U with an exact
-enumeration branch for small samples and a tie-corrected normal
+a closed-form t-distribution p-value, and a one-sided Mann-Whitney U with
+an exact enumeration branch for small samples and a tie-corrected normal
 approximation otherwise.
 """
 
@@ -60,13 +60,25 @@ def spearman_rho(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float
     rho = max(-1.0, min(1.0, rho))
     if abs(rho) == 1.0:
         return rho, 0.0
-    # Imported here: SciPy costs a quarter second to import, and no
-    # pipeline stage computes a rank correlation.
-    from scipy.special import stdtr
-
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(stdtr(n - 2, -abs(t)))
-    return rho, p
+    return rho, t_two_sided_p(t, n - 2)
+
+
+def t_two_sided_p(t: float, dof: int) -> float:
+    """P(|T| >= |t|) for Student's t with a positive integer number of
+    degrees of freedom: the finite series of Abramowitz & Stegun 26.7.3-4
+    in theta = atan(|t| / sqrt(dof))."""
+    theta = math.atan(abs(t) / math.sqrt(dof))
+    sin, cos = math.sin(theta), math.cos(theta)
+    odd = dof % 2
+    term, series = 1.0, 0.0
+    for j in range((dof - 1) // 2 if odd else dof // 2):
+        if j:
+            term *= cos * cos * (2 * j - 1 + odd) / (2 * j + odd)
+        series += term
+    if odd:
+        return 1.0 - 2.0 / math.pi * (theta + sin * cos * series)
+    return 1.0 - sin * series
 
 
 def _u_statistic(a: Sequence[float], b: Sequence[float]) -> float:

@@ -386,11 +386,14 @@ class TestRunConfig:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """Every stage is its own process, so import cost is paid per stage;
-    SciPy is needed only by the rank correlation no stage computes."""
+    """SciPy is a test dependency only: neither the CLI nor a rank
+    correlation's p-value loads it."""
     src = str(Path(focusrank.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, focusrank.cli; print('scipy' in sys.modules)"
+    probe = (
+        "import sys, focusrank.cli; from focusrank.stats import spearman_rho; "
+        "spearman_rho([1, 2, 3, 4], [1, 3, 2, 4]); print('scipy' in sys.modules)"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )

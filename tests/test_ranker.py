@@ -44,8 +44,6 @@ from focusrank.ranker import (
     ADAM_EPS,
     _Adam,
     _GradWorkspace,
-    _attention_forward,
-    _stack_pairs,
 )
 
 
@@ -85,6 +83,20 @@ def oracle_logit(params: RankerParams, anchor, cand) -> float:
     ]
     pooled = [(mixed[0][j] + mixed[1][j]) / 2.0 for j in range(h)]
     return sum(w_out[j] * pooled[j] for j in range(h)) + params.b_out
+
+
+def attention_reference(params: RankerParams, anchors, cands) -> SimpleNamespace:
+    """The forward pass written with explicit attention tensors: the
+    (n, 2, d) token stack, (n, 2, 2) softmax rows, mean pooling and the
+    head. Holds every intermediate `einsum_grad` backpropagates through."""
+    x = np.stack([anchors, cands], axis=1)
+    q, k, v = x @ params.wq, x @ params.wk, x @ params.wv
+    scores = q @ k.transpose(0, 2, 1) / math.sqrt(params.h)
+    expo = np.exp(scores - scores.max(axis=2, keepdims=True))
+    attn = expo / expo.sum(axis=2, keepdims=True)
+    pooled = (attn @ v).mean(axis=1)
+    z = pooled @ params.w_out + params.b_out
+    return SimpleNamespace(x=x, q=q, k=k, v=v, attn=attn, pooled=pooled, z=z)
 
 
 def random_params(rng, d: int, h: int) -> RankerParams:
@@ -153,8 +165,9 @@ class TestForward:
         )
 
     def test_matches_loop_oracle_on_random_pairs(self):
+        """Unit-scale rows, then large-norm rows that saturate the softmax."""
         rng = np.random.default_rng(11)
-        for _ in range(10):
+        for row_scale in [1.0] * 10 + [10.0, 30.0, 100.0]:
             d, h = int(rng.integers(2, 6)), int(rng.integers(1, 4))
             params = RankerParams(
                 wq=rng.normal(size=(d, h)),
@@ -163,7 +176,7 @@ class TestForward:
                 w_out=rng.normal(size=h),
                 b_out=float(rng.normal()),
             )
-            anchor, cand = rng.normal(size=d), rng.normal(size=d)
+            anchor, cand = row_scale * rng.normal(size=d), row_scale * rng.normal(size=d)
             assert forward(params, anchor, cand) == pytest.approx(
                 oracle_logit(params, anchor, cand), rel=1e-12, abs=1e-12
             )
@@ -182,17 +195,14 @@ class TestForward:
         singles = [forward(FIXED, anchors[i], cands[i]) for i in range(5)]
         np.testing.assert_allclose(batched, singles, atol=1e-14)
 
-    def test_identical_tokens_split_attention_evenly(self):
-        x = _stack_pairs(FIXED, np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))
-        attn = _attention_forward(FIXED, x)["attn"]
-        assert np.all(attn == 0.5)
-
-    def test_attention_rows_are_distributions(self):
-        rng = np.random.default_rng(3)
-        x = _stack_pairs(FIXED, rng.normal(size=(20, 3)), rng.normal(size=(20, 3)))
-        attn = _attention_forward(FIXED, x)["attn"]
-        np.testing.assert_allclose(attn.sum(axis=2), 1.0, atol=1e-12)
-        assert np.all(attn >= 0)
+    def test_identical_rows_score_their_value_head(self):
+        """A token attends evenly to an identical token, so the logit is
+        b + (x·Wv)·w_out, whatever the attention scores."""
+        x = np.random.default_rng(3).normal(size=(20, 3)) * np.logspace(-1, 2, 20)[:, None]
+        want = FIXED.b_out + (x @ FIXED.wv) @ FIXED.w_out
+        np.testing.assert_allclose(forward(FIXED, x, x), want, rtol=0, atol=1e-12)
+        rows = np.arange(20)
+        np.testing.assert_allclose(pair_logits(FIXED, x, rows, rows), want, rtol=0, atol=1e-12)
 
     def test_probability_for_known_logit(self):
         params = params_from_lists(
@@ -219,8 +229,8 @@ def term_scale(params: RankerParams, anchors, cands) -> np.ndarray:
 
 @st.composite
 def scored_pairs(draw):
-    """Random weights scaled up to 2, u label rows (u may be 1) and n pairs
-    drawn from them with repeats."""
+    """Random weights scaled up to 2, u label rows (u may be 1) of norms up
+    to a saturating 50 and n pairs drawn from them with repeats."""
     u, n = draw(st.integers(1, 12)), draw(st.integers(1, 40))
     d, h = draw(st.integers(1, 10)), draw(st.integers(1, 8))
     weight_scale = draw(st.floats(0.01, 2.0))
@@ -232,7 +242,7 @@ def scored_pairs(draw):
         w_out=weight_scale * rng.normal(size=h),
         b_out=float(weight_scale * rng.normal()),
     )
-    vectors = rng.normal(size=(u, d))
+    vectors = draw(st.sampled_from([1.0, 1.0, 5.0, 50.0])) * rng.normal(size=(u, d))
     return params, vectors, rng.integers(0, u, size=n), rng.integers(0, u, size=n)
 
 
@@ -240,17 +250,20 @@ class TestPairLogits:
     @settings(max_examples=200, deadline=None)
     @given(case=scored_pairs())
     def test_equals_forward_on_gathered_rows(self, case):
+        """Both equal the explicit-attention reference on the gathered rows."""
         params, vectors, a_rows, c_rows = case
         anchors, cands = vectors[a_rows], vectors[c_rows]
-        got = pair_logits(params, vectors, a_rows, c_rows)
-        want = forward(params, anchors, cands)
-        assert np.all(np.abs(got - want) <= 1e-12 * term_scale(params, anchors, cands))
+        want = attention_reference(params, anchors, cands).z
+        bound = 1e-12 * term_scale(params, anchors, cands)
+        assert np.all(np.abs(pair_logits(params, vectors, a_rows, c_rows) - want) <= bound)
+        assert np.all(np.abs(forward(params, anchors, cands) - want) <= bound)
 
     @settings(max_examples=100, deadline=None)
     @given(case=scored_pairs())
     def test_neural_scores_equal_predict_proba_on_a_tiled_anchor(self, case):
         """The anchor is row 0 of the embedded labels and every candidate
-        is scored against it; candidates may share a label."""
+        is scored against it; candidates may share a label. Both equal the
+        explicit-attention reference's probabilities."""
         from focusrank.evaluation import neural_scores
 
         params, vectors, _, c_rows = case
@@ -260,9 +273,10 @@ class TestPairLogits:
         candidates = [f"n{i}" for i in range(len(c_rows))]
         got = neural_scores(params, provider, graph, "anchor", candidates)
         anchors, cands = np.tile(vectors[0], (len(c_rows), 1)), vectors[c_rows]
-        want = predict_proba(params, anchors, cands)
+        want = np.exp(-np.logaddexp(0.0, -attention_reference(params, anchors, cands).z))
         bound = 1e-12 * (1.0 + term_scale(params, anchors, cands)) * want
         assert np.all(np.abs(got - want) <= bound)
+        assert np.all(np.abs(predict_proba(params, anchors, cands) - want) <= bound)
 
     def test_repeated_rows_score_alike(self):
         """Pairs naming the same rows get the same logit, bit for bit."""
@@ -462,17 +476,13 @@ def max_rel_error(analytic, numeric, abs_tol=1e-7):
 
 
 def einsum_grad(params, anchors, cands, labels, cfg):
-    """The gradient as the per-array formulation writes it: three 3-D
-    projections forward, three einsum contractions for the weights."""
+    """The gradient as the per-array formulation writes it: backprop
+    through `attention_reference`'s softmax rows, three einsum contractions
+    for the weights."""
     from focusrank.ranker import loss_grad_z
 
-    x = np.stack([anchors, cands], axis=1)
-    q, k, v = x @ params.wq, x @ params.wk, x @ params.wv
-    scores = q @ k.transpose(0, 2, 1) / math.sqrt(params.h)
-    expo = np.exp(scores - scores.max(axis=2, keepdims=True))
-    attn = expo / expo.sum(axis=2, keepdims=True)
-    pooled = (attn @ v).mean(axis=1)
-    z = pooled @ params.w_out + params.b_out
+    ref = attention_reference(params, anchors, cands)
+    x, q, k, v, attn, pooled, z = ref.x, ref.q, ref.k, ref.v, ref.attn, ref.pooled, ref.z
     gz = loss_grad_z(z, labels, cfg) / z.shape[0]
     dout = np.repeat((gz[:, None] * params.w_out[None, :])[:, None, :], 2, axis=1) * 0.5
     dattn = dout @ v.transpose(0, 2, 1)
@@ -491,11 +501,13 @@ def einsum_grad(params, anchors, cands, labels, cfg):
 
 class TestGradient:
     def test_matches_per_array_einsum_formula(self):
+        """Unit-scale rows, then large-norm rows that saturate the softmax."""
         rng = np.random.default_rng(24)
-        for _ in range(10):
+        for row_scale in [1.0] * 10 + [3.0, 10.0, 30.0, 100.0]:
             d, h, n = int(rng.integers(2, 40)), int(rng.integers(1, 20)), int(rng.integers(1, 70))
             params = random_params(rng, d, h)
-            anchors, cands = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+            anchors = row_scale * rng.normal(size=(n, d))
+            cands = row_scale * rng.normal(size=(n, d))
             labels = rng.integers(0, 2, size=n).astype(float)
             _, grads = grad(params, anchors, cands, labels, LossConfig())
             expected = einsum_grad(params, anchors, cands, labels, LossConfig())
@@ -587,6 +599,12 @@ class TestGradient:
         params = init_params(d=3, h=2, init_scale=1.0, seed=0)
         with pytest.raises(EmptyDatasetError):
             grad(params, np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0), LossConfig())
+
+    @pytest.mark.parametrize("labels", [[1.0], 1.0, [1.0, 0.0], np.ones(6), np.ones((5, 1))])
+    def test_labels_other_than_one_per_pair_rejected(self, labels):
+        """A single label is not broadcast over the batch."""
+        with pytest.raises(DimensionMismatchError, match="one label per pair"):
+            grad(FIXED, np.ones((5, 3)), np.ones((5, 3)), labels, LossConfig())
 
 
 def toy_task(n=48, d=6, seed=3):
