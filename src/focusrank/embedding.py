@@ -6,9 +6,9 @@ with 64-bit FNV-1a, accumulates counts, and L2-normalizes. It is fully
 offline and stable across processes, so token overlap between labels yields
 positive cosine similarity without any external service.
 
-The remote provider speaks the common embeddings-API shape over HTTP POST
-and exists for swapping in a hosted model; nothing in the package requires
-it.
+The remote provider speaks the common embeddings-API shape over HTTP POST,
+keeps its answers in an on-disk cache when `cache_dir` is set, and exists
+for swapping in a hosted model; nothing in the package requires it.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class ProviderConfig:
     kind: str = "hashed"  # "hashed" | "remote"
     dimension: int = 256
     remote: Optional[RemoteConfig] = None
-    cache_dir: Optional[str] = None
+    cache_dir: Optional[str] = None  # the remote provider's cache; hashing needs none
 
     def validate(self) -> None:
         if self.kind not in ("hashed", "remote"):
@@ -121,73 +121,43 @@ class _EmbeddingCache:
         os.replace(tmp, path)
 
 
-class _Provider:
-    """The embedding loop both providers share: cache hits are read, and the
-    misses go to the provider's `_embed_missing` in blocks of `max_batch`
-    texts, each block cached as soon as it is computed."""
-
-    max_batch = 128
-    dimension: int
-    fingerprint: str
-    _cache: Optional[_EmbeddingCache]
-
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
-        """One float64 row per text: shape (len(texts), dimension). A cache
-        entry that is unreadable or has the wrong shape counts as a miss,
-        so it is recomputed and rewritten."""
-        out = np.empty((len(texts), self.dimension), dtype=np.float64)
-        missing = []
-        for i, text in enumerate(texts):
-            cached = self._cache.get(self.fingerprint, text, self.dimension) if self._cache else None
-            if cached is None:
-                missing.append(i)
-            else:
-                out[i] = cached
-        for start in range(0, len(missing), self.max_batch):
-            chunk = missing[start : start + self.max_batch]
-            out[chunk] = self._embed_missing([texts[i] for i in chunk])
-            if self._cache:
-                for i in chunk:
-                    self._cache.put(self.fingerprint, texts[i], out[i])
-        return out
-
-    def _embed_missing(self, texts: list[str]) -> np.ndarray:
-        """The (len(texts), dimension) float64 rows of texts not cached."""
-        raise NotImplementedError
-
-
-class HashedProvider(_Provider):
+class HashedProvider:
     """Deterministic bag-of-tokens embedding over FNV-1a bucket hashing."""
 
     kind = "hashed"
+    max_batch = 128
 
-    def __init__(self, dimension: int = 256, cache_dir: Optional[str] = None):
+    def __init__(self, dimension: int = 256):
         if dimension < 8:
             raise ConfigInvalidError("embedding dimension must be >= 8")
         self.dimension = dimension
         self.fingerprint = f"hashed:d={dimension}"
-        self._cache = _EmbeddingCache(cache_dir) if cache_dir else None
 
-    def _embed_missing(self, texts: list[str]) -> np.ndarray:
-        """Each row counts its label's tokens per bucket and is scaled to
-        unit norm; the counts are exact, so summation order does not
-        change a bit of the result."""
-        tokens = [tokenize(text) for text in texts]
-        rows = np.repeat(np.arange(len(texts)), [len(toks) for toks in tokens])
-        hashes = fnv1a_64_all([tok.encode("utf-8") for toks in tokens for tok in toks])
-        cells = rows * self.dimension + (hashes % np.uint64(self.dimension)).astype(np.intp)
-        block = np.bincount(cells, minlength=len(texts) * self.dimension).astype(np.float64)
-        block = block.reshape(len(texts), self.dimension)
-        norms = np.linalg.norm(block, axis=1, keepdims=True)
-        empty = norms[:, 0] == 0.0
-        if empty.any():
-            logger.warning("embedding %d empty label(s) -> zero vectors", int(empty.sum()))
-        norms[empty] = 1.0
-        block /= norms
-        return block
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """One float64 row per text: shape (len(texts), dimension). Each row
+        counts its label's tokens per bucket and is scaled to unit norm; the
+        counts are exact, so summation order does not change a bit of the
+        result. Texts are hashed in blocks of `max_batch`, which bounds the
+        memory a block's token matrix takes."""
+        out = np.empty((len(texts), self.dimension), dtype=np.float64)
+        for start in range(0, len(texts), self.max_batch):
+            tokens = [tokenize(text) for text in texts[start : start + self.max_batch]]
+            rows = np.repeat(np.arange(len(tokens)), [len(toks) for toks in tokens])
+            hashes = fnv1a_64_all([tok.encode("utf-8") for toks in tokens for tok in toks])
+            cells = rows * self.dimension + (hashes % np.uint64(self.dimension)).astype(np.intp)
+            block = np.bincount(cells, minlength=len(tokens) * self.dimension).astype(np.float64)
+            block = block.reshape(len(tokens), self.dimension)
+            norms = np.linalg.norm(block, axis=1, keepdims=True)
+            empty = norms[:, 0] == 0.0
+            if empty.any():
+                logger.warning("embedding %d empty label(s) -> zero vectors", int(empty.sum()))
+            norms[empty] = 1.0
+            block /= norms
+            out[start : start + len(tokens)] = block
+        return out
 
 
-class RemoteProvider(_Provider):
+class RemoteProvider:
     """Client for a hosted embeddings endpoint.
 
     POSTs {"model": name, "input": [texts]} and reads
@@ -200,6 +170,7 @@ class RemoteProvider(_Provider):
     """
 
     kind = "remote"
+    max_batch = 128
     max_attempts = 3
     timeout_seconds = 30.0
 
@@ -213,8 +184,31 @@ class RemoteProvider(_Provider):
         self.retry_base_seconds = retry_base_seconds
         self._cache = _EmbeddingCache(config.cache_dir) if config.cache_dir else None
 
-    def _post(self, texts: list[str]):
-        """The parsed JSON answer to one request, after retries."""
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """One float64 row per text: shape (len(texts), dimension). Cached
+        rows are read first; a cache entry that is unreadable or has the
+        wrong shape counts as a miss, so it is fetched and rewritten. The
+        misses are requested in blocks of `max_batch` texts, each block
+        cached as soon as it arrives."""
+        out = np.empty((len(texts), self.dimension), dtype=np.float64)
+        missing = []
+        for i, text in enumerate(texts):
+            cached = self._cache.get(self.fingerprint, text, self.dimension) if self._cache else None
+            if cached is None:
+                missing.append(i)
+            else:
+                out[i] = cached
+        for start in range(0, len(missing), self.max_batch):
+            chunk = missing[start : start + self.max_batch]
+            out[chunk] = self._post([texts[i] for i in chunk])
+            if self._cache:
+                for i in chunk:
+                    self._cache.put(self.fingerprint, texts[i], out[i])
+        return out
+
+    def _post(self, texts: list[str]) -> np.ndarray:
+        """The (len(texts), dimension) rows the endpoint returns for one
+        request, after retries, once the answer is validated."""
         body = json.dumps({"model": self.remote.model, "input": texts}).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.remote.auth_env, "") if self.remote.auth_env else ""
@@ -241,14 +235,7 @@ class RemoteProvider(_Provider):
         if raw is None:
             raise RemoteUnavailableError(str(last_error))
         try:  # an answer that arrived is not retried: it would come back the same
-            return json.loads(raw.decode("utf-8"))
-        except ValueError as exc:
-            raise RemoteUnavailableError(f"malformed endpoint response ({exc!r})") from exc
-
-    def _embed_missing(self, texts: list[str]) -> np.ndarray:
-        payload = self._post(texts)
-        try:
-            rows = payload["data"]
+            rows = json.loads(raw.decode("utf-8"))["data"]
             index = [row["index"] for row in rows]
             embeddings = [row["embedding"] for row in rows]
             # NumPy would read JSON true/false and numeric strings as numbers
@@ -277,5 +264,5 @@ class RemoteProvider(_Provider):
 def make_provider(config: ProviderConfig, retry_base_seconds: float = 0.5):
     config.validate()
     if config.kind == "hashed":
-        return HashedProvider(config.dimension, cache_dir=config.cache_dir)
+        return HashedProvider(config.dimension)
     return RemoteProvider(config, retry_base_seconds=retry_base_seconds)

@@ -8,15 +8,13 @@ identified by their (src, dst, label) triple and have no identity beyond it.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ArtifactFormatError, UnknownNodeError
-
-logger = logging.getLogger(__name__)
 
 NodeId = str
 EdgeKey = tuple[str, str, str]
@@ -28,9 +26,11 @@ INFINITE = math.inf
 class ModelGraph:
     """One immutable model version: labeled nodes plus labeled directed edges.
 
-    Raises ValueError when an edge endpoint is missing, a node id repeats,
-    or the same (src, dst, label) triple appears twice. Adjacency sets are
-    built by the first `successors` or `distances_from` call, then kept.
+    The constructor is the one place a graph is validated: it raises
+    ValueError when a node id, label or edge field is not a string, a node
+    id is empty or repeats, an edge endpoint is missing, or the same
+    (src, dst, label) triple appears twice. Adjacency sets are built by the
+    first `successors` or `distances_from` call, then kept.
     """
 
     __slots__ = ("_labels", "_edges", "_succ", "_undirected")
@@ -40,25 +40,25 @@ class ModelGraph:
         nodes: Iterable[tuple[str, str]] | Mapping[str, str],
         edges: Iterable[EdgeKey] = (),
     ):
-        if isinstance(nodes, Mapping):
-            labels = dict(nodes)
-        else:
-            labels: dict[str, str] = {}
-            for node_id, label in nodes:
-                if node_id in labels:
-                    raise ValueError(f"duplicate node id {node_id!r}")
-                labels[node_id] = label
-        for node_id in labels:
+        labels: dict[str, str] = {}
+        for node_id, label in nodes.items() if isinstance(nodes, Mapping) else nodes:
+            if not isinstance(node_id, str) or not isinstance(label, str):
+                raise ValueError(f"node id {node_id!r} and label {label!r} must be strings")
             if not node_id:
                 raise ValueError("node ids must be non-empty")
+            if node_id in labels:
+                raise ValueError(f"duplicate node id {node_id!r}")
+            labels[node_id] = label
 
         edge_set: set[EdgeKey] = set()
         for src, dst, label in edges:
+            key = (src, dst, label)
+            if not (isinstance(src, str) and isinstance(dst, str) and isinstance(label, str)):
+                raise ValueError(f"edge {key!r} fields must be strings")
             if src not in labels:
                 raise ValueError(f"edge source {src!r} not a node")
             if dst not in labels:
                 raise ValueError(f"edge target {dst!r} not a node")
-            key = (src, dst, label)
             if key in edge_set:
                 raise ValueError(f"duplicate edge {key!r}")
             edge_set.add(key)
@@ -242,56 +242,22 @@ class Project:
             yield index, self.diff_at(index)
 
 
-def _clean_version(raw, where: str) -> ModelGraph:
-    """Build a graph from one raw version record, dropping malformed entries.
-
-    Malformed node/edge records and edges with missing endpoints are skipped
-    and counted in a log message rather than aborting the load; a version
-    that is not an object of node and edge lists raises ArtifactFormatError.
-    `where` names the version in those messages.
-    """
-    nodes = raw.get("nodes", []) if isinstance(raw, dict) else None
-    edge_entries = raw.get("edges", []) if isinstance(raw, dict) else None
-    if not isinstance(nodes, list) or not isinstance(edge_entries, list):
-        raise ArtifactFormatError(f"{where} must be an object of node and edge lists")
-    labels: dict[str, str] = {}
-    bad_nodes = 0
-    for entry in nodes:
-        node_id = entry.get("id") if isinstance(entry, dict) else None
-        label = entry.get("label") if isinstance(entry, dict) else None
-        if not isinstance(node_id, str) or not node_id or not isinstance(label, str):
-            bad_nodes += 1
-            continue
-        if node_id in labels:
-            bad_nodes += 1
-            continue
-        labels[node_id] = label
-
-    edges: set[EdgeKey] = set()
-    bad_edges = 0
-    for entry in edge_entries:
-        src = entry.get("src") if isinstance(entry, dict) else None
-        dst = entry.get("dst") if isinstance(entry, dict) else None
-        label = entry.get("label") if isinstance(entry, dict) else None
-        ok = (isinstance(src, str) and isinstance(dst, str) and isinstance(label, str)
-              and src in labels and dst in labels and (src, dst, label) not in edges)
-        if not ok:
-            bad_edges += 1
-            continue
-        edges.add((src, dst, label))
-
-    if bad_nodes or bad_edges:
-        logger.warning(
-            "%s: dropped %d malformed node and %d malformed edge entries",
-            where, bad_nodes, bad_edges,
-        )
-    return ModelGraph(labels, edges)
+_NODE_FIELDS = itemgetter("id", "label")
+_EDGE_FIELDS = itemgetter("src", "dst", "label")
 
 
 def load_project(path) -> Project:
-    """Read a project file: {"project": id, "versions": [{nodes, edges}, ...]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """Read a project file: {"project": id, "versions": [{nodes, edges}, ...]}.
+
+    Each version's records go straight to the `ModelGraph` constructor in
+    one pass; a malformed record raises ArtifactFormatError naming the file
+    and the version index, and no graph is built from it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ArtifactFormatError(f"{path}: not a JSON project file ({exc})") from exc
     name = raw.get("project") if isinstance(raw, dict) else None
     if not isinstance(name, str) or not name:
         raise ArtifactFormatError(f"{path}: not an object with a project id")
@@ -300,8 +266,24 @@ def load_project(path) -> Project:
         raise ArtifactFormatError(f"{path}: versions must be a list")
     return Project(
         name=name,
-        versions=[_clean_version(v, f"{path} version {i}") for i, v in enumerate(versions)],
+        versions=[_version_graph(v, f"{path} version {i}") for i, v in enumerate(versions)],
     )
+
+
+def _version_graph(raw, where: str) -> ModelGraph:
+    """The graph of one version record; `where` names it in errors."""
+    nodes = raw.get("nodes", []) if isinstance(raw, dict) else None
+    edges = raw.get("edges", []) if isinstance(raw, dict) else None
+    if not isinstance(nodes, list) or not isinstance(edges, list):
+        raise ArtifactFormatError(f"{where} must be an object of node and edge lists")
+    try:
+        return ModelGraph(map(_NODE_FIELDS, nodes), map(_EDGE_FIELDS, edges))
+    except KeyError as exc:
+        raise ArtifactFormatError(f"{where}: a node or edge record has no {exc} key") from exc
+    except TypeError as exc:  # indexing a record that is not an object
+        raise ArtifactFormatError(f"{where}: a node or edge record is not an object") from exc
+    except ValueError as exc:
+        raise ArtifactFormatError(f"{where}: {exc}") from exc
 
 
 def save_project(project: Project, path) -> None:

@@ -499,7 +499,12 @@ def gradient_check(
     abs_tol: float = 1e-7,
     epsilon: float = 1e-4,
 ) -> list[dict]:
-    """Random small configurations compared against central differences."""
+    """Random small configurations compared against central differences.
+
+    A trial's `max_rel_error` is the largest |analytic - numeric| divided by
+    max(|analytic|, |numeric|, abs_tol / rel_tol); it is within rel_tol iff
+    every difference is within max(abs_tol, rel_tol * |gradient|).
+    """
     rng = np.random.default_rng(seed)
     results = []
     for trial in range(trials):
@@ -525,8 +530,8 @@ def gradient_check(
         numeric = finite_difference_grad(params, anchors, cands, labels, cfg, epsilon=epsilon)
         a_arr, n_arr = analytic.theta, numeric.theta
         diff = np.abs(a_arr - n_arr)
-        denom = np.maximum(np.maximum(np.abs(a_arr), np.abs(n_arr)), 1.0e-300)
-        worst = float(np.where(diff <= abs_tol, 0.0, diff / denom).max())
+        denom = np.maximum(np.maximum(np.abs(a_arr), np.abs(n_arr)), abs_tol / rel_tol)
+        worst = float((diff / denom).max())
         results.append({
             "trial": trial, "d": d, "h": h, "batch": n,
             "max_rel_error": worst, "passed": worst <= rel_tol,

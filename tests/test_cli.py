@@ -526,6 +526,37 @@ def versions_with(bad_version):
     )
 
 
+RECORD_FAULTS = [
+    "not object", "no key", "not str", "empty id", "duplicate id", "dangling", "duplicate edge",
+]
+
+
+@st.composite
+def bad_record_versions(draw, kind=None):
+    """A version with one malformed node or edge record beside good ones;
+    `kind` is one of RECORD_FAULTS, or drawn when None."""
+    node, edge = {"id": "a", "label": "x"}, {"src": "a", "dst": "a", "label": "e"}
+    version = {"nodes": [node], "edges": [edge]}
+    kind = kind or draw(st.sampled_from(RECORD_FAULTS))
+    part = draw(st.sampled_from(["nodes", "edges"]))
+    record = version[part][0]
+    if kind == "not object":
+        version[part].append(draw(not_object))
+    elif kind == "no key":
+        del record[draw(st.sampled_from(sorted(record)))]
+    elif kind == "not str":
+        record[draw(st.sampled_from(sorted(record)))] = draw(not_str)
+    elif kind == "empty id":
+        version["nodes"].append({"id": "", "label": "x"})
+    elif kind == "duplicate id":
+        version["nodes"].append({"id": "a", "label": draw(st.text(max_size=3))})
+    elif kind == "dangling":
+        version["edges"].append({**edge, draw(st.sampled_from(["src", "dst"])): "ghost"})
+    else:
+        version["edges"].append(dict(edge))
+    return version
+
+
 malformed_projects = st.one_of(
     not_object,
     st.fixed_dictionaries({"project": not_str.filter(lambda v: v is not None), "versions": json_values}),
@@ -535,15 +566,34 @@ malformed_projects = st.one_of(
     st.fixed_dictionaries({"project": st.just("zz"), "versions": versions_with(
         st.one_of(st.fixed_dictionaries({"nodes": not_list}), st.fixed_dictionaries({"edges": not_list}))
     )}),
+    st.fixed_dictionaries({
+        "project": st.just("zz"), "versions": versions_with(bad_record_versions()),
+    }),
 )
+
+
+def assert_project_rejected(artifacts, payload):
+    """`prepare` over a corpus whose file zz.json holds `payload` exits 1
+    with one error line."""
+    config_path, base = artifacts
+    with corrupting(base / "corpus" / "zz.json", json.dumps(payload)):
+        code, lines = run_cli(["--config", config_path, "prepare"])
+    assert_one_line_failure(code, lines)
+    assert code == EXIT_VALIDATION
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(payload=malformed_projects)
 def test_malformed_project_file_fails_in_one_line(artifacts, payload):
-    config_path, base = artifacts
-    with corrupting(base / "corpus" / "zz.json", json.dumps(payload)):
-        assert_one_line_failure(*run_cli(["--config", config_path, "prepare"]))
+    assert_project_rejected(artifacts, payload)
+
+
+@pytest.mark.parametrize("kind", RECORD_FAULTS)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_each_malformed_record_kind_fails_in_one_line(artifacts, kind, data):
+    versions = data.draw(versions_with(bad_record_versions(kind)))
+    assert_project_rejected(artifacts, {"project": "zz", "versions": versions})
 
 
 def bad_split_entries():
@@ -649,6 +699,7 @@ def test_pair_keys_must_name_corpus_diffs(artifacts, project, diff):
     "relative, text, command",
     [
         ("corpus/zz.json", '{"project": "zz", "versions": [1]}', "prepare"),
+        ("corpus/zz.json", '{"project": "zz", "versions": [', "prepare"),
         ("out/split.json", '{"mode": "temporal", "validation": [], "test": []}', "train"),
         ("out/pairs.train.balanced.jsonl", '{"project": "proj00", "diff": 0}\n', "train"),
         (

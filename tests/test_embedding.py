@@ -140,38 +140,53 @@ class TestHashedProvider:
 
 
 class TestCache:
-    def test_cold_then_warm_reads_are_bit_identical(self, tmp_path):
-        cold = HashedProvider(dimension=32, cache_dir=str(tmp_path))
-        first = cold.embed(["CacheKey", "Other"])
+    """The remote provider's on-disk cache, against the loopback endpoint."""
+
+    def test_cold_then_warm_reads_are_bit_identical(self, endpoint, tmp_path):
+        url, script = endpoint
+        first = remote_provider(url, cache_dir=str(tmp_path)).embed(["CacheKey", "Other"])
         assert list(tmp_path.glob("*.json"))
-        warm = HashedProvider(dimension=32, cache_dir=str(tmp_path))
-        second = warm.embed(["CacheKey", "Other"])
+        second = remote_provider(url, cache_dir=str(tmp_path)).embed(["CacheKey", "Other"])
+        assert len(script.requests) == 1
         for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()
 
-    def test_fingerprint_keys_cache_entries(self, tmp_path):
-        HashedProvider(dimension=32, cache_dir=str(tmp_path)).embed(["X"])
-        HashedProvider(dimension=64, cache_dir=str(tmp_path)).embed(["X"])
+    def test_fingerprint_keys_cache_entries(self, endpoint, tmp_path):
+        url, script = endpoint
+        remote_provider(url, dimension=8, cache_dir=str(tmp_path)).embed(["X"])
+        script.dimension = 16
+        remote_provider(url, dimension=16, cache_dir=str(tmp_path)).embed(["X"])
         assert len(list(tmp_path.glob("*.json"))) == 2
+        assert len(script.requests) == 2
 
-    def test_corrupt_entry_recomputed(self, tmp_path):
-        provider = HashedProvider(dimension=16, cache_dir=str(tmp_path))
+    def test_corrupt_entry_recomputed(self, endpoint, tmp_path):
+        url, script = endpoint
+        provider = remote_provider(url, cache_dir=str(tmp_path))
         (expected,) = provider.embed(["Node"])
         (path,) = tmp_path.glob("*.json")
         path.write_text("{ not json")
         (again,) = provider.embed(["Node"])
         assert np.array_equal(again, expected)
+        assert len(script.requests) == 2
 
     @pytest.mark.parametrize("vector", [[0.5, 0.5, 0.5], [[1.0] * 8], None, [math.nan] * 8])
-    def test_wrong_shape_entry_recomputed_and_rewritten(self, tmp_path, vector):
-        provider = HashedProvider(dimension=8, cache_dir=str(tmp_path))
+    def test_wrong_shape_entry_recomputed_and_rewritten(self, endpoint, tmp_path, vector):
+        url, script = endpoint
+        provider = remote_provider(url, cache_dir=str(tmp_path))
         (expected,) = provider.embed(["Node"])
         (path,) = tmp_path.glob("*.json")
         record = json.loads(path.read_text())
         path.write_text(json.dumps({**record, "vector": vector}))
         (again,) = provider.embed(["Node"])
         assert np.array_equal(again, expected)
+        assert len(script.requests) == 2
         assert json.loads(path.read_text()) == record
+
+    def test_hashed_provider_ignores_cache_dir(self, tmp_path):
+        config = ProviderConfig(kind="hashed", dimension=16, cache_dir=str(tmp_path / "cache"))
+        out = make_provider(config).embed(["Node", "Other"])
+        assert np.array_equal(out, HashedProvider(dimension=16).embed(["Node", "Other"]))
+        assert not (tmp_path / "cache").exists()
 
 
 class TestEmbedMatrix:
@@ -275,6 +290,7 @@ def serving():
         script.released.set()
         server.shutdown()
         thread.join()
+        server.server_close()
 
 
 @pytest.fixture

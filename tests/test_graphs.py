@@ -31,6 +31,9 @@ def labeled(nodes, edges=()):
     return ModelGraph(dict(nodes), edges)
 
 
+NODE_A = {"id": "A", "label": "x"}
+
+
 class TestModelGraph:
     def test_duplicate_node_id_rejected(self):
         with pytest.raises(ValueError):
@@ -39,6 +42,14 @@ class TestModelGraph:
     def test_empty_node_id_rejected(self):
         with pytest.raises(ValueError):
             ModelGraph({"": "x"})
+
+    @pytest.mark.parametrize(
+        "nodes, edges",
+        [({5: "x"}, ()), ({"A": None}, ()), ([(["A"], "x")], ()), ({"A": "x"}, [("A", "A", 3)])],
+    )
+    def test_non_string_fields_rejected(self, nodes, edges):
+        with pytest.raises(ValueError, match="strings"):
+            ModelGraph(nodes, edges)
 
     def test_edge_endpoint_must_exist(self):
         with pytest.raises(ValueError):
@@ -298,18 +309,6 @@ class TestProjectPersistence:
         assert loaded.versions == p.versions
         assert loaded.n_diffs == 1
 
-    def test_malformed_entries_are_dropped_not_fatal(self, tmp_path, caplog):
-        path = tmp_path / "messy.json"
-        path.write_text(
-            '{"project": "messy", "versions": [{"nodes": [{"id": "A", "label": "x"},'
-            ' {"id": "", "label": "bad"}, {"label": "no-id"}, "junk"],'
-            ' "edges": [{"src": "A", "dst": "GONE", "label": "e"}, {"src": "A"}]}]}'
-        )
-        loaded = load_project(path)
-        assert loaded.versions[0].node_ids == {"A"}
-        assert loaded.versions[0].edges == frozenset()
-        assert "dropped" in caplog.text
-
     def test_file_is_one_compact_json_line(self, tmp_path):
         p = Project(name="demo", versions=[graph("AB", [("A", "B", "e")])])
         path = tmp_path / "demo.json"
@@ -342,6 +341,41 @@ class TestProjectPersistence:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ArtifactFormatError):
+            load_project(path)
+
+    @pytest.mark.parametrize(
+        "nodes, edges, problem",
+        [
+            ([NODE_A, {"id": "", "label": "bad"}], [], "non-empty"),
+            ([NODE_A, {"label": "no-id"}], [], "'id'"),
+            ([NODE_A, {"id": "B"}], [], "'label'"),
+            ([NODE_A, "junk"], [], "not an object"),
+            ([NODE_A, {"id": 5, "label": "x"}], [], "strings"),
+            ([NODE_A, {"id": "B", "label": None}], [], "strings"),
+            ([NODE_A, {"id": "A", "label": "y"}], [], "duplicate node id 'A'"),
+            ([NODE_A], [{"src": "A", "dst": "GONE", "label": "e"}], "'GONE'"),
+            ([NODE_A], [{"src": "A"}], "'dst'"),
+            ([NODE_A], [["A", "A", "e"]], "not an object"),
+            ([NODE_A], [{"src": "A", "dst": "A", "label": 3}], "strings"),
+            ([NODE_A], [{"src": "A", "dst": "A", "label": "e"}] * 2, "duplicate edge"),
+        ],
+    )
+    def test_malformed_record_rejects_the_file(self, tmp_path, nodes, edges, problem):
+        """One bad record fails the load with the file, the version index
+        and the problem in the message; no record is dropped."""
+        path = tmp_path / "messy.json"
+        versions = [{"nodes": [NODE_A], "edges": []}, {"nodes": nodes, "edges": edges}]
+        path.write_text(json.dumps({"project": "messy", "versions": versions}))
+        with pytest.raises(ArtifactFormatError) as info:
+            load_project(path)
+        message = str(info.value)
+        assert message.startswith(f"{path} version 1: ") and problem in message
+
+    @pytest.mark.parametrize("data", [b'{"project": "p", "versions": [', b"\xff\xfe{}"])
+    def test_file_that_is_not_json_is_a_typed_error(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ArtifactFormatError, match="not a JSON project file"):
             load_project(path)
 
     def test_duplicate_project_ids_rejected(self, tmp_path):

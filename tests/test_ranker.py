@@ -579,6 +579,13 @@ class TestGradient:
         assert all(row["passed"] for row in results)
         assert all(row["max_rel_error"] <= 1e-4 for row in results)
 
+    def test_gradient_check_reports_the_error_below_the_absolute_tolerance(self):
+        """Every entry's difference is under abs_tol here, yet the figure is
+        taken relative to max(|g|, abs_tol / rel_tol) rather than set to 0."""
+        results = gradient_check(trials=20, seed=0)
+        assert all(row["passed"] for row in results)
+        assert max(row["max_rel_error"] for row in results) > 0.0
+
     def test_reused_workspace_matches_no_workspace_bit_for_bit(self):
         """Batches of varying size through one workspace: each loss and
         gradient equals that of a call without one, so training with a
