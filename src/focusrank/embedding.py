@@ -7,12 +7,14 @@ offline and stable across processes, so token overlap between labels yields
 positive cosine similarity without any external service.
 
 The remote provider speaks the common embeddings-API shape over HTTP POST,
-keeps its answers in an on-disk cache when `cache_dir` is set, and exists
-for swapping in a hosted model; nothing in the package requires it.
+keeps its answers in an append-only on-disk store when `cache_dir` is set,
+and exists for swapping in a hosted model; nothing in the package requires
+it.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import http.client
 import json
@@ -22,6 +24,7 @@ import re
 import time
 import urllib.error
 import urllib.request
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -85,40 +88,91 @@ class ProviderConfig:
             raise ConfigInvalidError("remote provider needs endpoint settings")
 
 
-class _EmbeddingCache:
-    """One JSON file per (provider fingerprint, text) key; writes are atomic
-    and idempotent, so concurrent last-writer-wins is safe."""
+class _EmbeddingStore:
+    """One append-only file of fixed-size records per provider fingerprint.
 
-    def __init__(self, cache_dir: str | Path):
-        self.dir = Path(cache_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
+    A record is a 32-byte key (SHA-256 of the fingerprint's SHA-256 and the
+    text), `dimension` little-endian float64 values, and a little-endian
+    CRC-32 of the key and the values. The file is indexed once, then only
+    the bytes appended since the last read are read, so records another
+    process appends become visible. A torn, garbled or non-finite record is
+    skipped, which makes its text a miss; the last valid record for a key
+    wins. A block of records is one `write` under an exclusive `flock`;
+    a torn tail (a writer that died mid-record) is first padded with zeros
+    to a record boundary, so that record fails its CRC and the records
+    after it stay aligned.
+    """
 
-    def _path(self, fingerprint: str, text: str) -> Path:
-        text_sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        key = hashlib.sha256(f"{fingerprint}\x00{text_sha}".encode("utf-8")).hexdigest()
-        return self.dir / f"{key}.json"
+    def __init__(self, cache_dir: str | Path, fingerprint: str, dimension: int):
+        digest = hashlib.sha256(fingerprint.encode("utf-8")).digest()
+        self.path = Path(cache_dir) / f"embeddings-{digest.hex()[:16]}.bin"
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._prefix = digest
+        self._body = 32 + 8 * dimension  # the bytes the CRC covers
+        self._size = self._body + 4
+        self._rows: dict[bytes, np.ndarray] = {}
+        self._read = 0  # bytes of the file indexed, a whole number of records
 
-    def get(self, fingerprint: str, text: str, dimension: int) -> Optional[np.ndarray]:
-        """The cached vector, or None when the entry is missing, unreadable,
-        or not `dimension` finite numbers."""
+    def _key(self, text: str) -> bytes:
+        return hashlib.sha256(self._prefix + text.encode("utf-8")).digest()
+
+    def lookup(self, texts: Sequence[str], out: np.ndarray) -> list[int]:
+        """Copy each stored row into `out`; the positions of the misses."""
+        self._refresh()
+        missing = []
+        for i, text in enumerate(texts):
+            row = self._rows.get(self._key(text))
+            if row is None:
+                missing.append(i)
+            else:
+                out[i] = row
+        return missing
+
+    def _refresh(self) -> None:
+        """Index the whole records appended since the last read."""
         try:
-            with open(self._path(fingerprint, text), "r", encoding="utf-8") as fh:
-                vector = np.asarray(json.load(fh)["vector"], dtype=np.float64)
-        except (OSError, ValueError, KeyError, TypeError, OverflowError):
-            return None
-        return vector if vector.shape == (dimension,) and np.isfinite(vector).all() else None
+            fd = os.open(self.path, os.O_RDONLY)
+        except FileNotFoundError:
+            return
+        try:
+            fcntl.flock(fd, fcntl.LOCK_SH)  # no half-written block from a live writer
+            size = os.fstat(fd).st_size
+            if size < self._read:  # the file shrank (cut or replaced): index it anew
+                self._read = 0
+            whole = (size - self._read) // self._size * self._size
+            data = os.pread(fd, whole, self._read)
+        finally:
+            os.close(fd)
+        count = len(data) // self._size
+        self._read += count * self._size
+        records = np.frombuffer(data, dtype=np.uint8, count=count * self._size)
+        records = records.reshape(count, self._size)
+        crcs = records[:, self._body :].copy().view("<u4")[:, 0].tolist()
+        vectors = records[:, 32 : self._body].copy().view("<f8")
+        finite = np.isfinite(vectors).all(axis=1).tolist()
+        view = memoryview(data)
+        offsets = range(0, count * self._size, self._size)
+        for offset, crc, ok, row in zip(offsets, crcs, finite, vectors):
+            if ok and zlib.crc32(view[offset : offset + self._body]) == crc:
+                self._rows[data[offset : offset + 32]] = row
 
-    def put(self, fingerprint: str, text: str, vector: np.ndarray) -> None:
-        path = self._path(fingerprint, text)
-        record = {
-            "fingerprint": fingerprint,
-            "text_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-            "vector": [float(x) for x in vector],
-        }
-        tmp = path.with_suffix(f".tmp{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, sort_keys=True)
-        os.replace(tmp, path)
+    def append(self, texts: Sequence[str], vectors: np.ndarray) -> None:
+        """Append one record per (text, row) in a single write."""
+        keys = [self._key(text) for text in texts]
+        rows = np.array(vectors, dtype="<f8")
+        bodies = [key + row.tobytes() for key, row in zip(keys, rows)]
+        block = b"".join(body + zlib.crc32(body).to_bytes(4, "little") for body in bodies)
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            size = os.fstat(fd).st_size
+            written = os.write(fd, bytes(-size % self._size) + block)
+        finally:
+            os.close(fd)
+        if size == self._read and written == len(block):
+            # nothing was appended since the last read: index this block in place
+            self._read += written
+            self._rows.update(zip(keys, rows))
 
 
 class HashedProvider:
@@ -182,28 +236,25 @@ class RemoteProvider:
         self.remote = config.remote
         self.fingerprint = f"remote:{config.remote.model}:d={config.dimension}"
         self.retry_base_seconds = retry_base_seconds
-        self._cache = _EmbeddingCache(config.cache_dir) if config.cache_dir else None
+        self._store = (
+            _EmbeddingStore(config.cache_dir, self.fingerprint, self.dimension)
+            if config.cache_dir
+            else None
+        )
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        """One float64 row per text: shape (len(texts), dimension). Cached
-        rows are read first; a cache entry that is unreadable or has the
-        wrong shape counts as a miss, so it is fetched and rewritten. The
+        """One float64 row per text: shape (len(texts), dimension). Stored
+        rows are read first; a text without a valid record is a miss. The
         misses are requested in blocks of `max_batch` texts, each block
-        cached as soon as it arrives."""
+        appended to the store as soon as it arrives."""
         out = np.empty((len(texts), self.dimension), dtype=np.float64)
-        missing = []
-        for i, text in enumerate(texts):
-            cached = self._cache.get(self.fingerprint, text, self.dimension) if self._cache else None
-            if cached is None:
-                missing.append(i)
-            else:
-                out[i] = cached
+        missing = self._store.lookup(texts, out) if self._store else list(range(len(texts)))
         for start in range(0, len(missing), self.max_batch):
             chunk = missing[start : start + self.max_batch]
-            out[chunk] = self._post([texts[i] for i in chunk])
-            if self._cache:
-                for i in chunk:
-                    self._cache.put(self.fingerprint, texts[i], out[i])
+            chunk_texts = [texts[i] for i in chunk]
+            out[chunk] = self._post(chunk_texts)
+            if self._store:
+                self._store.append(chunk_texts, out[chunk])
         return out
 
     def _post(self, texts: list[str]) -> np.ndarray:
@@ -226,6 +277,7 @@ class RemoteProvider:
                     raw = response.read()
                 break
             except urllib.error.HTTPError as exc:
+                exc.close()  # the error holds the response and its socket
                 if 400 <= exc.code < 500:
                     raise RemoteUnavailableError(f"endpoint refused the request: {exc}") from exc
                 last_error = exc

@@ -1,12 +1,22 @@
 """Label tokenization, hashed embeddings, caching, and the remote client."""
 
 import contextlib
+import hashlib
 import json
 import logging
 import math
+import os
+import struct
+import subprocess
+import sys
+import tempfile
 import threading
 import time
+import urllib.error
+import urllib.request
+import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,13 +149,50 @@ class TestHashedProvider:
             assert np.array_equal(vec, single)
 
 
+FINGERPRINT = "remote:test-model:d=8"  # what remote_provider's defaults give
+
+
+def store_key(fingerprint: str, text: str) -> bytes:
+    """A record's key, derived from the documented layout."""
+    prefix = hashlib.sha256(fingerprint.encode("utf-8")).digest()
+    return hashlib.sha256(prefix + text.encode("utf-8")).digest()
+
+
+def pack_record(key: bytes, values) -> bytes:
+    """key, little-endian float64 values, CRC-32 of both: a well-formed
+    record when `values` has the store's dimension."""
+    body = key + np.asarray(values, dtype="<f8").tobytes()
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def record_size(dimension: int = 8) -> int:
+    return 32 + 8 * dimension + 4
+
+
+def store_path(cache_dir, fingerprint: str = FINGERPRINT) -> Path:
+    """The documented file name: the fingerprint's SHA-256, 16 hex digits."""
+    digest = hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()
+    return Path(cache_dir) / f"embeddings-{digest[:16]}.bin"
+
+
+def valid_records(path: Path, dimension: int = 8) -> list[bytes]:
+    """The records that pass their CRC, read without the code under test."""
+    data, size = path.read_bytes(), record_size(dimension)
+    records = [data[i : i + size] for i in range(0, len(data) - size + 1, size)]
+    return [r for r in records if struct.unpack("<I", r[-4:])[0] == zlib.crc32(r[:-4])]
+
+
 class TestCache:
-    """The remote provider's on-disk cache, against the loopback endpoint."""
+    """The remote provider's on-disk store, against the loopback endpoint."""
 
     def test_cold_then_warm_reads_are_bit_identical(self, endpoint, tmp_path):
         url, script = endpoint
         first = remote_provider(url, cache_dir=str(tmp_path)).embed(["CacheKey", "Other"])
-        assert list(tmp_path.glob("*.json"))
+        assert len(script.requests) == 1
+        assert valid_records(store_path(tmp_path)) == [
+            pack_record(store_key(FINGERPRINT, text), fake_vector(text, 8))
+            for text in ["CacheKey", "Other"]
+        ]
         second = remote_provider(url, cache_dir=str(tmp_path)).embed(["CacheKey", "Other"])
         assert len(script.requests) == 1
         for a, b in zip(first, second):
@@ -156,37 +203,183 @@ class TestCache:
         remote_provider(url, dimension=8, cache_dir=str(tmp_path)).embed(["X"])
         script.dimension = 16
         remote_provider(url, dimension=16, cache_dir=str(tmp_path)).embed(["X"])
-        assert len(list(tmp_path.glob("*.json"))) == 2
+        assert len(list(tmp_path.glob("embeddings-*.bin"))) == 2
         assert len(script.requests) == 2
 
     def test_corrupt_entry_recomputed(self, endpoint, tmp_path):
         url, script = endpoint
         provider = remote_provider(url, cache_dir=str(tmp_path))
         (expected,) = provider.embed(["Node"])
-        (path,) = tmp_path.glob("*.json")
-        path.write_text("{ not json")
-        (again,) = provider.embed(["Node"])
+        store_path(tmp_path).write_bytes(b"{ not json")
+        (again,) = remote_provider(url, cache_dir=str(tmp_path)).embed(["Node"])
         assert np.array_equal(again, expected)
+        assert len(script.requests) == 2
+        remote_provider(url, cache_dir=str(tmp_path)).embed(["Node"])
         assert len(script.requests) == 2
 
-    @pytest.mark.parametrize("vector", [[0.5, 0.5, 0.5], [[1.0] * 8], None, [math.nan] * 8])
+    # a record holding too few values, too many, none, and NaNs under a valid CRC
+    @pytest.mark.parametrize("vector", [[0.5, 0.5, 0.5], [1.0] * 9, None, [math.nan] * 8])
     def test_wrong_shape_entry_recomputed_and_rewritten(self, endpoint, tmp_path, vector):
         url, script = endpoint
-        provider = remote_provider(url, cache_dir=str(tmp_path))
-        (expected,) = provider.embed(["Node"])
-        (path,) = tmp_path.glob("*.json")
-        record = json.loads(path.read_text())
-        path.write_text(json.dumps({**record, "vector": vector}))
-        (again,) = provider.embed(["Node"])
+        (expected,) = remote_provider(url, cache_dir=str(tmp_path)).embed(["Node"])
+        path = store_path(tmp_path)
+        (record,) = valid_records(path)
+        path.write_bytes(pack_record(store_key(FINGERPRINT, "Node"), vector or []))
+        (again,) = remote_provider(url, cache_dir=str(tmp_path)).embed(["Node"])
         assert np.array_equal(again, expected)
         assert len(script.requests) == 2
-        assert json.loads(path.read_text()) == record
+        assert valid_records(path)[-1] == record
+        assert path.stat().st_size % record_size() == 0  # the torn tail was padded
+        remote_provider(url, cache_dir=str(tmp_path)).embed(["Node"])
+        assert len(script.requests) == 2
+
+    def test_old_per_text_json_entries_are_ignored(self, endpoint, tmp_path):
+        """A cache directory left by the one-JSON-file-per-text format still
+        holds its files; they are misses, never read as vectors."""
+        url, script = endpoint
+        text_sha = hashlib.sha256(b"Node").hexdigest()
+        name = hashlib.sha256(f"{FINGERPRINT}\x00{text_sha}".encode()).hexdigest()
+        old = {"fingerprint": FINGERPRINT, "text_sha256": text_sha, "vector": [9.0] * 8}
+        (tmp_path / f"{name}.json").write_text(json.dumps(old))
+        (vec,) = remote_provider(url, cache_dir=str(tmp_path)).embed(["Node"])
+        assert np.array_equal(vec, fake_vector("Node", 8))
+        assert len(script.requests) == 1
+
+    def test_records_appended_by_another_provider_become_visible(self, endpoint, tmp_path):
+        url, script = endpoint
+        reader = remote_provider(url, cache_dir=str(tmp_path))
+        reader.embed(["A"])
+        remote_provider(url, cache_dir=str(tmp_path)).embed(["B"])
+        assert np.array_equal(reader.embed(["A", "B"]), [fake_vector(t, 8) for t in "AB"])
+        assert len(script.requests) == 2
+
+    def test_a_store_cut_short_under_a_reader_is_indexed_anew(self, endpoint, tmp_path):
+        url, script = endpoint
+        reader = remote_provider(url, cache_dir=str(tmp_path))
+        reader.embed(["A", "C"])
+        store_path(tmp_path).write_bytes(b"")
+        remote_provider(url, cache_dir=str(tmp_path)).embed(["B"])  # one record, at offset 0
+        assert np.array_equal(reader.embed(["A", "B", "C"]), [fake_vector(t, 8) for t in "ABC"])
+        assert len(script.requests) == 2
+
+    def test_last_valid_record_wins(self, endpoint, tmp_path):
+        url, script = endpoint
+        key = store_key(FINGERPRINT, "Node")
+        records = [[1.0] * 8, [2.0] * 8, [math.inf] * 8]
+        path = store_path(tmp_path)
+        path.write_bytes(b"".join(pack_record(key, values) for values in records))
+        (vec,) = remote_provider(url, cache_dir=str(tmp_path)).embed(["Node"])
+        assert np.array_equal(vec, [2.0] * 8)
+        assert not script.requests
 
     def test_hashed_provider_ignores_cache_dir(self, tmp_path):
         config = ProviderConfig(kind="hashed", dimension=16, cache_dir=str(tmp_path / "cache"))
         out = make_provider(config).embed(["Node", "Other"])
         assert np.array_equal(out, HashedProvider(dimension=16).embed(["Node", "Other"]))
         assert not (tmp_path / "cache").exists()
+
+
+STORE_TEXTS = ["A", "B", "C", "D"]
+
+
+@st.composite
+def garbage_stores(draw):
+    """A store file for STORE_TEXTS and the texts it holds a valid record
+    for: whole records that are good, bit-flipped, NaN under a valid CRC or
+    noise, then maybe a torn tail; or else bytes with no record structure."""
+    size = record_size()
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=3 * size)), set()
+    chunks, held = [], set()
+    for _ in range(draw(st.integers(0, 6))):
+        text = draw(st.sampled_from(STORE_TEXTS))
+        kind = draw(st.sampled_from(["good", "flipped", "nan", "noise"]))
+        good = pack_record(store_key(FINGERPRINT, text), fake_vector(text, 8))
+        if kind == "good":
+            chunks.append(good)
+            held.add(text)
+        elif kind == "flipped":
+            bit = draw(st.integers(0, 8 * size - 1))
+            flipped = bytearray(good)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            chunks.append(bytes(flipped))
+        elif kind == "nan":
+            chunks.append(pack_record(store_key(FINGERPRINT, text), [math.nan] * 8))
+        else:
+            chunks.append(draw(st.binary(min_size=size, max_size=size)))
+    tail = draw(st.sampled_from(["none", "torn", "noise"]))
+    if tail == "torn":
+        text = draw(st.sampled_from(STORE_TEXTS))
+        good = pack_record(store_key(FINGERPRINT, text), fake_vector(text, 8))
+        chunks.append(good[: draw(st.integers(1, size - 1))])
+    elif tail == "noise":
+        chunks.append(draw(st.binary(min_size=1, max_size=size - 1)))
+    return b"".join(chunks), held
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(store=garbage_stores())
+def test_a_garbage_store_is_a_miss_never_an_error(shared_endpoint, store):
+    """Whatever the store file holds, `embed` returns the endpoint's vectors
+    and fetches again exactly the texts without a valid record; what it
+    fetched is appended so that a fresh provider then finds every text."""
+    url, script = shared_endpoint
+    script.reply = None
+    data, held = store
+    with tempfile.TemporaryDirectory() as cache_dir:
+        store_path(cache_dir).write_bytes(data)
+        script.requests.clear()
+        out = remote_provider(url, cache_dir=cache_dir).embed(STORE_TEXTS)
+        assert np.array_equal(out, [fake_vector(t, 8) for t in STORE_TEXTS])
+        fetched = [t for request in script.requests for t in request["body"]["input"]]
+        assert sorted(fetched) == sorted(set(STORE_TEXTS) - held)
+        script.requests.clear()
+        again = remote_provider(url, cache_dir=cache_dir).embed(STORE_TEXTS)
+        assert again.tobytes() == out.tobytes()
+        assert not script.requests
+
+
+_APPENDER = """
+import os, sys, time
+import numpy as np
+from focusrank.embedding import _EmbeddingStore
+
+cache_dir, tag, go = sys.argv[1:]
+store = _EmbeddingStore(cache_dir, "remote:test-model:d=8", 8)
+while not os.path.exists(go):
+    time.sleep(0.001)
+for block in range(50):
+    texts = [f"{tag}-{block}-{i}" for i in range(3)]
+    store.append(texts, np.array([[len(tag) + block + i / 8] * 8 for i in range(3)]))
+"""
+
+
+def test_two_processes_appending_lose_no_record(tmp_path):
+    """Two processes append 50 blocks each to one store at once: every
+    record either wrote is whole, valid and found by a fresh reader."""
+    import focusrank
+
+    env = {**os.environ, "PYTHONPATH": str(Path(focusrank.__file__).parents[1])}
+    go = tmp_path / "go"
+    tags = ["left", "right!"]
+    writers = [
+        subprocess.Popen([sys.executable, "-c", _APPENDER, str(tmp_path), tag, str(go)], env=env)
+        for tag in tags
+    ]
+    try:
+        go.touch()
+        assert [writer.wait(timeout=60) for writer in writers] == [0, 0]
+    finally:
+        for writer in writers:
+            writer.kill()
+            writer.wait()
+    path = store_path(tmp_path)
+    assert path.stat().st_size == 2 * 50 * 3 * record_size()
+    assert len(valid_records(path)) == 2 * 50 * 3
+    texts = [f"{tag}-{block}-{i}" for tag in tags for block in range(50) for i in range(3)]
+    want = [[len(tag) + block + i / 8] * 8 for tag in tags for block in range(50) for i in range(3)]
+    provider = remote_provider("http://127.0.0.1:9/unused", cache_dir=str(tmp_path))
+    assert np.array_equal(provider.embed(texts), want)
 
 
 class TestEmbedMatrix:
@@ -366,6 +559,29 @@ class TestRemoteProvider:
             remote_provider(url).embed(["Bad"])
         assert len(script.requests) == 1
 
+    @pytest.mark.parametrize("status", [500, 400])
+    def test_failed_requests_close_their_sockets(self, endpoint, status, monkeypatch):
+        """An HTTPError holds the response and its socket; both the retry
+        path (5xx) and the refusal path (4xx) must close it."""
+        url, script = endpoint
+        script.fail_next = 99
+        script.fail_status = status
+        errors = []
+        urlopen = urllib.request.urlopen
+
+        def recording_urlopen(*args, **kwargs):
+            try:
+                return urlopen(*args, **kwargs)
+            except urllib.error.HTTPError as exc:
+                errors.append(exc)
+                raise
+
+        monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
+        with pytest.raises(RemoteUnavailableError):
+            remote_provider(url).embed(["Nope"])
+        assert len(errors) == (3 if status == 500 else 1)
+        assert all(error.fp.closed for error in errors)
+
     def test_stalled_endpoint_times_out(self, endpoint):
         url, script = endpoint
         script.stall = True
@@ -393,12 +609,6 @@ class TestRemoteProvider:
         remote_provider(url).embed(["X"])
         assert script.requests[0]["authorization"] is None
 
-    def test_wrong_dimension_rejected(self, endpoint):
-        url, script = endpoint
-        provider = remote_provider(url, dimension=16)
-        with pytest.raises(DimensionMismatchError):
-            provider.embed(["X"])
-
     def test_cache_short_circuits_http(self, endpoint, tmp_path):
         url, script = endpoint
         first = remote_provider(url, cache_dir=str(tmp_path)).embed(["Hit", "Miss"])
@@ -410,15 +620,20 @@ class TestRemoteProvider:
 
     def test_wrong_shape_entry_recomputed_and_rewritten(self, endpoint, tmp_path):
         url, script = endpoint
-        provider = remote_provider(url, cache_dir=str(tmp_path))
-        (expected,) = provider.embed(["Node"])
-        (path,) = tmp_path.glob("*.json")
-        record = json.loads(path.read_text())
-        path.write_text(json.dumps({**record, "vector": [0.5, 0.5, 0.5]}))
-        (again,) = provider.embed(["Node"])
+        (expected,) = remote_provider(url, cache_dir=str(tmp_path)).embed(["Node"])
+        path = store_path(tmp_path)
+        (record,) = valid_records(path)
+        path.write_bytes(pack_record(store_key(FINGERPRINT, "Node"), [0.5, 0.5, 0.5]))
+        (again,) = remote_provider(url, cache_dir=str(tmp_path)).embed(["Node"])
         assert np.array_equal(again, expected)
         assert len(script.requests) == 2
-        assert json.loads(path.read_text()) == record
+        assert valid_records(path)[-1] == record
+
+    def test_wrong_dimension_rejected(self, endpoint):
+        url, script = endpoint
+        provider = remote_provider(url, dimension=16)
+        with pytest.raises(DimensionMismatchError):
+            provider.embed(["X"])
 
     def test_finished_batches_stay_cached_when_a_later_one_fails(self, endpoint, tmp_path):
         url, script = endpoint
@@ -428,7 +643,10 @@ class TestRemoteProvider:
         )
         with pytest.raises(RemoteUnavailableError):
             remote_provider(url, cache_dir=str(tmp_path)).embed(texts)
-        assert len(list(tmp_path.glob("*.json"))) == 128
+        assert len(valid_records(store_path(tmp_path))) == 128
+        script.reply = None
+        remote_provider(url, cache_dir=str(tmp_path)).embed(texts)
+        assert [len(req["body"]["input"]) for req in script.requests] == [128, 2, 2]
 
 
 def _with_row(edit):

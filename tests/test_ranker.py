@@ -586,6 +586,13 @@ class TestGradient:
         assert all(row["passed"] for row in results)
         assert max(row["max_rel_error"] for row in results) > 0.0
 
+    def test_every_gradient_check_trial_checks_a_nonzero_gradient(self):
+        """No trial may compare zero with zero: at beta = 0 the loss factor
+        1 - t**beta vanishes, and with it the loss and its gradient."""
+        results = gradient_check(trials=20, seed=0)
+        assert all(row["passed"] for row in results)
+        assert [row["trial"] for row in results if not row["max_rel_error"] > 0.0] == []
+
     def test_reused_workspace_matches_no_workspace_bit_for_bit(self):
         """Batches of varying size through one workspace: each loss and
         gradient equals that of a call without one, so training with a
