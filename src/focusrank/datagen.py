@@ -141,7 +141,9 @@ class _ProjectState:
         self.labels[node_id] = f"{base}V{rev}"
 
     def snapshot(self) -> ModelGraph:
-        return ModelGraph(dict(self.labels), frozenset(self.edges))
+        """The current version. Edges join nodes this state added and no
+        node is removed, so the graph skips the constructor's checks."""
+        return ModelGraph._unchecked(dict(self.labels), frozenset(self.edges))
 
 
 def _build_base(cfg: GenConfig, project_index: int, rng: random.Random):

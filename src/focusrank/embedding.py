@@ -192,22 +192,22 @@ class HashedProvider:
         counts its label's tokens per bucket and is scaled to unit norm; the
         counts are exact, so summation order does not change a bit of the
         result. Texts are hashed in blocks of `max_batch`, which bounds the
-        memory a block's token matrix takes."""
-        out = np.empty((len(texts), self.dimension), dtype=np.float64)
+        memory a block's token matrix takes; each block's counts go
+        straight into the output, so no (n, dimension) temporary is made."""
+        out = np.zeros((len(texts), self.dimension), dtype=np.float64)
+        cells_of = out.reshape(-1)
         for start in range(0, len(texts), self.max_batch):
             tokens = [tokenize(text) for text in texts[start : start + self.max_batch]]
-            rows = np.repeat(np.arange(len(tokens)), [len(toks) for toks in tokens])
+            rows = np.repeat(np.arange(start, start + len(tokens)), [len(toks) for toks in tokens])
             hashes = fnv1a_64_all([tok.encode("utf-8") for toks in tokens for tok in toks])
             cells = rows * self.dimension + (hashes % np.uint64(self.dimension)).astype(np.intp)
-            block = np.bincount(cells, minlength=len(tokens) * self.dimension).astype(np.float64)
-            block = block.reshape(len(tokens), self.dimension)
-            norms = np.linalg.norm(block, axis=1, keepdims=True)
-            empty = norms[:, 0] == 0.0
-            if empty.any():
-                logger.warning("embedding %d empty label(s) -> zero vectors", int(empty.sum()))
-            norms[empty] = 1.0
-            block /= norms
-            out[start : start + len(tokens)] = block
+            np.add.at(cells_of, cells, 1.0)
+        norms = np.sqrt(np.einsum("ij,ij->i", out, out))  # exact: sums of squared counts
+        empty = norms == 0.0
+        if empty.any():
+            logger.warning("embedding %d empty label(s) -> zero vectors", int(empty.sum()))
+        norms[empty] = 1.0
+        out /= norms[:, None]
         return out
 
 
@@ -244,17 +244,25 @@ class RemoteProvider:
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """One float64 row per text: shape (len(texts), dimension). Stored
-        rows are read first; a text without a valid record is a miss. The
-        misses are requested in blocks of `max_batch` texts, each block
-        appended to the store as soon as it arrives."""
+        rows are read first; a text without a valid record is a miss. Each
+        distinct missing text is requested once, in blocks of `max_batch`
+        texts, each block appended to the store as soon as it arrives; its
+        row then fills every position that holds the text."""
         out = np.empty((len(texts), self.dimension), dtype=np.float64)
         missing = self._store.lookup(texts, out) if self._store else list(range(len(texts)))
-        for start in range(0, len(missing), self.max_batch):
-            chunk = missing[start : start + self.max_batch]
-            chunk_texts = [texts[i] for i in chunk]
-            out[chunk] = self._post(chunk_texts)
+        if not missing:
+            return out
+        distinct: dict[str, int] = {}  # missing text -> its row in `fetched`
+        slots = [distinct.setdefault(texts[i], len(distinct)) for i in missing]
+        fetched = np.empty((len(distinct), self.dimension), dtype=np.float64)
+        requested = list(distinct)
+        for start in range(0, len(requested), self.max_batch):
+            chunk = requested[start : start + self.max_batch]
+            rows = fetched[start : start + len(chunk)]
+            rows[...] = self._post(chunk)
             if self._store:
-                self._store.append(chunk_texts, out[chunk])
+                self._store.append(chunk, rows)
+        out[missing] = fetched[slots]
         return out
 
     def _post(self, texts: list[str]) -> np.ndarray:

@@ -26,10 +26,11 @@ INFINITE = math.inf
 class ModelGraph:
     """One immutable model version: labeled nodes plus labeled directed edges.
 
-    The constructor is the one place a graph is validated: it raises
-    ValueError when a node id, label or edge field is not a string, a node
-    id is empty or repeats, an edge endpoint is missing, or the same
-    (src, dst, label) triple appears twice. Adjacency sets are built by the
+    The public constructor validates: it raises ValueError when a node id,
+    label or edge field is not a string, a node id is empty or repeats, an
+    edge endpoint is missing, or the same (src, dst, label) triple appears
+    twice. Only graphs built from valid parts (unions, generator snapshots)
+    skip the checks, through `_unchecked`. Adjacency sets are built by the
     first `successors` or `distances_from` call, then kept.
     """
 
@@ -66,6 +67,16 @@ class ModelGraph:
         self._labels = labels
         self._edges = frozenset(edge_set)
         self._succ = self._undirected = None
+
+    @classmethod
+    def _unchecked(cls, labels: dict[str, str], edges: frozenset[EdgeKey]) -> "ModelGraph":
+        """The graph over `labels` and `edges`, kept as given, without the
+        constructor's checks: only for parts that come from valid graphs or
+        from a generator that builds valid ones."""
+        graph = cls.__new__(cls)
+        graph._labels, graph._edges = labels, edges
+        graph._succ = graph._undirected = None
+        return graph
 
     @property
     def node_ids(self) -> set[str]:
@@ -180,9 +191,10 @@ def union_graph(m: ModelGraph, n: ModelGraph) -> ModelGraph:
     """Union of two versions, for distance queries spanning both.
 
     Labels are irrelevant to distances; where a node's label differs the
-    target version wins.
+    target version wins. Both inputs are valid graphs, so their union is
+    one without the constructor's checks.
     """
-    return ModelGraph(m._labels | n._labels, m.edges | n.edges)
+    return ModelGraph._unchecked(m._labels | n._labels, m.edges | n.edges)
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,9 @@ _LOSS_KEYS = frozenset({"alpha", "beta", "lambda_penalty"})
 GRID_KEYS = _LOSS_KEYS | {"learning_rate", "h"}
 
 # Pairs per step of `pair_logits`, so that scoring needs working memory
-# for this many gathered rows rather than for the whole set.
-VAL_CHUNK_ROWS = 4096
+# for this many gathered Q and K rows per side (0.5 MB at h = 64) rather
+# than for the whole set.
+VAL_CHUNK_ROWS = 256
 
 
 def sigmoid(z):
@@ -207,18 +208,15 @@ def init_params(d: int, h: int, init_scale: float, seed: int) -> RankerParams:
     )
 
 
-def _pair_rows(params: RankerParams, anchors, cands, out=None) -> np.ndarray:
-    """The rows [anchors; cands] of n pairs as one (2n, d) block, so pair i
-    is rows i and n + i; in the first 2n rows of `out` when that is given."""
+def _pair_blocks(params: RankerParams, anchors, cands) -> tuple[np.ndarray, np.ndarray]:
+    """The anchor and candidate rows of n pairs, as two (n, d) blocks."""
     anchors = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
     cands = np.atleast_2d(np.asarray(cands, dtype=np.float64))
     if anchors.ndim != 2 or anchors.shape != cands.shape or anchors.shape[1] != params.d:
         raise DimensionMismatchError(
             f"expected two (n, {params.d}) blocks, got {anchors.shape} and {cands.shape}"
         )
-    if out is not None:
-        out = out[: 2 * len(anchors)]
-    return np.concatenate([anchors, cands], out=out)
+    return anchors, cands
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -234,31 +232,32 @@ def _project(params: RankerParams, rows: np.ndarray, out=None):
     return qkv, s_self, qkv[:, 2 * h :] @ params.w_out
 
 
-def _closed_form(params: RankerParams, qkv, s_self, vw, a, c):
-    """Logits of the pairs (row a[i], row c[i]) of `_project`'s output, and
-    the attention weights p0, p1 and w0 the gradient reuses. `a` and `c`
-    are index arrays or slices.
+def _closed_form(params: RankerParams, anchor, cand):
+    """Logits of the pairs (anchor row i, candidate row i), and the
+    attention weights p0, p1 and w0 the gradient reuses. Each side is the
+    (qkv, s_self, vw) of `_project` for its rows; of qkv only the Q and K
+    columns are read.
 
     With two tokens, softmax row x puts sigmoid(s_xa - s_xc) on the anchor,
     where s_xy = q_x·k_y/√h, and mean pooling mixes the two value rows with
-    one weight, so a logit is b + w0 * vw[a] + (1 - w0) * vw[c] with
+    one weight, so a logit is b + w0 * vw_a + (1 - w0) * vw_c with
     w0 = (p0 + p1) / 2, p0 = sigmoid(s_aa - s_ac), p1 = sigmoid(s_ca - s_cc).
     """
+    (qkv_a, s_a, vw_a), (qkv_c, s_c, vw_c) = anchor, cand
     h = params.h
     root_h = math.sqrt(h)
-    q, k = qkv[:, :h], qkv[:, h : 2 * h]
-    p0 = sigmoid(s_self[a] - _rowdot(q[a], k[c]) / root_h)
-    p1 = sigmoid(_rowdot(q[c], k[a]) / root_h - s_self[c])
+    p0 = sigmoid(s_a - _rowdot(qkv_a[:, :h], qkv_c[:, h : 2 * h]) / root_h)
+    p1 = sigmoid(_rowdot(qkv_c[:, :h], qkv_a[:, h : 2 * h]) / root_h - s_c)
     w0 = 0.5 * (p0 + p1)
-    return params.b_out + w0 * vw[a] + (1.0 - w0) * vw[c], p0, p1, w0
+    return params.b_out + w0 * vw_a + (1.0 - w0) * vw_c, p0, p1, w0
 
 
 def forward(params: RankerParams, anchor: np.ndarray, cand: np.ndarray):
-    """Logit for one pair, or a vector of logits for batched inputs."""
+    """Logit for one pair, or a vector of logits for batched inputs. The
+    anchors and the candidates are projected separately, not stacked."""
     single = np.asarray(anchor).ndim == 1
-    rows = _pair_rows(params, anchor, cand)
-    n = len(rows) // 2
-    logits = _closed_form(params, *_project(params, rows), slice(0, n), slice(n, None))[0]
+    anchors, cands = _pair_blocks(params, anchor, cand)
+    logits = _closed_form(params, _project(params, anchors), _project(params, cands))[0]
     return float(logits[0]) if single else logits
 
 
@@ -279,12 +278,14 @@ def pair_logits(
         raise DimensionMismatchError(
             f"expected a (u, {params.d}) matrix of vectors, got shape {vectors.shape}"
         )
-    projected = _project(params, vectors)
+    qkv, s_self, vw = _project(params, vectors)
+    qk = qkv[:, : 2 * params.h]  # the closed form reads no value row
     logits = np.empty(len(a_rows))
     for start in range(0, len(a_rows), VAL_CHUNK_ROWS):
         a = a_rows[start : start + VAL_CHUNK_ROWS]
         c = c_rows[start : start + VAL_CHUNK_ROWS]
-        logits[start : start + len(a)] = _closed_form(params, *projected, a, c)[0]
+        anchor, cand = (qk[a], s_self[a], vw[a]), (qk[c], s_self[c], vw[c])
+        logits[start : start + len(a)] = _closed_form(params, anchor, cand)[0]
     return logits
 
 
@@ -436,13 +437,14 @@ def grad(
     if labels.size == 0:
         raise EmptyDatasetError("gradient of an empty batch")
     ws = workspace or _GradWorkspace(len(np.atleast_2d(anchors)), params.d, params.h)
-    x = _pair_rows(params, anchors, cands, out=ws.x)
-    n, h = len(x) // 2, params.h
+    anchors, cands = _pair_blocks(params, anchors, cands)
+    n, h = len(anchors), params.h
     if labels.shape != (n,):
         raise DimensionMismatchError(f"need one label per pair, got {labels.shape} for {n} pairs")
+    x = np.concatenate([anchors, cands], out=ws.x[: 2 * n])  # pair i is rows i and n + i
     qkv, s_self, vw = _project(params, x, out=ws.qkv[: 2 * n])
     a, c = slice(0, n), slice(n, 2 * n)
-    z, p0, p1, w0 = _closed_form(params, qkv, s_self, vw, a, c)
+    z, p0, p1, w0 = _closed_form(params, (qkv[a], s_self[a], vw[a]), (qkv[c], s_self[c], vw[c]))
     values, terms = _loss_terms(z, labels, cfg)
     loss = float(np.mean(values))
 

@@ -121,10 +121,14 @@ class TestHashedProvider:
 
     def test_matches_oracle_on_varied_labels(self):
         """Bit for bit: the counts are exact, so hashing a block at once
-        changes no arithmetic the per-label oracle does."""
+        changes no arithmetic the per-label oracle does. The labels span
+        three blocks, with empty and non-ASCII ones past the first, so each
+        block's counts must land in its own rows of the output."""
         provider = HashedProvider(dimension=24)
         labels = ["AuthToken", "token_store", "HTTP2Session", "a b c", "Zzz", "", "Größe_élan"]
         labels += [f"Node{i}Ref" for i in range(provider.max_batch)]
+        labels += ["", "ΔeltaNode_naïve", "AuthToken"]
+        labels += [f"Edge{i}To{i + 1}" for i in range(provider.max_batch)] + ["café Größe", ""]
         for label, vec in zip(labels, provider.embed(labels)):
             assert vec.tobytes() == oracle_hashed(label, 24).tobytes()
 
@@ -526,6 +530,19 @@ class TestRemoteProvider:
         assert len(vectors) == 130
         sizes = [len(req["body"]["input"]) for req in script.requests]
         assert sizes == [128, 2]
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-store", "empty-store"])
+    def test_a_repeated_miss_is_posted_once(self, endpoint, tmp_path, cached):
+        url, script = endpoint
+        provider = remote_provider(url, cache_dir=str(tmp_path) if cached else None)
+        texts = [f"t{i}" for i in range(130)] + ["t0"]
+        vectors = provider.embed(texts)
+        assert [len(req["body"]["input"]) for req in script.requests] == [128, 2]
+        assert sum(req["body"]["input"].count("t0") for req in script.requests) == 1
+        assert np.array_equal(vectors[130], vectors[0])
+        assert np.array_equal(vectors[0], np.array(fake_vector("t0", 8)))
+        if cached:
+            assert len(valid_records(store_path(tmp_path))) == 130
 
     def test_out_of_order_indices_are_realigned(self, endpoint):
         url, script = endpoint

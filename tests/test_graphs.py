@@ -171,7 +171,8 @@ def test_adjacency_matches_edge_scan(tmp_path_factory, m, n, made_by):
         g = load_project(path).versions[0]
         assert g == m
     elif made_by == "union_graph":
-        g = union_graph(m, n)
+        g = union_graph(m, n)  # built without the constructor's checks
+        assert g == ModelGraph(m.labels() | n.labels(), m.edges | n.edges)
     else:
         g = ModelGraph(list(m.labels().items()), list(m.edges))
     for v in sorted(g.node_ids):

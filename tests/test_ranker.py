@@ -213,10 +213,19 @@ class TestForward:
         assert p == pytest.approx(0.75, abs=1e-12)
 
     def test_dimension_mismatch_raises(self):
-        with pytest.raises(DimensionMismatchError):
-            forward(FIXED, np.ones(4), np.ones(4))
-        with pytest.raises(DimensionMismatchError):
-            forward(FIXED, np.ones(3), np.ones(2))
+        """`forward` projects the two sides apart, so it checks them first."""
+        cases = [
+            (np.ones(4), np.ones(4)),  # width other than d
+            (np.ones(3), np.ones(2)),
+            (np.ones((2, 3)), np.ones((3, 3))),  # more candidates than anchors
+            (np.ones((2, 4)), np.ones((2, 4))),
+            (np.ones((2, 2, 3)), np.ones((2, 2, 3))),  # not a matrix
+        ]
+        for anchors, cands in cases:
+            with pytest.raises(DimensionMismatchError):
+                forward(FIXED, anchors, cands)
+            with pytest.raises(DimensionMismatchError):
+                predict_proba(FIXED, anchors, cands)
 
 
 def term_scale(params: RankerParams, anchors, cands) -> np.ndarray:
