@@ -52,7 +52,7 @@ from .errors import (
     TooFewProjectsError,
     UnknownNodeError,
 )
-from .graphs import Project, load_corpus, union_graph
+from .graphs import Project, load_corpus, union_label
 
 logger = logging.getLogger(__name__)
 
@@ -286,19 +286,19 @@ def _load_corpus(config: dict) -> dict[str, Project]:
     return load_corpus(paths)
 
 
-def _pair_arrays(pairs, corpus, provider) -> ranker.PairTable:
+def _pair_arrays(pairs, corpus, provider, source) -> ranker.PairTable:
     """The pairs as a table over the embeddings of their distinct labels,
-    each label read off its diff's union graph."""
-    unions: dict[tuple[str, int], object] = {}
+    each label read from its diff's two versions; `source` names the pairs
+    in errors."""
     texts: list[str] = []
     for pair in pairs:
-        key = (pair.project, pair.diff_index)
-        if key not in unions:
-            versions = corpus[pair.project].versions
-            unions[key] = union_graph(versions[pair.diff_index], versions[pair.diff_index + 1])
-        union = unions[key]
-        texts.append(union.label(pair.anchor))
-        texts.append(union.label(pair.candidate))
+        m, n = corpus[pair.project].versions[pair.diff_index:pair.diff_index + 2]
+        for node_id in (pair.anchor, pair.candidate):
+            try:
+                texts.append(union_label(m, n, node_id))
+            except UnknownNodeError:
+                where = f"{source}: project {pair.project!r} diff {pair.diff_index}"
+                raise ArtifactFormatError(f"{where} has no node {node_id!r}") from None
     unique = sorted(set(texts))
     row_of = {t: i for i, t in enumerate(unique)}
     rows = np.array([row_of[t] for t in texts], dtype=np.intp)
@@ -385,9 +385,9 @@ def cmd_train(config: dict) -> int:
     _check_keys(corpus, dict.fromkeys((p.project, p.diff_index) for p in train_pairs), train_path)
 
     provider = make_provider(_provider_config(config))
-    train_set = _pair_arrays(train_pairs, corpus, provider)
+    train_set = _pair_arrays(train_pairs, corpus, provider, train_path)
     val_pairs = list(ViewPairs(diff_views(corpus, split.validation)))
-    val_set = _pair_arrays(val_pairs, corpus, provider)
+    val_set = _pair_arrays(val_pairs, corpus, provider, "validation split")
 
     base_cfg = ranker.TrainConfig.from_dict(config["train"])
     grid = config["grid"]

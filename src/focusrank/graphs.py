@@ -197,6 +197,11 @@ def union_graph(m: ModelGraph, n: ModelGraph) -> ModelGraph:
     return ModelGraph._unchecked(m._labels | n._labels, m.edges | n.edges)
 
 
+def union_label(m: ModelGraph, n: ModelGraph, node_id: str) -> str:
+    """`union_graph(m, n).label(node_id)` without building the union."""
+    return (n if node_id in n else m).label(node_id)
+
+
 @dataclass(frozen=True)
 class ChangeRadius:
     """Size c and dispersion s of a change set.
@@ -263,7 +268,8 @@ def load_project(path) -> Project:
 
     Each version's records go straight to the `ModelGraph` constructor in
     one pass; a malformed record raises ArtifactFormatError naming the file
-    and the version index, and no graph is built from it.
+    and the version index, and no graph is built from it. The versions of
+    one file share one object per distinct node id, label and edge triple.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -276,26 +282,31 @@ def load_project(path) -> Project:
     versions = raw.get("versions", [])
     if not isinstance(versions, list):
         raise ArtifactFormatError(f"{path}: versions must be a list")
+    shared: dict = {}
     return Project(
         name=name,
-        versions=[_version_graph(v, f"{path} version {i}") for i, v in enumerate(versions)],
+        versions=[_version_graph(v, f"{path} version {i}", shared) for i, v in enumerate(versions)],
     )
 
 
-def _version_graph(raw, where: str) -> ModelGraph:
-    """The graph of one version record; `where` names it in errors."""
+def _version_graph(raw, where: str, shared: dict) -> ModelGraph:
+    """The graph of one version record; `where` names it in errors. Its ids,
+    labels and edges are taken from `shared`, where they are first kept."""
     nodes = raw.get("nodes", []) if isinstance(raw, dict) else None
     edges = raw.get("edges", []) if isinstance(raw, dict) else None
     if not isinstance(nodes, list) or not isinstance(edges, list):
         raise ArtifactFormatError(f"{where} must be an object of node and edge lists")
     try:
-        return ModelGraph(map(_NODE_FIELDS, nodes), map(_EDGE_FIELDS, edges))
+        graph = ModelGraph(map(_NODE_FIELDS, nodes), map(_EDGE_FIELDS, edges))
     except KeyError as exc:
         raise ArtifactFormatError(f"{where}: a node or edge record has no {exc} key") from exc
     except TypeError as exc:  # indexing a record that is not an object
         raise ArtifactFormatError(f"{where}: a node or edge record is not an object") from exc
     except ValueError as exc:
         raise ArtifactFormatError(f"{where}: {exc}") from exc
+    share = shared.setdefault
+    labels = {share(v, v): share(label, label) for v, label in graph._labels.items()}
+    return ModelGraph._unchecked(labels, frozenset(share(e, e) for e in graph.edges))
 
 
 def save_project(project: Project, path) -> None:
@@ -324,9 +335,11 @@ def save_project(project: Project, path) -> None:
 def load_corpus(paths: Sequence) -> dict[str, Project]:
     """Load several project files into a name-keyed corpus."""
     corpus: dict[str, Project] = {}
+    path_of = {}
     for path in paths:
         project = load_project(path)
-        if project.name in corpus:
-            raise ArtifactFormatError(f"duplicate project id {project.name!r}")
-        corpus[project.name] = project
+        name = project.name
+        if name in corpus:
+            raise ArtifactFormatError(f"{path_of[name]} and {path}: duplicate project id {name!r}")
+        corpus[name], path_of[name] = project, path
     return corpus

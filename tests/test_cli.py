@@ -83,13 +83,13 @@ class TestPipeline:
 
     def test_pair_arrays_hold_each_pairs_label_embeddings(self, pipeline):
         """The table's anchor and candidate rows of pair i point at the
-        embeddings of pair i's labels, read off its diff's union graph and
-        embedded one at a time; each distinct label has one row."""
+        embeddings of pair i's labels, as read off its diff's union graph
+        and embedded one at a time; each distinct label has one row."""
         _, out_dir, corpus_dir = pipeline
         corpus = load_corpus(sorted(corpus_dir.glob("proj*.json")))
         pairs = load_pairs(out_dir / "pairs.train.balanced.jsonl")
         provider = HashedProvider(dimension=64)
-        table = _pair_arrays(pairs, corpus, provider)
+        table = _pair_arrays(pairs, corpus, provider, "pairs")
         assert table.anchors.shape == table.cands.shape == table.labels.shape == (len(pairs),)
         texts = set()
         for i, pair in enumerate(pairs):
@@ -693,6 +693,30 @@ def test_pair_keys_must_name_corpus_diffs(artifacts, project, diff):
         code, lines = run_cli(["--config", config_path, "train"])
     assert_one_line_failure(code, lines)
     assert f"project {project!r} has no diff {diff}" in lines[0]
+
+
+@pytest.mark.parametrize("side", ["anchor", "candidate"])
+def test_pair_node_in_neither_version_is_named(artifacts, side):
+    config_path, base = artifacts
+    path = base / "out" / "pairs.train.balanced.jsonl"
+    row = {**json.loads(path.read_text().splitlines()[0]), side: "zzz_missing"}
+    with corrupting(path, path.read_text() + json.dumps(row) + "\n"):
+        code, lines = run_cli(["--config", config_path, "train"])
+    assert code == EXIT_VALIDATION
+    assert_one_line_failure(code, lines)
+    where = f"{path}: project {row['project']!r} diff {row['diff']}"
+    assert f"{where} has no node 'zzz_missing'" in lines[0]
+
+
+def test_duplicate_project_id_names_both_files(artifacts):
+    config_path, base = artifacts
+    corpus = base / "corpus"
+    with corrupting(corpus / "zz.json", (corpus / "proj00.json").read_text()):
+        code, lines = run_cli(["--config", config_path, "prepare"])
+    assert code == EXIT_VALIDATION
+    assert_one_line_failure(code, lines)
+    both = f"{corpus / 'proj00.json'} and {corpus / 'zz.json'}"
+    assert f"{both}: duplicate project id 'proj00'" in lines[0]
 
 
 @pytest.mark.parametrize(

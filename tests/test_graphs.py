@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from focusrank import datagen
 from focusrank.errors import ArtifactFormatError, UnknownNodeError
 from focusrank.graphs import (
     INFINITE,
@@ -20,6 +21,7 @@ from focusrank.graphs import (
     load_project,
     save_project,
     union_graph,
+    union_label,
 )
 
 
@@ -138,11 +140,11 @@ class TestDistance:
 
 
 @st.composite
-def random_graphs(draw):
-    """Up to 7 nodes with any edges between them, self-loops and parallel
-    edges (distinct labels) included."""
+def random_graphs(draw, texts=("x", "y")):
+    """Up to 7 nodes labeled from `texts`, with any edges between them,
+    self-loops and parallel edges (distinct labels) included."""
     names = draw(st.lists(st.sampled_from("ABCDEFG"), unique=True, max_size=7))
-    labels = {v: draw(st.sampled_from("xy")) for v in names}
+    labels = {v: draw(st.sampled_from(texts)) for v in names}
     if not names:
         return ModelGraph(labels)
     ends = st.sampled_from(names)
@@ -256,6 +258,19 @@ class TestUnionGraph:
         assert u.label("B") == "Keep"
         assert u.label("C") == "Added"
         assert ("A", "B", "e") in u.edges
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(m=random_graphs(("", "x", "y")), n=random_graphs(("", "x", "y")))
+def test_union_label_is_the_union_graphs_label(m, n):
+    """For every node of either version, including empty and changed
+    labels; a node in neither version is unknown to both."""
+    u = union_graph(m, n)
+    for v in m.node_ids | n.node_ids:
+        assert union_label(m, n, v) == u.label(v)
+    for lookup in (lambda v: union_label(m, n, v), u.label):
+        with pytest.raises(UnknownNodeError):
+            lookup("H")
 
 
 class TestChangeRadius:
@@ -383,8 +398,38 @@ class TestProjectPersistence:
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:
             save_project(Project(name="same", versions=[graph("A")]), path)
-        with pytest.raises(ArtifactFormatError, match="same"):
+        with pytest.raises(ArtifactFormatError, match="same") as info:
             load_corpus(paths)
+        assert str(info.value).startswith(f"{paths[0]} and {paths[1]}: ")
+
+    def test_versions_of_one_file_share_equal_elements(self, tmp_path):
+        """Equal ids, labels and edge triples across a loaded project's
+        versions are one object, a relabeled node's old and new label too.
+        (Names are longer than one character, which Python shares anyway.)"""
+        a, b, c = "node-a", "node-b", "node-c"
+        versions = [
+            labeled([(a, "Label x"), (b, "")], [(a, b, "edge")]),
+            labeled([(a, "Label x"), (b, a), (c, "")], [(a, b, "edge"), (c, a, "edge")]),
+            labeled([(a, "Label y"), (c, "")], [(c, a, "edge"), (a, a, "loop")]),
+            labeled([(a, "Label x"), (b, "")], [(a, b, "edge")]),
+        ]
+        path = tmp_path / "p.json"
+        save_project(Project("p", versions), path)
+        loaded = load_project(path).versions
+        assert loaded == versions
+        first: dict = {}
+        for g in loaded:
+            for part in [*g.labels().keys(), *g.labels().values(), *g.edges]:
+                assert first.setdefault(part, part) is part
+        assert len(first) == 9
+
+    def test_save_of_a_loaded_file_is_byte_identical(self, tmp_path):
+        corpus, _ = datagen.build_corpus(datagen.GenConfig(projects=2, commits_per_project=4))
+        for project in corpus.values():
+            first, second = tmp_path / "first.json", tmp_path / "second.json"
+            save_project(project, first)
+            save_project(load_project(first), second)
+            assert second.read_bytes() == first.read_bytes()
 
     def test_diff_at_uses_consecutive_versions(self):
         versions = [graph("A"), graph("AB"), graph("ABC")]
