@@ -1,7 +1,8 @@
 """Command-line pipeline: gen, prepare, train, eval, rank, gradcheck.
 
 All commands read one JSON config (unknown keys rejected), overridable with
-``--set section.key=value``, ``--seed`` and ``--out``. Outputs land under
+``--set section.key=value``, ``--seed`` and ``--out``, and parsed once into a
+typed `RunConfig`. Outputs land under
 the configured output directory together with a run manifest that records
 the effective config hash, seeds and library versions; nothing in the
 outputs depends on wall-clock time, so identical configs reproduce
@@ -19,6 +20,7 @@ import json
 import logging
 import math
 import sys
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -41,7 +43,8 @@ from .dataset import (
     split_cross_project,
     split_temporal,
 )
-from .embedding import ProviderConfig, RemoteConfig, make_provider
+from .config import read_config, same_kind
+from .embedding import ProviderConfig, make_provider
 from .errors import (
     ArtifactFormatError,
     CheckpointFormatError,
@@ -75,80 +78,64 @@ _VALIDATION_ERRORS = (
 )
 
 
-def default_run_config() -> dict:
-    return {
-        "out_dir": "runs/out",
-        "corpus_dir": "data/corpus",
-        "gen": datagen.GenConfig().to_dict(),
-        "provider": {
-            "kind": "hashed",
-            "dimension": 256,
-            "cache_dir": None,
-            "remote": None,
-        },
-        "split": {"mode": "temporal", "folds": 10, "fold": 0, "seed": 7},
-        "balance": {"target_pairs_per_project": 400, "seed": 7},
-        "train": ranker.TrainConfig().to_dict(),
-        "grid": {},
-        "eval": {
-            "k_max": 10,
-            "tau": None,
-            "taus": [1, 2, 3, None],
-            "seed": 7,
-        },
-    }
+@dataclass(frozen=True)
+class SplitConfig:
+    mode: str = "temporal"  # "temporal" | "cross_project"
+    folds: int = 10
+    fold: int = 0
+    seed: int = 7
+
+    def __post_init__(self):
+        if self.mode not in ("temporal", "cross_project"):
+            raise ConfigInvalidError("split.mode must be temporal or cross_project")
 
 
-_REMOTE_KEYS = {"endpoint", "model", "auth_env"}
+@dataclass(frozen=True)
+class EvalConfig:
+    k_max: int = 10
+    tau: Optional[float | str] = None  # radius cap: null, "inf" or a number >= 0
+    taus: tuple = (1, 2, 3, None)  # the radius caps `--plot-data` sweeps
+    seed: int = 7
+
+    def __post_init__(self):
+        if self.k_max < 1:
+            raise ConfigInvalidError("eval.k_max must be >= 1")
+        _parse_tau(self.tau, "eval.tau")
+        if not self.taus:
+            raise ConfigInvalidError("eval.taus must be a non-empty list")
+        for t in self.taus:
+            _parse_tau(t, "eval.taus entries")
 
 
-def _same_kind(default, value) -> bool:
-    """Whether `value` may replace `default`: same JSON type, except that an
-    int may stand for a float; a bool is never a number."""
-    if isinstance(default, bool) or isinstance(value, bool):
-        return isinstance(default, bool) and isinstance(value, bool)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
+@dataclass(frozen=True)
+class RunConfig:
+    """The run config, parsed once; `load_run_config` reads it from JSON."""
+
+    out_dir: str = "runs/out"
+    corpus_dir: str = "data/corpus"
+    gen: datagen.GenConfig = field(default_factory=datagen.GenConfig)
+    provider: ProviderConfig = field(default_factory=ProviderConfig)
+    split: SplitConfig = field(default_factory=SplitConfig)
+    balance: BalanceConfig = field(default_factory=BalanceConfig)
+    train: ranker.TrainConfig = field(default_factory=ranker.TrainConfig)
+    grid: dict = field(default_factory=dict)  # value lists of ranker.GRID_KEYS knobs
+    eval: EvalConfig = field(default_factory=EvalConfig)
+
+    def __post_init__(self):
+        if not self.out_dir or not self.corpus_dir:
+            raise ConfigInvalidError("out_dir and corpus_dir must be non-empty")
+        bad = set(self.grid) - ranker.GRID_KEYS
+        if bad:
+            raise ConfigInvalidError(f"unknown grid keys: {sorted(bad)}")
+        for knob, values in self.grid.items():
+            kind = 1 if knob == "h" else 1.0
+            if not isinstance(values, list) or not all(same_kind(kind, v) for v in values):
+                raise ConfigInvalidError(f"grid.{knob} must be a list of numbers")
+        self.gen.validate()
+        self.provider.validate()
 
 
-def _merge_config(defaults: dict, user: dict, path: str = "") -> dict:
-    """Overlay `user` on `defaults`, rejecting keys defaults do not know and
-    values whose type differs from the default's. Keys whose default is
-    None are checked by `_validate_run_config`."""
-    merged = dict(defaults)
-    for key, value in user.items():
-        here = f"{path}.{key}" if path else key
-        if key not in defaults:
-            raise ConfigInvalidError(f"unknown config key: {here}")
-        base = defaults[key]
-        if key == "grid":
-            if not isinstance(value, dict):
-                raise ConfigInvalidError("grid must be an object of value lists")
-            bad = set(value) - ranker.GRID_KEYS
-            if bad:
-                raise ConfigInvalidError(f"unknown grid keys: {sorted(bad)}")
-            for knob, values in value.items():
-                kind = 1 if knob == "h" else 1.0
-                if not isinstance(values, list) or not all(_same_kind(kind, v) for v in values):
-                    raise ConfigInvalidError(f"grid.{knob} must be a list of numbers")
-            merged[key] = value
-        elif key == "remote" and value is not None:
-            if not (isinstance(value, dict) and {"endpoint", "model"} <= set(value) <= _REMOTE_KEYS
-                    and all(isinstance(v, str) for v in value.values())):
-                raise ConfigInvalidError(
-                    "remote must be an object of strings: endpoint, model, optional auth_env"
-                )
-            merged[key] = value
-        elif base is not None and not _same_kind(base, value):
-            raise ConfigInvalidError(
-                f"{here} must be {type(base).__name__}, got {json.dumps(value)}"
-            )
-        elif isinstance(base, dict):
-            merged[key] = _merge_config(base, value, here)
-        else:
-            merged[key] = value
-    return merged
+SEEDED = ("gen", "split", "balance", "train", "eval")  # the sections `--seed` sets
 
 
 def _apply_set(user: dict, assignment: str) -> None:
@@ -175,7 +162,7 @@ def load_run_config(
     set_args: Sequence[str] = (),
     seed: Optional[int] = None,
     out: Optional[str] = None,
-) -> dict:
+) -> RunConfig:
     user: dict = {}
     if config_path is not None:
         path = Path(config_path)
@@ -190,16 +177,11 @@ def load_run_config(
             raise ConfigInvalidError(f"{path}: config root must be an object")
     for assignment in set_args:
         _apply_set(user, assignment)
-    config = _merge_config(default_run_config(), user)
-    if seed is not None:
-        config["gen"]["seed"] = seed
-        config["split"]["seed"] = seed
-        config["balance"]["seed"] = seed
-        config["train"]["seed"] = seed
-        config["eval"]["seed"] = seed
     if out is not None:
-        config["out_dir"] = out
-    _validate_run_config(config)
+        user["out_dir"] = out
+    config = read_config(RunConfig, user, "")
+    if seed is not None:
+        config = replace(config, **{n: replace(getattr(config, n), seed=seed) for n in SEEDED})
     return config
 
 
@@ -213,57 +195,18 @@ def _parse_tau(value, where: str) -> Optional[float]:
     raise ConfigInvalidError(f"{where} must be null, \"inf\", or a number >= 0")
 
 
-def _validate_run_config(config: dict) -> None:
-    if not config["out_dir"] or not config["corpus_dir"]:
-        raise ConfigInvalidError("out_dir and corpus_dir must be non-empty")
-    if config["split"]["mode"] not in ("temporal", "cross_project"):
-        raise ConfigInvalidError("split.mode must be temporal or cross_project")
-    ev = config["eval"]
-    if ev["k_max"] < 1:
-        raise ConfigInvalidError("eval.k_max must be >= 1")
-    if not isinstance(config["provider"]["cache_dir"], (str, type(None))):
-        raise ConfigInvalidError("provider.cache_dir must be null or a path")
-    _parse_tau(ev["tau"], "eval.tau")
-    if not isinstance(ev["taus"], list) or not ev["taus"]:
-        raise ConfigInvalidError("eval.taus must be a non-empty list")
-    for t in ev["taus"]:
-        _parse_tau(t, "eval.taus entries")
-    # typed sections validate themselves on construction
-    datagen.GenConfig.from_dict(config["gen"]).validate()
-    _provider_config(config).validate()
-    ranker.TrainConfig.from_dict(config["train"])
-    BalanceConfig(**config["balance"])
-
-
-def _provider_config(config: dict) -> ProviderConfig:
-    section = config["provider"]
-    remote = section.get("remote")
-    return ProviderConfig(
-        kind=section["kind"],
-        dimension=section["dimension"],
-        cache_dir=section.get("cache_dir"),
-        remote=RemoteConfig(**remote) if remote else None,
-    )
-
-
 def _config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _write_manifest(config: dict, command: str, outputs: Sequence[str]) -> None:
-    out_dir = Path(config["out_dir"])
+def _write_manifest(config: RunConfig, command: str, outputs: Sequence[str]) -> None:
+    out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
-        "config_sha256": _config_hash(config),
-        "seeds": {
-            "gen": config["gen"]["seed"],
-            "split": config["split"]["seed"],
-            "balance": config["balance"]["seed"],
-            "train": config["train"]["seed"],
-            "eval": config["eval"]["seed"],
-        },
+        "config_sha256": _config_hash(asdict(config)),
+        "seeds": {name: getattr(config, name).seed for name in SEEDED},
         "versions": {
             "focusrank": __version__,
             "numpy": np.__version__,
@@ -276,8 +219,8 @@ def _write_manifest(config: dict, command: str, outputs: Sequence[str]) -> None:
         fh.write("\n")
 
 
-def _load_corpus(config: dict) -> dict[str, Project]:
-    corpus_dir = Path(config["corpus_dir"])
+def _load_corpus(config: RunConfig) -> dict[str, Project]:
+    corpus_dir = Path(config.corpus_dir)
     paths = sorted(p for p in corpus_dir.glob("*.json") if p.name != "manifest.json")
     if not paths:
         raise MissingArtifactError(
@@ -306,16 +249,15 @@ def _pair_arrays(pairs, corpus, provider, source) -> ranker.PairTable:
     return ranker.PairTable(provider.embed(unique), rows[0::2], rows[1::2], labels)
 
 
-def _split_for(config: dict, corpus) -> DatasetSplit:
-    mode = config["split"]["mode"]
+def _split_for(config: RunConfig, corpus) -> DatasetSplit:
     diff_keys = [
         (name, i) for name in sorted(corpus) for i in range(corpus[name].n_diffs)
     ]
-    if mode == "temporal":
+    if config.split.mode == "temporal":
         return split_temporal(diff_keys)
     counts = {name: corpus[name].n_diffs for name in corpus}
-    folds = split_cross_project(counts, config["split"]["folds"], config["split"]["seed"])
-    fold = config["split"]["fold"]
+    folds = split_cross_project(counts, config.split.folds, config.split.seed)
+    fold = config.split.fold
     if not 0 <= fold < len(folds):
         raise ConfigInvalidError(f"split.fold {fold} out of range (have {len(folds)})")
     return folds[fold]
@@ -334,35 +276,35 @@ def _check_keys(corpus, keys, path: Path) -> None:
             raise ArtifactFormatError(f"{path}: project {name!r} has no diff {index}")
 
 
-def _load_split(config: dict, corpus) -> DatasetSplit:
-    path = _require(Path(config["out_dir"]) / "split.json", "run `focusrank prepare` first")
+def _load_split(config: RunConfig, corpus) -> DatasetSplit:
+    path = _require(Path(config.out_dir) / "split.json", "run `focusrank prepare` first")
     split = load_split(path)
     _check_keys(corpus, split.train + split.validation + split.test, path)
     return split
 
 
-def cmd_gen(config: dict) -> int:
-    corpus, manifest = datagen.build_corpus(datagen.GenConfig.from_dict(config["gen"]))
-    paths = datagen.write_corpus(corpus, manifest, config["corpus_dir"])
+def cmd_gen(config: RunConfig) -> int:
+    corpus, manifest = datagen.build_corpus(config.gen)
+    paths = datagen.write_corpus(corpus, manifest, config.corpus_dir)
     stats = datagen.describe(corpus)
-    out_dir = Path(config["out_dir"])
+    out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "corpus-stats.json", "w", encoding="utf-8") as fh:
         json.dump(stats, fh, indent=1, sort_keys=True)
         fh.write("\n")
     _write_manifest(config, "gen", [str(p) for p in paths] + ["corpus-stats.json"])
-    logger.info("generated %d projects under %s", len(paths), config["corpus_dir"])
+    logger.info("generated %d projects under %s", len(paths), config.corpus_dir)
     return EXIT_OK
 
 
-def cmd_prepare(config: dict) -> int:
+def cmd_prepare(config: RunConfig) -> int:
     corpus = _load_corpus(config)
     split = _split_for(config, corpus)
-    out_dir = Path(config["out_dir"])
+    out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     groups = pairs_by_project(diff_views(corpus, split.train))
-    balanced = balance(groups, BalanceConfig(**config["balance"]))
+    balanced = balance(groups, config.balance)
 
     save_split(split, out_dir / "split.json")
     save_pairs(balanced, out_dir / "pairs.train.balanced.jsonl")
@@ -372,9 +314,9 @@ def cmd_prepare(config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_train(config: dict) -> int:
+def cmd_train(config: RunConfig) -> int:
     corpus = _load_corpus(config)
-    out_dir = Path(config["out_dir"])
+    out_dir = Path(config.out_dir)
     train_path = _require(
         out_dir / "pairs.train.balanced.jsonl", "run `focusrank prepare` first"
     )
@@ -384,23 +326,21 @@ def cmd_train(config: dict) -> int:
         raise ArtifactFormatError(f"{train_path} holds no pairs; rerun `focusrank prepare`")
     _check_keys(corpus, dict.fromkeys((p.project, p.diff_index) for p in train_pairs), train_path)
 
-    provider = make_provider(_provider_config(config))
+    provider = make_provider(config.provider)
     train_set = _pair_arrays(train_pairs, corpus, provider, train_path)
     val_pairs = list(ViewPairs(diff_views(corpus, split.validation)))
     val_set = _pair_arrays(val_pairs, corpus, provider, "validation split")
 
-    base_cfg = ranker.TrainConfig.from_dict(config["train"])
-    grid = config["grid"]
-    if grid:
+    if config.grid:
         ckpt, rows = ranker.grid_search(
-            train_set, val_set, base_cfg, grid, provider.fingerprint
+            train_set, val_set, config.train, config.grid, provider.fingerprint
         )
         with open(out_dir / "grid-results.json", "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=1, sort_keys=True)
             fh.write("\n")
         outputs = ["checkpoint.json", "grid-results.json"]
     else:
-        ckpt = ranker.train(train_set, val_set, base_cfg, provider.fingerprint)
+        ckpt = ranker.train(train_set, val_set, config.train, provider.fingerprint)
         outputs = ["checkpoint.json"]
     ranker.save_checkpoint(ckpt, out_dir / "checkpoint.json")
     _write_manifest(config, "train", outputs)
@@ -409,12 +349,12 @@ def cmd_train(config: dict) -> int:
     return EXIT_OK
 
 
-def _make_scorer(config: dict, approach: str, corpus, split: DatasetSplit):
-    out_dir = Path(config["out_dir"])
+def _make_scorer(config: RunConfig, approach: str, corpus, split: DatasetSplit):
+    out_dir = Path(config.out_dir)
     if approach == "nextfocus":
         ckpt_path = _require(out_dir / "checkpoint.json", "run `focusrank train` first")
         ckpt = ranker.load_checkpoint(ckpt_path)
-        provider = make_provider(_provider_config(config))
+        provider = make_provider(config.provider)
         if ckpt.provider_fingerprint and ckpt.provider_fingerprint != provider.fingerprint:
             raise ConfigInvalidError(
                 "checkpoint was trained with embedding provider "
@@ -422,9 +362,9 @@ def _make_scorer(config: dict, approach: str, corpus, split: DatasetSplit):
             )
         return evaluation.NeuralScorer(ckpt, provider)
     if approach == "random":
-        return evaluation.RandomScorer(config["eval"]["seed"])
+        return evaluation.RandomScorer(config.eval.seed)
     if approach == "semantic":
-        return evaluation.SemanticScorer(make_provider(_provider_config(config)))
+        return evaluation.SemanticScorer(make_provider(config.provider))
     if approach == "cochange":
         matrix = build_cochange(diff_views(corpus, split.train))
         save_cochange(matrix, out_dir / "cochange.jsonl")
@@ -432,14 +372,14 @@ def _make_scorer(config: dict, approach: str, corpus, split: DatasetSplit):
     raise ConfigInvalidError(f"unknown approach {approach!r}; choose from {APPROACHES}")
 
 
-def cmd_eval(config: dict, approach: str, plot_data: bool = False) -> int:
+def cmd_eval(config: RunConfig, approach: str, plot_data: bool = False) -> int:
     corpus = _load_corpus(config)
-    out_dir = Path(config["out_dir"])
+    out_dir = Path(config.out_dir)
     split = _load_split(config, corpus)
     scorer = _make_scorer(config, approach, corpus, split)
 
-    k_max = config["eval"]["k_max"]
-    tau = _parse_tau(config["eval"]["tau"], "eval.tau")
+    k_max = config.eval.k_max
+    tau = _parse_tau(config.eval.tau, "eval.tau")
     report = evaluation.evaluate(scorer, corpus, split.test, k_max=k_max, tau=tau)
 
     summary = report.summary()
@@ -454,7 +394,7 @@ def cmd_eval(config: dict, approach: str, plot_data: bool = False) -> int:
         fh.write("\n")
 
     if plot_data:
-        taus = [_parse_tau(t, "eval.taus") for t in config["eval"]["taus"]]
+        taus = [_parse_tau(t, "eval.taus") for t in config.eval.taus]
         reports = [
             evaluation.evaluate(scorer, corpus, split.test, k_max=k_max, tau=t)
             for t in taus
@@ -475,7 +415,7 @@ def cmd_eval(config: dict, approach: str, plot_data: bool = False) -> int:
     return EXIT_OK
 
 
-def cmd_rank(config: dict, project_name: str, anchor: str, k: int) -> int:
+def cmd_rank(config: RunConfig, project_name: str, anchor: str, k: int) -> int:
     if k < 1:
         raise ConfigInvalidError("k must be >= 1")
     corpus = _load_corpus(config)
@@ -483,17 +423,17 @@ def cmd_rank(config: dict, project_name: str, anchor: str, k: int) -> int:
         raise ConfigInvalidError(
             f"project {project_name!r} not in corpus ({', '.join(sorted(corpus))})"
         )
-    out_dir = Path(config["out_dir"])
+    out_dir = Path(config.out_dir)
     ckpt = ranker.load_checkpoint(
         _require(out_dir / "checkpoint.json", "run `focusrank train` first")
     )
-    provider = make_provider(_provider_config(config))
+    provider = make_provider(config.provider)
 
     latest = corpus[project_name].versions[-1]
     if anchor not in latest:
         raise UnknownNodeError(f"{anchor!r} is not a node of {project_name}'s latest version")
     candidates = sorted(latest.node_ids - {anchor})
-    tau = _parse_tau(config["eval"]["tau"], "eval.tau")
+    tau = _parse_tau(config.eval.tau, "eval.tau")
     candidates = evaluation.radius_filter(latest, anchor, candidates, tau)
     if not candidates:
         raise ConfigInvalidError("no candidates left after the radius filter")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -91,25 +91,6 @@ class GenConfig:
     def _filler_budget(self) -> int:
         fixed = self._backbone_len() + GROUPS_PER_PROJECT * (self.pattern_size_c + DECOYS_PER_GROUP)
         return self.base_nodes - fixed
-
-    def to_dict(self) -> dict:
-        return {
-            "projects": self.projects,
-            "commits_per_project": self.commits_per_project,
-            "base_nodes": self.base_nodes,
-            "vocabulary": list(self.vocabulary),
-            "pattern_size_c": self.pattern_size_c,
-            "target_dispersion_s": self.target_dispersion_s,
-            "noise_rate": self.noise_rate,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(record: dict) -> "GenConfig":
-        record = dict(record)
-        if "vocabulary" in record:
-            record["vocabulary"] = tuple(record["vocabulary"])
-        return GenConfig(**record)
 
 
 def _member_role(i: int) -> str:
@@ -257,7 +238,7 @@ def build_corpus(cfg: GenConfig) -> tuple[dict[str, Project], dict]:
             "planted_group_by_commit": group_by_commit,
             "last_commit_planted": (cfg.commits_per_project - 1) in planted_commits,
         })
-    manifest = {"config": cfg.to_dict(), "projects": manifest_projects}
+    manifest = {"config": asdict(cfg), "projects": manifest_projects}
     return corpus, manifest
 
 

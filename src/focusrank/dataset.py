@@ -16,6 +16,7 @@ import random
 from bisect import bisect_right
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -105,9 +106,9 @@ def label_pairs(
 
 @dataclass(frozen=True)
 class DiffView:
-    """One diff of one project: its changed nodes (anchors), preserved nodes
-    (candidates), the candidates that change along (positives), and the
-    union of both versions for labels and distances.
+    """One diff of one project: its two versions (the corpus's own graphs,
+    not copies), changed nodes (anchors), preserved nodes (candidates), and
+    the candidates that change along (positives).
 
     Its labeled pairs are the product anchors x candidates: pair i is
     (anchors[i // |candidates|], candidates[i % |candidates|]), the order
@@ -116,7 +117,8 @@ class DiffView:
 
     project: str
     diff_index: int
-    union: ModelGraph
+    source: ModelGraph
+    target: ModelGraph
     anchors: tuple[str, ...]
     candidates: tuple[str, ...]
     positives: frozenset[str]
@@ -128,11 +130,17 @@ class DiffView:
         return DiffView(
             project=project.name,
             diff_index=diff_index,
-            union=union_graph(source, target),
+            source=source,
+            target=target,
             anchors=tuple(sorted(d.changed_nodes())),
             candidates=tuple(sorted(d.preserved_nodes())),
             positives=frozenset(positive_candidates(d, target)),
         )
+
+    @cached_property
+    def union(self) -> ModelGraph:
+        """Both versions' union, for labels and distances; built on first read."""
+        return union_graph(self.source, self.target)
 
     @property
     def n_pairs(self) -> int:
@@ -281,8 +289,8 @@ def split_cross_project(
 
 @dataclass(frozen=True)
 class BalanceConfig:
-    target_pairs_per_project: int
-    seed: int
+    target_pairs_per_project: int = 400
+    seed: int = 7
 
     def __post_init__(self):
         if self.target_pairs_per_project <= 0:

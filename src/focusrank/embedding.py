@@ -79,7 +79,19 @@ class ProviderConfig:
     remote: Optional[RemoteConfig] = None
     cache_dir: Optional[str] = None  # the remote provider's cache; hashing needs none
 
+    def __post_init__(self):
+        remote = self.remote  # a JSON config gives an object of strings
+        if (isinstance(remote, dict) and all(isinstance(v, str) for v in remote.values())
+                and {"endpoint", "model"} <= remote.keys() <= {"endpoint", "model", "auth_env"}):
+            self.remote = RemoteConfig(**remote)
+        elif not isinstance(remote, (RemoteConfig, type(None))):
+            raise ConfigInvalidError(
+                "remote must be an object of strings: endpoint, model, optional auth_env"
+            )
+
     def validate(self) -> None:
+        if not isinstance(self.cache_dir, (str, type(None))):
+            raise ConfigInvalidError("provider.cache_dir must be null or a path")
         if self.kind not in ("hashed", "remote"):
             raise ConfigInvalidError(f"unknown provider kind {self.kind!r}")
         if self.dimension < 8:

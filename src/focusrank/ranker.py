@@ -32,8 +32,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import read_config
 from .errors import (
     CheckpointFormatError,
+    ConfigInvalidError,
     DimensionMismatchError,
     EmptyDatasetError,
     TrainingDivergedError,
@@ -90,13 +92,6 @@ class LossConfig:
         if self.lambda_penalty < 0.0:
             raise ValueError("lambda_penalty must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta, "lambda_penalty": self.lambda_penalty}
-
-    @staticmethod
-    def from_dict(record: dict) -> "LossConfig":
-        return LossConfig(**record)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -114,15 +109,6 @@ class TrainConfig:
             raise ValueError("learning_rate, batch_size and h must be positive")
         if self.epochs < 0 or self.early_stop_patience < 0:
             raise ValueError("epochs and early_stop_patience must be >= 0")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(record: dict) -> "TrainConfig":
-        record = dict(record)
-        record["loss"] = LossConfig.from_dict(record["loss"])
-        return TrainConfig(**record)
 
 
 def _block(name: str) -> property:
@@ -555,7 +541,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "version": CHECKPOINT_VERSION,
         "d": ckpt.params.d,
         "h": ckpt.params.h,
-        "train_config": ckpt.train_config.to_dict(),
+        "train_config": asdict(ckpt.train_config),
         "provider_fingerprint": ckpt.provider_fingerprint,
         "history": ckpt.history,
         "theta": base64.b64encode(ckpt.params.theta.astype("<f8").tobytes()).decode("ascii"),
@@ -588,8 +574,8 @@ def load_checkpoint(path) -> Checkpoint:
         if not np.isfinite(theta).all():
             raise CheckpointFormatError(f"{path}: theta holds non-finite values")
         params = RankerParams.from_theta(theta, d, h)
-        train_config = TrainConfig.from_dict(payload["train_config"])
-    except (KeyError, TypeError, ValueError) as exc:
+        train_config = read_config(TrainConfig, payload["train_config"], "train_config", complete=True)
+    except (KeyError, TypeError, ValueError, ConfigInvalidError) as exc:
         raise CheckpointFormatError(f"{path}: corrupted checkpoint ({exc})") from exc
     return Checkpoint(
         params=params,

@@ -123,12 +123,13 @@ class TestSemanticRanker:
 
 
 def view(anchors, positives, candidates=(), diff_index=0, project="p"):
-    """A diff view over nodes only; co-change counting ignores its graph."""
+    """A diff view over nodes only; co-change counting ignores its graphs."""
     candidates = tuple(sorted(set(candidates) | set(positives)))
     return DiffView(
         project=project,
         diff_index=diff_index,
-        union=ModelGraph({}),
+        source=ModelGraph({}),
+        target=ModelGraph({}),
         anchors=tuple(sorted(anchors)),
         candidates=candidates,
         positives=frozenset(positives),

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,10 @@ from focusrank.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_VALIDATION,
+    RunConfig,
     _config_hash,
     _pair_arrays,
     _parse_tau,
-    default_run_config,
     load_run_config,
     main,
 )
@@ -309,7 +310,7 @@ class TestOverrides:
 class TestRunConfig:
     def test_defaults_when_no_file_given(self):
         config = load_run_config(None)
-        assert config == default_run_config()
+        assert config == RunConfig()
 
     def test_missing_file_rejected(self):
         with pytest.raises(MissingArtifactError):
@@ -318,20 +319,20 @@ class TestRunConfig:
     def test_seed_parameter_overrides_every_section(self):
         config = load_run_config(None, seed=123)
         for section in ("gen", "split", "balance", "train", "eval"):
-            assert config[section]["seed"] == 123
+            assert getattr(config, section).seed == 123
 
     def test_set_parses_json_with_string_fallback(self):
         config = load_run_config(
             None,
             set_args=["train.loss.alpha=0.7", "split.mode=cross_project", "eval.tau=2"],
         )
-        assert config["train"]["loss"]["alpha"] == 0.7
-        assert config["split"]["mode"] == "cross_project"
-        assert config["eval"]["tau"] == 2
+        assert config.train.loss.alpha == 0.7
+        assert config.split.mode == "cross_project"
+        assert config.eval.tau == 2
 
     def test_grid_section_accepts_known_knobs_only(self):
         config = load_run_config(None, set_args=['grid.learning_rate=[0.01,0.1]'])
-        assert config["grid"] == {"learning_rate": [0.01, 0.1]}
+        assert config.grid == {"learning_rate": [0.01, 0.1]}
         with pytest.raises(ConfigInvalidError):
             load_run_config(None, set_args=["grid.momentum=[0.9]"])
 
@@ -372,11 +373,30 @@ class TestRunConfig:
 
     def test_values_must_match_the_default_type(self):
         config = load_run_config(None, set_args=["train.learning_rate=1", "gen.noise_rate=0"])
-        assert config["train"]["learning_rate"] == 1
+        assert config.train.learning_rate == 1
         for assignment in ("train.epochs=2.5", "train.h=true", "gen.noise_rate=true",
                            "train.loss=3", 'gen.vocabulary="ab"'):
             with pytest.raises(ConfigInvalidError):
                 load_run_config(None, set_args=[assignment])
+
+    @pytest.mark.parametrize("set_args, seed, digest", [
+        ([], None, "1045b3f7dbdd72fdf73235d8c98733841bb1e353a6c8a60754bd501c7574d244"),
+        ([], 5, "160e4476c7e4b36160e8f5e3568647ff4987721552d578edac2f884e9913a6d2"),
+        (['eval.tau="inf"', "eval.taus=[1,null]"], None,
+         "021cd8b504e7eda8c1ca1abdce7f97da425e84d71c8a77f1116c2fb7a15c57ba"),
+        (["grid.alpha=[0.4,0.6]"], None,
+         "baf05d012c9c97b32dc0271a848a5b5d09371869d52840f6006bc24a25c71354"),
+        (["provider.kind=remote",
+          'provider.remote={"endpoint":"http://x","model":"m","auth_env":"TOK"}'], None,
+         "eaa2b8565102f992107830e6a96e336665a6e44ffffa5465d9a4c687a823f436"),
+        (["train.learning_rate=1"], None,
+         "730e02280b7e157d0606326546bf3eaefaac775ed7a2b9199f61b2d1287e3b1e"),
+    ])
+    def test_config_hash_is_pinned(self, set_args, seed, digest):
+        """The manifests' config_sha256 of these configs; a change to it
+        marks every earlier run as made with another config."""
+        config = load_run_config(None, set_args=set_args, seed=seed)
+        assert _config_hash(asdict(config)) == digest
 
     def test_config_hash_ignores_key_order(self):
         a = {"x": 1, "y": {"a": 2, "b": 3}}
@@ -502,7 +522,7 @@ def leaf_paths(node, prefix=()):
             yield prefix + (key,)
 
 
-CONFIG_PATHS = sorted(leaf_paths(default_run_config())) + [("bogus",), ("train", "bogus")]
+CONFIG_PATHS = sorted(leaf_paths(asdict(RunConfig()))) + [("bogus",), ("train", "bogus")]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -765,9 +785,15 @@ def test_regenerating_fewer_projects_leaves_no_stale_ones(tmp_path):
     assert sorted(name for name, _ in split["test"]) == expected
 
 
+# values TrainConfig would take without complaint, were they not type-checked
+MISTYPED_TRAIN_CONFIG = [("h", True), ("epochs", 2.5), ("batch_size", True)]
+
+
 @st.composite
 def malformed_checkpoints(draw, payload):
-    kind = draw(st.sampled_from(["root", "drop", "value", "dims", "non-finite", "truncated"]))
+    kind = draw(st.sampled_from(
+        ["root", "drop", "value", "dims", "non-finite", "truncated", "train_config"]
+    ))
     record = dict(payload)
     raw = base64.b64decode(payload["theta"])
     if kind == "root":
@@ -786,9 +812,12 @@ def malformed_checkpoints(draw, payload):
         value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
         raw = raw[:at] + np.float64(value).tobytes() + raw[at + 8:]
         record["theta"] = base64.b64encode(raw).decode("ascii")
-    else:
+    elif kind == "truncated":
         record["theta"] = base64.b64encode(raw[:draw(st.integers(0, len(raw) - 1))]).decode("ascii")
-    if kind != "value":
+    if kind == "train_config":
+        key, value = draw(st.sampled_from(MISTYPED_TRAIN_CONFIG))
+        record["train_config"] = {**payload["train_config"], key: value}
+    elif kind != "value":
         record["train_config"] = draw(st.one_of(st.just(payload["train_config"]), not_object))
     return record
 

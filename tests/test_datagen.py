@@ -48,10 +48,6 @@ class TestGenConfig:
             with pytest.raises(ConfigInvalidError):
                 small_config(**overrides).validate()
 
-    def test_dict_round_trip(self):
-        cfg = small_config(noise_rate=0.5, pattern_size_c=4)
-        assert GenConfig.from_dict(cfg.to_dict()) == cfg
-
 
 class TestDeterminism:
     def test_same_seed_writes_identical_bytes(self, tmp_path):

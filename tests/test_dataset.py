@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from focusrank import dataset
+from focusrank.baselines import build_cochange
 from focusrank.datagen import GenConfig, build_corpus
 from focusrank.dataset import (
     BalanceConfig,
@@ -193,6 +195,26 @@ class TestDiffView:
         listed = balance(group_by_project(listed_pairs(corpus, train)), cfg)
         assert balance(pairs_by_project(diff_views(corpus, train)), cfg) == listed
         assert len(listed) == 400 * len(corpus)
+
+    def test_labeling_and_cochange_build_no_union_graph(self, monkeypatch):
+        """A view holds the corpus's two versions; only a read of `union`
+        (evaluation's distances and labels) builds their union."""
+        corpus, _ = build_corpus(GenConfig(projects=3, commits_per_project=5))
+        keys = all_keys(corpus)
+
+        def refuse(*args):
+            raise AssertionError("union_graph called")
+
+        monkeypatch.setattr(dataset, "union_graph", refuse)
+        views = list(diff_views(corpus, keys))
+        for view, (name, index) in zip(views, keys):
+            versions = corpus[name].versions
+            assert view.source is versions[index] and view.target is versions[index + 1]
+        groups = pairs_by_project(views)
+        assert all(list(pairs) for pairs in groups.values())
+        assert len(build_cochange(views)) > 0
+        with pytest.raises(AssertionError, match="union_graph called"):
+            views[0].union
 
     def test_parts_of_a_diff(self):
         old = graph("ABD", [("A", "B", "e")])

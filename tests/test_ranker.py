@@ -3,7 +3,8 @@
 import base64
 import json
 import math
-
+import re
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -839,7 +840,7 @@ class TestCheckpoint:
         encoded = lambda n: base64.b64encode(np.zeros(n, dtype="<f8").tobytes()).decode()
         path.write_text(json.dumps({
             "format": "focusrank-checkpoint", "version": 1, "d": d, "h": h,
-            "train_config": toy_config().to_dict(), "provider_fingerprint": "", "history": [],
+            "train_config": asdict(toy_config()), "provider_fingerprint": "", "history": [],
             "params": {"wq": encoded(d * h), "wk": encoded(d * h), "wv": encoded(d * h),
                        "w_out": encoded(h), "b_out": 0.0},
         }))
@@ -898,6 +899,19 @@ class TestCheckpoint:
     def test_non_integer_dimensions_rejected(self, tmp_path, key, value):
         path = self.rewritten(tmp_path, lambda payload: payload.__setitem__(key, value))
         with pytest.raises(CheckpointFormatError, match="positive integers"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda config: config.update(h=True), "train_config.h must be int, got true"),
+        (lambda config: config.update(epochs=2.5), "train_config.epochs must be int, got 2.5"),
+        (lambda config: config.update(batch_size=True), "train_config.batch_size must be int"),
+        (lambda config: config.pop("epochs"), "train_config lacks key epochs"),
+        (lambda config: config["loss"].pop("beta"), "train_config.loss lacks key beta"),
+        (lambda config: config.update(bogus=1), "unknown config key: train_config.bogus"),
+    ])
+    def test_mistyped_or_incomplete_train_config_rejected(self, tmp_path, edit, message):
+        path = self.rewritten(tmp_path, lambda payload: edit(payload["train_config"]))
+        with pytest.raises(CheckpointFormatError, match=re.escape(message)):
             load_checkpoint(path)
 
     def test_mismatched_dimension_fails_at_forward(self, tmp_path):
