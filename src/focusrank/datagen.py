@@ -124,7 +124,7 @@ class _ProjectState:
     def snapshot(self) -> ModelGraph:
         """The current version. Edges join nodes this state added and no
         node is removed, so the graph skips the constructor's checks."""
-        return ModelGraph._unchecked(dict(self.labels), frozenset(self.edges))
+        return ModelGraph._unchecked(dict(self.labels), tuple(sorted(self.edges)))
 
 
 def _build_base(cfg: GenConfig, project_index: int, rng: random.Random):

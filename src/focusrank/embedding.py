@@ -16,14 +16,11 @@ from __future__ import annotations
 
 import fcntl
 import hashlib
-import http.client
 import json
 import logging
 import os
 import re
 import time
-import urllib.error
-import urllib.request
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -280,6 +277,9 @@ class RemoteProvider:
     def _post(self, texts: list[str]) -> np.ndarray:
         """The (len(texts), dimension) rows the endpoint returns for one
         request, after retries, once the answer is validated."""
+        import http.client  # the HTTP stack loads on the first post, not with the package
+        import urllib.error
+        import urllib.request
         body = json.dumps({"model": self.remote.model, "input": texts}).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.remote.auth_env, "") if self.remote.auth_env else ""

@@ -11,7 +11,8 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ArtifactFormatError, UnknownNodeError
@@ -30,8 +31,9 @@ class ModelGraph:
     label or edge field is not a string, a node id is empty or repeats, an
     edge endpoint is missing, or the same (src, dst, label) triple appears
     twice. Only graphs built from valid parts (unions, generator snapshots)
-    skip the checks, through `_unchecked`. Adjacency sets are built by the
-    first `successors` or `distances_from` call, then kept.
+    skip the checks, through `_unchecked`. Edges are kept as one ascending
+    tuple of triples, whose set `edges` builds on each call. Adjacency sets
+    are built by the first `successors` or `distances_from` call, then kept.
     """
 
     __slots__ = ("_labels", "_edges", "_succ", "_undirected")
@@ -41,38 +43,14 @@ class ModelGraph:
         nodes: Iterable[tuple[str, str]] | Mapping[str, str],
         edges: Iterable[EdgeKey] = (),
     ):
-        labels: dict[str, str] = {}
-        for node_id, label in nodes.items() if isinstance(nodes, Mapping) else nodes:
-            if not isinstance(node_id, str) or not isinstance(label, str):
-                raise ValueError(f"node id {node_id!r} and label {label!r} must be strings")
-            if not node_id:
-                raise ValueError("node ids must be non-empty")
-            if node_id in labels:
-                raise ValueError(f"duplicate node id {node_id!r}")
-            labels[node_id] = label
-
-        edge_set: set[EdgeKey] = set()
-        for src, dst, label in edges:
-            key = (src, dst, label)
-            if not (isinstance(src, str) and isinstance(dst, str) and isinstance(label, str)):
-                raise ValueError(f"edge {key!r} fields must be strings")
-            if src not in labels:
-                raise ValueError(f"edge source {src!r} not a node")
-            if dst not in labels:
-                raise ValueError(f"edge target {dst!r} not a node")
-            if key in edge_set:
-                raise ValueError(f"duplicate edge {key!r}")
-            edge_set.add(key)
-
-        self._labels = labels
-        self._edges = frozenset(edge_set)
+        pairs = nodes.items() if isinstance(nodes, Mapping) else nodes
+        self._labels, self._edges = _valid_parts(pairs, edges)
         self._succ = self._undirected = None
 
     @classmethod
-    def _unchecked(cls, labels: dict[str, str], edges: frozenset[EdgeKey]) -> "ModelGraph":
-        """The graph over `labels` and `edges`, kept as given, without the
-        constructor's checks: only for parts that come from valid graphs or
-        from a generator that builds valid ones."""
+    def _unchecked(cls, labels: dict[str, str], edges: tuple[EdgeKey, ...]) -> "ModelGraph":
+        """The graph over `labels` and the ascending, repeat-free `edges`, kept
+        as given without the constructor's checks: only for parts known valid."""
         graph = cls.__new__(cls)
         graph._labels, graph._edges = labels, edges
         graph._succ = graph._undirected = None
@@ -84,7 +62,7 @@ class ModelGraph:
 
     @property
     def edges(self) -> frozenset[EdgeKey]:
-        return self._edges
+        return frozenset(self._edges)
 
     def label(self, node_id: str) -> str:
         try:
@@ -141,6 +119,39 @@ class ModelGraph:
         return dist
 
 
+def _valid_parts(pairs, triples, share=None) -> tuple[dict[str, str], tuple[EdgeKey, ...]]:
+    """The label dict and ascending edge tuple of (id, label) `pairs` and
+    (src, dst, label) `triples`, checked one record at a time, so a fault is
+    named in input order. With `share` (a table's `setdefault`), each checked
+    id, label and triple is replaced by the table's equal one."""
+    labels: dict[str, str] = {}
+    for node_id, label in pairs:
+        if not isinstance(node_id, str) or not isinstance(label, str):
+            raise ValueError(f"node id {node_id!r} and label {label!r} must be strings")
+        if not node_id:
+            raise ValueError("node ids must be non-empty")
+        if node_id in labels:
+            raise ValueError(f"duplicate node id {node_id!r}")
+        if share:
+            node_id, label = share(node_id, node_id), share(label, label)
+        labels[node_id] = label
+    edge_set: set[EdgeKey] = set()
+    keys: list[EdgeKey] = []
+    for src, dst, label in triples:
+        key = (src, dst, label)
+        if not (isinstance(src, str) and isinstance(dst, str) and isinstance(label, str)):
+            raise ValueError(f"edge {key!r} fields must be strings")
+        if src not in labels:
+            raise ValueError(f"edge source {src!r} not a node")
+        if dst not in labels:
+            raise ValueError(f"edge target {dst!r} not a node")
+        if key in edge_set:
+            raise ValueError(f"duplicate edge {key!r}")
+        edge_set.add(key)
+        keys.append(share(key, key) if share else key)
+    return labels, tuple(keys) if all(map(lt, keys, keys[1:])) else tuple(sorted(keys))
+
+
 @dataclass(frozen=True)
 class StructuralDiff:
     """Partition of two versions' elements into changed and preserved sets.
@@ -177,11 +188,12 @@ def diff(m: ModelGraph, n: ModelGraph, source_version: int = 0, target_version: 
     """Structural difference between versions m and n, matched by identifier."""
     m_labels, n_labels = m._labels, n._labels
     preserved = frozenset(v for v in m_labels.keys() & n_labels.keys() if m_labels[v] == n_labels[v])
+    m_edges, n_edges = m.edges, n.edges
     return StructuralDiff(
         changed_node_ids=frozenset(m_labels.keys() | n_labels.keys()) - preserved,
         preserved_node_ids=preserved,
-        changed_edges=m.edges ^ n.edges,
-        preserved_edges=m.edges & n.edges,
+        changed_edges=m_edges ^ n_edges,
+        preserved_edges=m_edges & n_edges,
         source_version=source_version,
         target_version=target_version,
     )
@@ -194,7 +206,8 @@ def union_graph(m: ModelGraph, n: ModelGraph) -> ModelGraph:
     target version wins. Both inputs are valid graphs, so their union is
     one without the constructor's checks.
     """
-    return ModelGraph._unchecked(m._labels | n._labels, m.edges | n.edges)
+    edges = m._edges + tuple(set(n._edges).difference(m._edges))
+    return ModelGraph._unchecked(m._labels | n._labels, tuple(sorted(edges)))
 
 
 def union_label(m: ModelGraph, n: ModelGraph, node_id: str) -> str:
@@ -266,10 +279,11 @@ _EDGE_FIELDS = itemgetter("src", "dst", "label")
 def load_project(path) -> Project:
     """Read a project file: {"project": id, "versions": [{nodes, edges}, ...]}.
 
-    Each version's records go straight to the `ModelGraph` constructor in
-    one pass; a malformed record raises ArtifactFormatError naming the file
-    and the version index, and no graph is built from it. The versions of
-    one file share one object per distinct node id, label and edge triple.
+    Each version's records are read in one pass and checked as the
+    `ModelGraph` constructor checks them; a malformed record raises
+    ArtifactFormatError naming the file and the version index, and no graph
+    is built from it. The versions of one file share one object per distinct
+    node id, label and edge triple.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -297,39 +311,26 @@ def _version_graph(raw, where: str, shared: dict) -> ModelGraph:
     if not isinstance(nodes, list) or not isinstance(edges, list):
         raise ArtifactFormatError(f"{where} must be an object of node and edge lists")
     try:
-        graph = ModelGraph(map(_NODE_FIELDS, nodes), map(_EDGE_FIELDS, edges))
+        parts = _valid_parts(map(_NODE_FIELDS, nodes), map(_EDGE_FIELDS, edges), shared.setdefault)
     except KeyError as exc:
         raise ArtifactFormatError(f"{where}: a node or edge record has no {exc} key") from exc
     except TypeError as exc:  # indexing a record that is not an object
         raise ArtifactFormatError(f"{where}: a node or edge record is not an object") from exc
     except ValueError as exc:
         raise ArtifactFormatError(f"{where}: {exc}") from exc
-    share = shared.setdefault
-    labels = {share(v, v): share(label, label) for v, label in graph._labels.items()}
-    return ModelGraph._unchecked(labels, frozenset(share(e, e) for e in graph.edges))
+    return ModelGraph._unchecked(*parts)
 
 
 def save_project(project: Project, path) -> None:
-    """Write a project file in the format load_project reads."""
-    payload = {
-        "project": project.name,
-        "versions": [
-            {
-                "nodes": [
-                    {"id": node_id, "label": label}
-                    for node_id, label in sorted(g.labels().items())
-                ],
-                "edges": [
-                    {"src": src, "dst": dst, "label": label}
-                    for src, dst, label in sorted(g.edges)
-                ],
-            }
-            for g in project.versions
-        ],
-    }
+    """Write a project file in the format load_project reads: the bytes of a
+    sorted-key, compact `json.dumps`, written straight from each version."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
+        fh.write(f'{{"project":{_quote(project.name)},"versions":[')
+        for i, g in enumerate(project.versions):
+            edges = ",".join(f'{{"dst":{_quote(d)},"label":{_quote(e)},"src":{_quote(s)}}}' for s, d, e in g._edges)
+            nodes = ",".join(f'{{"id":{_quote(v)},"label":{_quote(x)}}}' for v, x in sorted(g._labels.items()))
+            fh.write(f'{"," if i else ""}{{"edges":[{edges}],"nodes":[{nodes}]}}')
+        fh.write("]}\n")
 
 
 def load_corpus(paths: Sequence) -> dict[str, Project]:

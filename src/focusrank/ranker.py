@@ -87,10 +87,10 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
-        if self.lambda_penalty < 0.0:
-            raise ValueError("lambda_penalty must be >= 0")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and >= 0")
+        if not 0.0 <= self.lambda_penalty < math.inf:
+            raise ValueError("lambda_penalty must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.h <= 0:
             raise ValueError("learning_rate, batch_size and h must be positive")
+        if not math.isfinite(self.learning_rate) or not math.isfinite(self.init_scale):
+            raise ValueError("learning_rate and init_scale must be finite")
         if self.epochs < 0 or self.early_stop_patience < 0:
             raise ValueError("epochs and early_stop_patience must be >= 0")
 

@@ -30,10 +30,12 @@ from focusrank.cli import (
     load_run_config,
     main,
 )
-from focusrank.errors import ConfigInvalidError, MissingArtifactError, TrainingDivergedError
+from focusrank.errors import (
+    ArtifactFormatError, ConfigInvalidError, MissingArtifactError, TrainingDivergedError,
+)
 from focusrank.dataset import load_pairs
 from focusrank.embedding import HashedProvider
-from focusrank.graphs import load_corpus, union_graph
+from focusrank.graphs import load_corpus, load_project, union_graph
 
 
 def write_config(base_dir, **section_overrides) -> str:
@@ -421,6 +423,19 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_the_http_stack_unloaded():
+    """The remote provider imports the HTTP stack on its first post, so a
+    CLI process that never posts does not pay for it."""
+    src = str(Path(focusrank.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, focusrank.cli; print(sorted({'http.client', 'urllib.request', 'ssl'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("flags, expect_info", [([], True), (["--log-level", "WARNING"], False)])
 def test_log_level_flag_filters_stderr(tmp_path, flags, expect_info):
     """INFO is the default; at WARNING a successful `gen` prints nothing."""
@@ -540,6 +555,19 @@ def test_malformed_config_fails_in_one_line(tmp_path_factory, path, value):
     assert_one_line_failure(*run_cli(["--config", str(base / "config.json"), "prepare"]))
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "knob", ["train.learning_rate", "train.init_scale", "train.loss.beta", "train.loss.lambda_penalty"],
+)
+def test_non_finite_training_knob_fails_in_one_line(tmp_path, knob, value):
+    """Rejected with the config, before any stage runs (a NaN rate used to
+    pass `<= 0` and fail only in training, with exit 2)."""
+    code, lines = run_cli(["--config", write_config(tmp_path), "--set", f"{knob}={value}", "gen"])
+    assert_one_line_failure(code, lines)
+    assert code == EXIT_VALIDATION
+    assert not (tmp_path / "corpus").exists()
+
+
 def versions_with(bad_version):
     return st.tuples(st.integers(0, 2), bad_version).map(
         lambda pos_bad: [{}] * pos_bad[0] + [pos_bad[1]]
@@ -614,6 +642,52 @@ def test_malformed_project_file_fails_in_one_line(artifacts, payload):
 def test_each_malformed_record_kind_fails_in_one_line(artifacts, kind, data):
     versions = data.draw(versions_with(bad_record_versions(kind)))
     assert_project_rejected(artifacts, {"project": "zz", "versions": versions})
+
+
+NODE_A, NODE_B = {"id": "a", "label": "x"}, {"id": "b", "label": "y"}
+EDGE = {"src": "a", "dst": "b", "label": "e"}
+
+# (kind, nodes, edges, message): the loader's text for each record fault,
+# pinned as the one-record-at-a-time constructor check gave it.
+PINNED_RECORD_FAULTS = [
+    ("not object", [NODE_A, 5], [], "a node or edge record is not an object"),
+    ("not object", [NODE_A, NODE_B], [EDGE, ["a", "b", "e"]], "a node or edge record is not an object"),
+    ("no key", [NODE_A, {"id": "b"}], [], "a node or edge record has no 'label' key"),
+    ("no key", [NODE_A, NODE_B], [{"src": "a", "label": "e"}], "a node or edge record has no 'dst' key"),
+    ("not str", [NODE_A, {"id": 5, "label": "y"}], [], "node id 5 and label 'y' must be strings"),
+    ("not str", [NODE_A, {"id": "b", "label": [1]}], [], "node id 'b' and label [1] must be strings"),
+    ("not str", [NODE_A, NODE_B], [{**EDGE, "label": 3}], "edge ('a', 'b', 3) fields must be strings"),
+    ("not str", [NODE_A, NODE_B], [{**EDGE, "src": {"k": 1}}],
+     "edge ({'k': 1}, 'b', 'e') fields must be strings"),
+    # fields of other types that compare equal (true == 1 == 1.0) keep their text
+    ("not str", [NODE_A, {"id": True, "label": 1.0}], [], "node id True and label 1.0 must be strings"),
+    ("not str", [NODE_A, {"id": 1, "label": True}], [], "node id 1 and label True must be strings"),
+    # the first fault in file order wins over a later missing key or non-object
+    ("not str", [{"id": 5, "label": "x"}, {"label": "no id"}], ["junk"],
+     "node id 5 and label 'x' must be strings"),
+    ("empty id", [NODE_A, {"id": "", "label": "y"}], [], "node ids must be non-empty"),
+    ("duplicate id", [NODE_A, NODE_B, {"id": "a", "label": "z"}], [EDGE], "duplicate node id 'a'"),
+    ("dangling", [NODE_A, NODE_B], [EDGE, {**EDGE, "dst": "ghost"}], "edge target 'ghost' not a node"),
+    ("dangling", [NODE_A, NODE_B], [{**EDGE, "src": "ghost"}, EDGE], "edge source 'ghost' not a node"),
+    ("duplicate edge", [NODE_A, NODE_B], [EDGE, EDGE], "duplicate edge ('a', 'b', 'e')"),
+    # unsorted, so the repeat is not next to its twin
+    ("duplicate edge", [NODE_B, NODE_A],
+     [{**EDGE, "src": "b"}, EDGE, {**EDGE, "label": "d"}, {**EDGE, "src": "b"}],
+     "duplicate edge ('b', 'b', 'e')"),
+]
+
+
+def test_pinned_record_faults_cover_every_kind():
+    assert {kind for kind, *_ in PINNED_RECORD_FAULTS} == set(RECORD_FAULTS)
+
+
+@pytest.mark.parametrize("kind, nodes, edges, message", PINNED_RECORD_FAULTS)
+def test_each_record_fault_keeps_its_text(tmp_path, kind, nodes, edges, message):
+    path = tmp_path / "zz.json"
+    path.write_text(json.dumps({"project": "zz", "versions": [{}, {"nodes": nodes, "edges": edges}]}))
+    with pytest.raises(ArtifactFormatError) as info:
+        load_project(path)
+    assert str(info.value) == f"{path} version 1: {message}"
 
 
 def bad_split_entries():
@@ -836,6 +910,7 @@ def test_malformed_checkpoint_fails_in_one_line(artifacts, data):
     lambda p: p.update(theta=base64.b64encode(b"\xff" * len(base64.b64decode(p["theta"]))).decode()),
     lambda p: p.update(d=p["d"] + 0.7),
     lambda p: p.update(h=float(p["h"])),
+    lambda p: p["train_config"].update(learning_rate=math.nan),
 ])
 def test_non_finite_or_mistyped_checkpoint_exits_1(artifacts, edit):
     config_path, base = artifacts

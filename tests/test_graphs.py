@@ -437,3 +437,51 @@ class TestProjectPersistence:
         d = p.diff_at(1)
         assert d.source_version == 1 and d.target_version == 2
         assert d.changed_nodes() == {"C"}
+
+
+# Quotes, backslashes, control and non-BMP characters, besides any other.
+json_texts = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f \U0001f600'), st.characters()), max_size=6)
+
+
+@st.composite
+def text_projects(draw):
+    """1-3 versions over ids and labels drawn from `json_texts`."""
+    pool = draw(st.lists(json_texts.filter(bool), min_size=1, max_size=6, unique=True))
+    versions = []
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = draw(st.dictionaries(st.sampled_from(pool), json_texts, min_size=1))
+        ends = st.sampled_from(sorted(nodes))
+        versions.append(ModelGraph(nodes, draw(st.sets(st.tuples(ends, ends, json_texts), max_size=8))))
+    return Project(draw(json_texts.filter(bool)), versions)
+
+
+def json_dumps_payload(project: Project) -> dict:
+    """The payload a project file is the sorted-key `json.dumps` of."""
+    return {
+        "project": project.name,
+        "versions": [
+            {
+                "nodes": [{"id": v, "label": label} for v, label in sorted(g.labels().items())],
+                "edges": [{"src": s, "dst": d, "label": label} for s, d, label in sorted(g.edges)],
+            }
+            for g in project.versions
+        ],
+    }
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(project=text_projects())
+def test_save_project_writes_the_json_dumps_bytes(tmp_path_factory, project):
+    """The writer escapes each string itself; its bytes are those of
+    `json.dumps` over the record dicts, and they load back to equal,
+    shared elements."""
+    path = tmp_path_factory.mktemp("save") / "p.json"
+    save_project(project, path)
+    oracle = json.dumps(json_dumps_payload(project), sort_keys=True, separators=(",", ":")) + "\n"
+    assert path.read_bytes() == oracle.encode("utf-8")
+    loaded = load_project(path)
+    assert loaded.name == project.name and loaded.versions == project.versions
+    first: dict = {}
+    for g in loaded.versions:
+        for part in [*g.labels().keys(), *g.labels().values(), *g.edges]:
+            assert first.setdefault(part, part) is part

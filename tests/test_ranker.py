@@ -908,6 +908,8 @@ class TestCheckpoint:
         (lambda config: config.pop("epochs"), "train_config lacks key epochs"),
         (lambda config: config["loss"].pop("beta"), "train_config.loss lacks key beta"),
         (lambda config: config.update(bogus=1), "unknown config key: train_config.bogus"),
+        (lambda config: config.update(learning_rate=math.nan), "learning_rate and init_scale must be finite"),
+        (lambda config: config["loss"].update(beta=math.inf), "beta must be finite and >= 0"),
     ])
     def test_mistyped_or_incomplete_train_config_rejected(self, tmp_path, edit, message):
         path = self.rewritten(tmp_path, lambda payload: edit(payload["train_config"]))
