@@ -16,8 +16,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DiffView
 from .errors import EmptyCandidatesError
+from .graphs import Diff
 
 
 def rank_random(candidates: Sequence[str], seed: int, anchor: str = "") -> list[str]:
@@ -64,13 +64,13 @@ class CoChangeMatrix:
         return len(self._counts)
 
 
-def build_cochange(train_views: Iterable[DiffView]) -> CoChangeMatrix:
+def build_cochange(train_diffs: Iterable[Diff]) -> CoChangeMatrix:
     """Count, per anchor, how often each candidate was a positive across the
     training diffs (same positive definition as the training labels): one
-    count for every (anchor, positive) pair of every view."""
+    count for every (anchor, positive) pair of every diff."""
     counts: dict[tuple[str, str], int] = {}
-    for view in train_views:
-        for key in product(view.anchors, view.positives):
+    for d in train_diffs:
+        for key in product(d.anchors, d.positives):
             counts[key] = counts.get(key, 0) + 1
     return CoChangeMatrix(counts)
 

@@ -55,7 +55,7 @@ from .errors import (
     TooFewProjectsError,
     UnknownNodeError,
 )
-from .graphs import Project, load_corpus, union_label
+from .graphs import Project, load_corpus
 
 logger = logging.getLogger(__name__)
 
@@ -233,12 +233,13 @@ def _pair_arrays(pairs, corpus, provider, source) -> ranker.PairTable:
     """The pairs as a table over the embeddings of their distinct labels,
     each label read from its diff's two versions; `source` names the pairs
     in errors."""
+    diffs = {k: corpus[k[0]].diff_at(k[1]) for k in {(p.project, p.diff_index) for p in pairs}}
     texts: list[str] = []
     for pair in pairs:
-        m, n = corpus[pair.project].versions[pair.diff_index:pair.diff_index + 2]
+        d = diffs[pair.project, pair.diff_index]
         for node_id in (pair.anchor, pair.candidate):
             try:
-                texts.append(union_label(m, n, node_id))
+                texts.append(d.label(node_id))
             except UnknownNodeError:
                 where = f"{source}: project {pair.project!r} diff {pair.diff_index}"
                 raise ArtifactFormatError(f"{where} has no node {node_id!r}") from None
@@ -446,6 +447,8 @@ def cmd_rank(config: RunConfig, project_name: str, anchor: str, k: int) -> int:
 
 
 def cmd_gradcheck(trials: int, seed: int) -> int:
+    if trials < 1:
+        raise ConfigInvalidError("trials must be >= 1")
     results = ranker.gradient_check(trials=trials, seed=seed)
     for row in results:
         print(

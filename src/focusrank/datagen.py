@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .dataset import positive_candidates
 from .errors import ConfigInvalidError
 from .graphs import ModelGraph, Project, save_project
 
@@ -290,13 +289,12 @@ def describe(corpus: Mapping[str, Project]) -> dict:
         for g in project.versions:
             n_versions += 1
             n_nodes += len(g)
-        for i, d in project.iter_diffs():
+        for d in map(project.diff_at, range(project.n_diffs)):
             n_diffs += 1
-            n_changed += len(d.changed_node_ids) + len(d.changed_edges)
+            n_changed += len(d.anchors) + len(d.changed_edges)
             # every (changed, preserved) pair; its label is the candidate's
-            n_anchors = len(d.changed_nodes())
-            total_pairs += n_anchors * len(d.preserved_nodes())
-            positive_pairs += n_anchors * len(positive_candidates(d, project.versions[i + 1]))
+            total_pairs += len(d.anchors) * len(d.candidates)
+            positive_pairs += len(d.anchors) * len(d.positives)
     return {
         "projects": len(corpus),
         "versions": n_versions,

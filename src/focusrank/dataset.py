@@ -1,10 +1,10 @@
-"""Diff views, labeled anchor/candidate pairs, timeline-respecting splits,
-and balancing.
+"""Labeled anchor/candidate pairs, timeline-respecting splits, and
+balancing.
 
 A pair (anchor, candidate) from one diff is positive when the candidate is a
 preserved node with at least one direct successor among the diff's changed
 nodes, evaluated on the target-version graph so that added successors count.
-The label depends on the candidate alone, so one `DiffView` (anchors,
+The label depends on the candidate alone, so one `graphs.Diff` (anchors,
 candidates, positives) describes every pair of a diff without listing them.
 """
 
@@ -16,7 +16,6 @@ import random
 from bisect import bisect_right
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -27,7 +26,7 @@ from .errors import (
     TooFewCommitsError,
     TooFewProjectsError,
 )
-from .graphs import ModelGraph, Project, StructuralDiff, union_graph
+from .graphs import Diff, ModelGraph, Project
 
 PairKey = tuple[str, int]  # (project, diff_index)
 
@@ -68,105 +67,46 @@ class LabeledPair:
         return pair
 
 
-def positive_candidates(d: StructuralDiff, g_target: ModelGraph) -> set[str]:
-    """Preserved nodes with a direct successor, in the target graph, among
-    the diff's changed nodes: the sources of the target's edges from a
-    preserved node into a changed one."""
-    changed, preserved = d.changed_nodes(), d.preserved_nodes()
-    return {src for src, dst, _ in g_target.edges if dst in changed and src in preserved}
-
-
 def label_pairs(
-    d: StructuralDiff,
+    d: Diff,
     g_target: ModelGraph,
     anchors: Iterable[str],
     project: str = "",
 ) -> list[LabeledPair]:
     """Label every (anchor, preserved candidate) pair of one diff.
 
-    Anchors must be changed nodes of the diff. A candidate is positive iff
-    one of its direct successors in the target graph is a changed node.
+    Anchors must be changed nodes of the diff, and `g_target` its own target
+    version. A candidate is positive iff one of its direct successors in the
+    target version is a changed node.
     """
+    if g_target is not d.target:
+        raise ValueError("pairs are labeled on the diff's own target version")
     anchors = set(anchors)
     if not anchors:
         raise EmptyAnchorSetError("no anchor nodes")
-    stray = anchors - d.changed_nodes()
+    stray = anchors.difference(d.anchors)
     if stray:
         raise ValueError(f"anchors are not changed nodes: {sorted(stray)}")
-
-    positives = positive_candidates(d, g_target)
-    candidates = sorted(d.preserved_nodes())
     return [
-        LabeledPair(project, d.source_version, anchor, candidate, int(candidate in positives))
+        LabeledPair(project, d.source_version, anchor, candidate, int(candidate in d.positives))
         for anchor in sorted(anchors)
-        for candidate in candidates
+        for candidate in d.candidates
         if candidate != anchor
     ]
 
 
-@dataclass(frozen=True)
-class DiffView:
-    """One diff of one project: its two versions (the corpus's own graphs,
-    not copies), changed nodes (anchors), preserved nodes (candidates), and
-    the candidates that change along (positives).
-
-    Its labeled pairs are the product anchors x candidates: pair i is
-    (anchors[i // |candidates|], candidates[i % |candidates|]), the order
-    `label_pairs` lists them in.
-    """
-
-    project: str
-    diff_index: int
-    source: ModelGraph
-    target: ModelGraph
-    anchors: tuple[str, ...]
-    candidates: tuple[str, ...]
-    positives: frozenset[str]
-
-    @staticmethod
-    def of(project: Project, diff_index: int) -> "DiffView":
-        d = project.diff_at(diff_index)
-        source, target = project.versions[diff_index], project.versions[diff_index + 1]
-        return DiffView(
-            project=project.name,
-            diff_index=diff_index,
-            source=source,
-            target=target,
-            anchors=tuple(sorted(d.changed_nodes())),
-            candidates=tuple(sorted(d.preserved_nodes())),
-            positives=frozenset(positive_candidates(d, target)),
-        )
-
-    @cached_property
-    def union(self) -> ModelGraph:
-        """Both versions' union, for labels and distances; built on first read."""
-        return union_graph(self.source, self.target)
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.anchors) * len(self.candidates)
-
-    def pair(self, i: int) -> LabeledPair:
-        a, c = divmod(i, len(self.candidates))
-        candidate = self.candidates[c]
-        return LabeledPair(
-            self.project, self.diff_index, self.anchors[a], candidate,
-            int(candidate in self.positives),
-        )
-
-
-def diff_views(corpus: Mapping[str, Project], keys: Iterable[PairKey]) -> Iterator[DiffView]:
-    """The views of (project, diff index) keys, built one at a time."""
-    return (DiffView.of(corpus[name], index) for name, index in keys)
+def diff_views(corpus: Mapping[str, Project], keys: Iterable[PairKey]) -> Iterator[Diff]:
+    """The diffs of (project, diff index) keys, built one at a time."""
+    return (corpus[name].diff_at(index) for name, index in keys)
 
 
 class ViewPairs(SequenceABC):
-    """The labeled pairs of several views, view after view, looked up by
-    index without being listed. Views without pairs are left out."""
+    """The labeled pairs of several diffs, diff after diff, looked up by
+    index without being listed. Diffs without pairs are left out."""
 
-    def __init__(self, views: Iterable[DiffView]):
-        self.views = [view for view in views if view.n_pairs]
-        self._starts = [0, *accumulate(view.n_pairs for view in self.views)]
+    def __init__(self, views: Iterable[Diff]):
+        self.views = [d for d in views if d.anchors and d.candidates]
+        self._starts = [0, *accumulate(len(d.anchors) * len(d.candidates) for d in self.views)]
 
     def __len__(self) -> int:
         return self._starts[-1]
@@ -175,15 +115,19 @@ class ViewPairs(SequenceABC):
         if not 0 <= i < len(self):
             raise IndexError(i)
         k = bisect_right(self._starts, i) - 1
-        return self.views[k].pair(i - self._starts[k])
+        d = self.views[k]
+        a, c = divmod(i - self._starts[k], len(d.candidates))
+        candidate = d.candidates[c]
+        return LabeledPair(d.project, d.source_version, d.anchors[a], candidate,
+                           int(candidate in d.positives))
 
 
-def pairs_by_project(views: Iterable[DiffView]) -> dict[str, ViewPairs]:
-    """`group_by_project` for views; projects without a pair are left out."""
-    grouped: dict[str, list[DiffView]] = {}
-    for view in views:
-        grouped.setdefault(view.project, []).append(view)
-    return {name: ViewPairs(g) for name, g in grouped.items() if any(v.n_pairs for v in g)}
+def pairs_by_project(views: Iterable[Diff]) -> dict[str, ViewPairs]:
+    """`group_by_project` for diffs; projects without a pair are left out."""
+    grouped: dict[str, list[Diff]] = {}
+    for d in views:
+        grouped.setdefault(d.project, []).append(d)
+    return {name: pairs for name, g in grouped.items() if (pairs := ViewPairs(g))}
 
 
 @dataclass

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import ranker as ranker_mod
 from .baselines import CoChangeMatrix, rank_random, semantic_scores
-from .dataset import DiffView, diff_views
+from .dataset import diff_views
 from .errors import NoPositivesError
-from .graphs import ModelGraph, Project
+from .graphs import Diff, ModelGraph, Project
 
 PREVALENCE_FLOOR = 1e-12
 
@@ -78,10 +78,10 @@ def by_score(candidates: Sequence[str], scores: Mapping[str, float]) -> list[str
     return sorted(candidates, key=lambda c: (-scores[c], c))
 
 
-def neural_scores(params, provider, graph: ModelGraph, anchor: str, candidates: Sequence[str]):
+def neural_scores(params, provider, graph: ModelGraph | Diff, anchor: str, candidates: Sequence[str]):
     """Predicted probability that each candidate changes with the anchor,
-    from their labels in `graph`. The anchor is row 0 of the embedded
-    labels, so it is projected once for all candidates."""
+    from their labels in `graph`, a version or a diff. The anchor is row 0
+    of the embedded labels, so it is projected once for all candidates."""
     embs = provider.embed([graph.label(v) for v in [anchor, *candidates]])
     n = len(candidates)
     logits = ranker_mod.pair_logits(params, embs, np.zeros(n, np.intp), np.arange(1, n + 1))
@@ -89,11 +89,11 @@ def neural_scores(params, provider, graph: ModelGraph, anchor: str, candidates: 
 
 
 class Scorer:
-    """Scores an anchor's candidates within one diff view."""
+    """Scores an anchor's candidates within one diff."""
 
     name = "scorer"
 
-    def scores(self, anchor: str, candidates: Sequence[str], view: DiffView) -> dict:
+    def scores(self, anchor: str, candidates: Sequence[str], view: Diff) -> dict:
         raise NotImplementedError
 
 
@@ -107,7 +107,7 @@ class NeuralScorer(Scorer):
         self.provider = provider
 
     def scores(self, anchor, candidates, view):
-        probs = neural_scores(self.checkpoint.params, self.provider, view.union, anchor, candidates)
+        probs = neural_scores(self.checkpoint.params, self.provider, view, anchor, candidates)
         return {c: float(p) for c, p in zip(candidates, probs)}
 
 
@@ -133,7 +133,7 @@ class SemanticScorer(Scorer):
         self.provider = provider
 
     def scores(self, anchor, candidates, view):
-        embs = self.provider.embed([view.union.label(v) for v in [anchor, *candidates]])
+        embs = self.provider.embed([view.label(v) for v in [anchor, *candidates]])
         return semantic_scores(embs[0], dict(zip(candidates, embs[1:])))
 
 
@@ -239,14 +239,15 @@ def evaluate(
             report.skipped_no_anchor += 1
             continue
         anchor = view.anchors[0]
-        candidates = radius_filter(view.union, anchor, view.candidates, tau)
+        candidates = (list(view.candidates) if tau in (None, math.inf)
+                      else radius_filter(view.union, anchor, view.candidates, tau))
         positives = view.positives.intersection(candidates)
         if not positives:
             report.skipped_no_positive += 1
             continue
         scores = scorer.scores(anchor, candidates, view)
         ranking = RankedList(anchor, tuple(by_score(candidates, scores)), positives, scores)
-        report.results.append(AnchorResult(view.project, view.diff_index, ranking))
+        report.results.append(AnchorResult(view.project, view.source_version, ranking))
     return report
 
 

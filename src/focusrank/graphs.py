@@ -1,4 +1,4 @@
-"""Versioned model graphs: structural diffs, distances, and change dispersion.
+"""Versioned model graphs: diffs, distances, and change dispersion.
 
 A model version is a labeled directed graph. Nodes carry stable string ids
 (identity-based matching across versions) and a text label; edges are
@@ -11,13 +11,13 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter, lt
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ArtifactFormatError, UnknownNodeError
 
-NodeId = str
 EdgeKey = tuple[str, str, str]
 
 #: Distance value for node pairs in different components.
@@ -32,11 +32,11 @@ class ModelGraph:
     edge endpoint is missing, or the same (src, dst, label) triple appears
     twice. Only graphs built from valid parts (unions, generator snapshots)
     skip the checks, through `_unchecked`. Edges are kept as one ascending
-    tuple of triples, whose set `edges` builds on each call. Adjacency sets
-    are built by the first `successors` or `distances_from` call, then kept.
+    tuple of triples, whose set `edges` builds on each call. The undirected
+    adjacency sets are built by the first `distances_from` call, then kept.
     """
 
-    __slots__ = ("_labels", "_edges", "_succ", "_undirected")
+    __slots__ = ("_labels", "_edges", "_undirected")
 
     def __init__(
         self,
@@ -45,7 +45,7 @@ class ModelGraph:
     ):
         pairs = nodes.items() if isinstance(nodes, Mapping) else nodes
         self._labels, self._edges = _valid_parts(pairs, edges)
-        self._succ = self._undirected = None
+        self._undirected = None
 
     @classmethod
     def _unchecked(cls, labels: dict[str, str], edges: tuple[EdgeKey, ...]) -> "ModelGraph":
@@ -53,7 +53,7 @@ class ModelGraph:
         as given without the constructor's checks: only for parts known valid."""
         graph = cls.__new__(cls)
         graph._labels, graph._edges = labels, edges
-        graph._succ = graph._undirected = None
+        graph._undirected = None
         return graph
 
     @property
@@ -87,27 +87,16 @@ class ModelGraph:
     def __repr__(self) -> str:
         return f"ModelGraph(nodes={len(self._labels)}, edges={len(self._edges)})"
 
-    def _adjacency(self) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
-        if self._succ is None:
-            succ = {node_id: set() for node_id in self._labels}
-            undirected = {node_id: set() for node_id in self._labels}
-            for src, dst, _ in self._edges:
-                succ[src].add(dst)
-                undirected[src].add(dst)
-                undirected[dst].add(src)
-            self._succ, self._undirected = succ, undirected
-        return self._succ, self._undirected
-
-    def successors(self, node_id: str) -> set[str]:
-        if node_id not in self._labels:
-            raise UnknownNodeError(node_id)
-        return set(self._adjacency()[0][node_id])
-
     def distances_from(self, source: str) -> dict[str, int]:
         """Hop counts from `source` to every reachable node, edges undirected."""
         if source not in self._labels:
             raise UnknownNodeError(source)
-        undirected = self._adjacency()[1]
+        undirected = self._undirected
+        if undirected is None:
+            undirected = self._undirected = {node_id: set() for node_id in self._labels}
+            for src, dst, _ in self._edges:
+                undirected[src].add(dst)
+                undirected[dst].add(src)
         dist = {source: 0}
         queue = deque([source])
         while queue:
@@ -153,50 +142,62 @@ def _valid_parts(pairs, triples, share=None) -> tuple[dict[str, str], tuple[Edge
 
 
 @dataclass(frozen=True)
-class StructuralDiff:
-    """Partition of two versions' elements into changed and preserved sets.
+class Diff:
+    """One diff of one project: its two versions (the corpus's own graphs,
+    not copies) and the values derived from them, each computed on first read.
 
-    A node present in only one version, or present in both with different
-    labels, is changed; an edge is changed when its triple exists in exactly
-    one version. Everything else is preserved. Nodes are held as id sets and
-    edges as triple sets.
+    Nodes are matched by id. A node in only one version, or in both with
+    different labels, is changed (an anchor); the rest are preserved (the
+    candidates). An edge is changed when its triple is in one version only.
+    The positives are the candidates with a direct successor among the
+    anchors in the target version. The labeled pairs are anchors x
+    candidates: pair i is (anchors[i // |candidates|], candidates[i %
+    |candidates|]), the order `label_pairs` lists them in.
     """
 
-    changed_node_ids: frozenset[str]
-    preserved_node_ids: frozenset[str]
-    changed_edges: frozenset[EdgeKey]
-    preserved_edges: frozenset[EdgeKey]
-    source_version: int
-    target_version: int
+    source: ModelGraph
+    target: ModelGraph
+    source_version: int = 0
+    target_version: int = 1
+    project: str = ""
+
+    @cached_property
+    def candidates(self) -> tuple[str, ...]:
+        m, n = self.source._labels, self.target._labels
+        return tuple(sorted(v for v in m.keys() & n.keys() if m[v] == n[v]))
+
+    @cached_property
+    def anchors(self) -> tuple[str, ...]:
+        ids = self.source._labels.keys() | self.target._labels.keys()
+        return tuple(sorted(ids.difference(self.candidates)))
+
+    @cached_property
+    def changed_edges(self) -> frozenset[EdgeKey]:
+        return frozenset(self.source._edges).symmetric_difference(self.target._edges)
+
+    @cached_property
+    def positives(self) -> frozenset[str]:
+        """Sources of the target's edges from a preserved node into a changed one."""
+        m, n = self.source._labels, self.target._labels
+        return frozenset(src for src, dst, _ in self.target._edges
+                         if m.get(dst) != n[dst] and m.get(src) == n[src])
+
+    @cached_property
+    def union(self) -> ModelGraph:
+        """Both versions' union, for distances."""
+        return union_graph(self.source, self.target)
+
+    def label(self, node_id: str) -> str:
+        """The union's label of a node, read without building the union."""
+        return (self.target if node_id in self.target else self.source).label(node_id)
 
     def changed_nodes(self) -> frozenset[str]:
-        return self.changed_node_ids
-
-    def preserved_nodes(self) -> frozenset[str]:
-        return self.preserved_node_ids
-
-    def involved_nodes(self) -> set[str]:
-        """Changed nodes plus endpoints of changed edges."""
-        nodes = set(self.changed_node_ids)
-        for src, dst, _ in self.changed_edges:
-            nodes.add(src)
-            nodes.add(dst)
-        return nodes
+        return frozenset(self.anchors)
 
 
-def diff(m: ModelGraph, n: ModelGraph, source_version: int = 0, target_version: int = 1) -> StructuralDiff:
-    """Structural difference between versions m and n, matched by identifier."""
-    m_labels, n_labels = m._labels, n._labels
-    preserved = frozenset(v for v in m_labels.keys() & n_labels.keys() if m_labels[v] == n_labels[v])
-    m_edges, n_edges = m.edges, n.edges
-    return StructuralDiff(
-        changed_node_ids=frozenset(m_labels.keys() | n_labels.keys()) - preserved,
-        preserved_node_ids=preserved,
-        changed_edges=m_edges ^ n_edges,
-        preserved_edges=m_edges & n_edges,
-        source_version=source_version,
-        target_version=target_version,
-    )
+def diff(m: ModelGraph, n: ModelGraph, source_version=0, target_version=1, project="") -> Diff:
+    """The diff from version m to version n, nodes matched by identifier."""
+    return Diff(m, n, source_version, target_version, project)
 
 
 def union_graph(m: ModelGraph, n: ModelGraph) -> ModelGraph:
@@ -208,11 +209,6 @@ def union_graph(m: ModelGraph, n: ModelGraph) -> ModelGraph:
     """
     edges = m._edges + tuple(set(n._edges).difference(m._edges))
     return ModelGraph._unchecked(m._labels | n._labels, tuple(sorted(edges)))
-
-
-def union_label(m: ModelGraph, n: ModelGraph, node_id: str) -> str:
-    """`union_graph(m, n).label(node_id)` without building the union."""
-    return (n if node_id in n else m).label(node_id)
 
 
 @dataclass(frozen=True)
@@ -232,13 +228,14 @@ class ChangeRadius:
         return self.c > 1 and self.s > 1
 
 
-def change_radius(g_union: ModelGraph, d: StructuralDiff) -> ChangeRadius:
-    """Compute (c, s) for a diff on the union graph of its two versions."""
-    involved = sorted(d.involved_nodes())
+def change_radius(g_union: ModelGraph, d: Diff) -> ChangeRadius:
+    """Compute (c, s) for a diff on the union graph of its two versions; the
+    involved nodes are the changed nodes and the changed edges' endpoints."""
+    involved = sorted(set(d.anchors).union(*(edge[:2] for edge in d.changed_edges)))
     for node_id in involved:
         if node_id not in g_union:
             raise UnknownNodeError(node_id)
-    c = len(d.changed_node_ids) + len(d.changed_edges)
+    c = len(d.anchors) + len(d.changed_edges)
     if len(involved) <= 1:
         return ChangeRadius(c=c, s=0)
     s: float = 0
@@ -262,14 +259,9 @@ class Project:
     def n_diffs(self) -> int:
         return max(0, len(self.versions) - 1)
 
-    def diff_at(self, index: int) -> StructuralDiff:
+    def diff_at(self, index: int) -> Diff:
         """Diff between versions index and index+1."""
-        return diff(self.versions[index], self.versions[index + 1],
-                    source_version=index, target_version=index + 1)
-
-    def iter_diffs(self) -> Iterator[tuple[int, StructuralDiff]]:
-        for index in range(self.n_diffs):
-            yield index, self.diff_at(index)
+        return diff(self.versions[index], self.versions[index + 1], index, index + 1, self.name)
 
 
 _NODE_FIELDS = itemgetter("id", "label")

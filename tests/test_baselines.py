@@ -17,10 +17,10 @@ from focusrank.baselines import (
     semantic_scores,
 )
 from focusrank.datagen import GenConfig, build_corpus
-from focusrank.dataset import DiffView, diff_views, label_pairs
+from focusrank.dataset import diff_views, label_pairs
 from focusrank.errors import EmptyCandidatesError
 from focusrank.evaluation import CoChangeScorer, by_score
-from focusrank.graphs import ModelGraph
+from focusrank.graphs import ModelGraph, diff
 
 ids_strategy = st.sets(
     st.text(alphabet="abcdefgh123", min_size=1, max_size=4), min_size=1, max_size=8
@@ -123,17 +123,14 @@ class TestSemanticRanker:
 
 
 def view(anchors, positives, candidates=(), diff_index=0, project="p"):
-    """A diff view over nodes only; co-change counting ignores its graphs."""
-    candidates = tuple(sorted(set(candidates) | set(positives)))
-    return DiffView(
-        project=project,
-        diff_index=diff_index,
-        source=ModelGraph({}),
-        target=ModelGraph({}),
-        anchors=tuple(sorted(anchors)),
-        candidates=candidates,
-        positives=frozenset(positives),
-    )
+    """A diff that adds the anchors, with an edge from each positive into the
+    first anchor; the other candidates are kept untouched."""
+    kept = set(candidates) | set(positives)
+    source = ModelGraph({v: v for v in kept})
+    target = ModelGraph({v: v for v in kept | set(anchors)}, [(p, min(anchors), "e") for p in positives])
+    d = diff(source, target, diff_index, diff_index + 1, project)
+    assert set(d.anchors) == set(anchors) and d.positives == set(positives)
+    return d
 
 
 def rank_cochange(matrix, anchor, candidates):

@@ -283,6 +283,15 @@ class TestExitCodes:
         assert "4/4 passed" in out
         assert out.count("PASS") == 4
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_gradcheck_without_a_trial_is_a_validation_error(self, trials, capsys):
+        """A check that checks nothing does not pass: exit 1, one line."""
+        code, lines = run_cli(["gradcheck", "--trials", trials])
+        assert code == EXIT_VALIDATION
+        assert_one_line_failure(code, lines)
+        assert "trials must be >= 1" in lines[0]
+        assert "passed" not in capsys.readouterr().out
+
 
 class TestOverrides:
     def test_set_overrides_nested_values(self, tmp_path):

@@ -177,8 +177,9 @@ class TestCorpusShape:
         cfg = small_config()
         corpus, _ = build_corpus(cfg)
         for project in corpus.values():
-            for _, d in project.iter_diffs():
-                assert d.changed_node_ids or d.changed_edges
+            for i in range(project.n_diffs):
+                d = project.diff_at(i)
+                assert d.anchors or d.changed_edges
 
     def test_base_version_holds_the_configured_node_count(self):
         cfg = small_config(base_nodes=64)
@@ -218,12 +219,13 @@ class TestDescribe:
         (project,) = corpus.values()
         expected_pairs = 0
         expected_positive = 0
-        for i, d in project.iter_diffs():
+        for i in range(project.n_diffs):
+            d = project.diff_at(i)
             target = project.versions[i + 1]
             changed = d.changed_nodes()
-            preserved = sorted(d.preserved_nodes())
+            preserved = d.candidates
             expected_pairs += len(changed) * len(preserved)
-            hot = sum(1 for c in preserved if target.successors(c) & changed)
+            hot = sum(1 for c in preserved if {dst for src, dst, _ in target.edges if src == c} & changed)
             expected_positive += len(changed) * hot
         stats = describe(corpus)
         assert stats["pairs"] == expected_pairs

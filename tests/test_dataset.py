@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focusrank import dataset
+from focusrank import graphs
 from focusrank.baselines import build_cochange
 from focusrank.datagen import GenConfig, build_corpus
 from focusrank.dataset import (
     BalanceConfig,
     DatasetSplit,
-    DiffView,
     LabeledPair,
     ViewPairs,
     balance,
@@ -23,12 +22,12 @@ from focusrank.dataset import (
     load_pairs,
     load_split,
     pairs_by_project,
-    positive_candidates,
     save_pairs,
     save_split,
     split_cross_project,
     split_temporal,
 )
+from focusrank.embedding import HashedProvider
 from focusrank.errors import (
     ArtifactFormatError,
     EmptyAnchorSetError,
@@ -36,7 +35,14 @@ from focusrank.errors import (
     TooFewCommitsError,
     TooFewProjectsError,
 )
+from focusrank.evaluation import NeuralScorer, SemanticScorer, evaluate
 from focusrank.graphs import ModelGraph, Project, diff, union_graph
+from focusrank.ranker import Checkpoint, TrainConfig, init_params
+
+
+def successors(g, v):
+    """Recount of v's direct successors from the edge triples of g."""
+    return {dst for src, dst, _ in g.edges if src == v}
 
 
 def graph(nodes, edges=()):
@@ -66,6 +72,14 @@ class TestLabelPairs:
         d = diff(old, new)
         with pytest.raises(ValueError):
             label_pairs(d, new, anchors={"A"})
+
+    def test_target_must_be_the_diffs_own(self):
+        old = graph("AB")
+        new = graph("ABC")
+        d = diff(old, new)
+        for other in (old, graph("ABC"), union_graph(old, new)):
+            with pytest.raises(ValueError, match="own target"):
+                label_pairs(d, other, anchors={"C"})
 
     def test_anchor_never_its_own_candidate(self):
         # a relabeled node stays in both versions; as anchor it must not pair
@@ -98,20 +112,19 @@ class TestLabelPairs:
             anchors = sorted(changed)
             if not anchors:
                 continue
-            target = union_graph(old, new)
-            pairs = label_pairs(d, target, anchors=anchors)
-            assert {p.candidate for p in pairs} <= d.preserved_nodes()
+            pairs = label_pairs(d, new, anchors=anchors)
+            assert {p.candidate for p in pairs} <= set(d.candidates)
             for p in pairs:
-                expected = int(any(u in changed for u in target.successors(p.candidate)))
+                expected = int(any(u in changed for u in successors(new, p.candidate)))
                 assert p.label == expected
 
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10**6))
     def test_positive_candidates_match_successor_rule(self, seed):
-        """The edge scan equals the per-candidate rule: preserved nodes with a
-        changed successor, for the target version and the union graph, with
-        self-loops and parallel edges allowed."""
+        """`positives`, an edge scan, equals the per-candidate rule: preserved
+        nodes with a changed successor in the target version, with self-loops
+        and parallel edges allowed."""
         rng = random.Random(seed)
         names = [f"v{i}" for i in range(rng.randint(1, 8))]
 
@@ -124,9 +137,7 @@ class TestLabelPairs:
         old, new = rand_graph(), rand_graph()
         d = diff(old, new)
         changed = d.changed_nodes()
-        for target in (new, union_graph(old, new)):
-            expected = {v for v in d.preserved_nodes() if target.successors(v) & changed}
-            assert positive_candidates(d, target) == expected
+        assert d.positives == {v for v in d.candidates if successors(new, v) & changed}
 
 
 def random_project(rng, name, versions):
@@ -164,6 +175,14 @@ def listed_pairs(corpus, keys):
     return out
 
 
+def scorers():
+    """The two scorers that read node labels: an untrained ranker and the
+    label-embedding similarity."""
+    provider = HashedProvider(dimension=16)
+    ckpt = Checkpoint(init_params(16, 4, 1.0, 0), TrainConfig(), provider.fingerprint)
+    return [NeuralScorer(ckpt, provider), SemanticScorer(provider)]
+
+
 class TestDiffView:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -197,15 +216,16 @@ class TestDiffView:
         assert len(listed) == 400 * len(corpus)
 
     def test_labeling_and_cochange_build_no_union_graph(self, monkeypatch):
-        """A view holds the corpus's two versions; only a read of `union`
-        (evaluation's distances and labels) builds their union."""
+        """A diff holds the corpus's two versions; only a read of `union`
+        (evaluation's distances at a finite tau) builds their union, so
+        labeling, co-change counts and scoring without a radius build none."""
         corpus, _ = build_corpus(GenConfig(projects=3, commits_per_project=5))
         keys = all_keys(corpus)
 
         def refuse(*args):
             raise AssertionError("union_graph called")
 
-        monkeypatch.setattr(dataset, "union_graph", refuse)
+        monkeypatch.setattr(graphs, "union_graph", refuse)
         views = list(diff_views(corpus, keys))
         for view, (name, index) in zip(views, keys):
             versions = corpus[name].versions
@@ -213,34 +233,47 @@ class TestDiffView:
         groups = pairs_by_project(views)
         assert all(list(pairs) for pairs in groups.values())
         assert len(build_cochange(views)) > 0
+        for scorer in scorers():
+            assert evaluate(scorer, corpus, keys, tau=None).results
         with pytest.raises(AssertionError, match="union_graph called"):
             views[0].union
+
+    def test_evaluate_at_a_finite_tau_builds_one_union_per_scored_diff(self, monkeypatch):
+        """The radius filter reads `union` once for each diff with an anchor."""
+        corpus, _ = build_corpus(GenConfig(projects=3, commits_per_project=5))
+        keys = all_keys(corpus)
+        with_anchors = sum(1 for name, i in keys if corpus[name].diff_at(i).anchors)
+        for scorer in scorers():
+            built = []
+            monkeypatch.setattr(graphs, "union_graph", lambda m, n: built.append(1) or union_graph(m, n))
+            report = evaluate(scorer, corpus, keys, tau=2)
+            assert report.results
+            assert len(built) == with_anchors == len(report.results) + report.skipped_no_positive
 
     def test_parts_of_a_diff(self):
         old = graph("ABD", [("A", "B", "e")])
         new = graph("ABC", [("A", "B", "e"), ("B", "C", "e")])
-        view = DiffView.of(Project("p", [old, new]), 0)
-        assert view.anchors == ("C", "D")
-        assert view.candidates == ("A", "B")
-        assert view.positives == {"B"}
-        assert view.n_pairs == 4
-        assert view.pair(1) == LabeledPair("p", 0, "C", "B", 1)
-        assert view.pair(2) == LabeledPair("p", 0, "D", "A", 0)
-        assert sorted(view.union.node_ids) == ["A", "B", "C", "D"]
+        d = Project("p", [old, new]).diff_at(0)
+        assert d.anchors == ("C", "D")
+        assert d.candidates == ("A", "B")
+        assert d.positives == {"B"}
+        pairs = ViewPairs([d])
+        assert len(pairs) == 4
+        assert pairs[1] == LabeledPair("p", 0, "C", "B", 1)
+        assert pairs[2] == LabeledPair("p", 0, "D", "A", 0)
+        assert sorted(d.union.node_ids) == ["A", "B", "C", "D"]
 
     def test_views_without_pairs_are_left_out(self):
         g = graph("AB", [("A", "B", "e")])
         idle = Project("idle", [g, g])
         fresh = Project("fresh", [graph(""), graph("A")])
-        assert DiffView.of(idle, 0).n_pairs == 0
-        assert DiffView.of(fresh, 0).n_pairs == 0
-        pairs = ViewPairs([DiffView.of(idle, 0), DiffView.of(fresh, 0)])
+        assert not idle.diff_at(0).anchors and not fresh.diff_at(0).candidates
+        pairs = ViewPairs([idle.diff_at(0), fresh.diff_at(0)])
         assert len(pairs) == 0 and not pairs.views
-        assert pairs_by_project([DiffView.of(idle, 0)]) == {}
+        assert pairs_by_project([idle.diff_at(0)]) == {}
 
     def test_index_out_of_range(self):
-        view = DiffView.of(Project("p", [graph("A"), graph("AB")]), 0)
-        pairs = ViewPairs([view])
+        pairs = ViewPairs([Project("p", [graph("A"), graph("AB")]).diff_at(0)])
         assert len(pairs) == 1
         with pytest.raises(IndexError):
             pairs[1]

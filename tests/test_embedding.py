@@ -626,26 +626,6 @@ class TestRemoteProvider:
         remote_provider(url).embed(["X"])
         assert script.requests[0]["authorization"] is None
 
-    def test_cache_short_circuits_http(self, endpoint, tmp_path):
-        url, script = endpoint
-        first = remote_provider(url, cache_dir=str(tmp_path)).embed(["Hit", "Miss"])
-        assert len(script.requests) == 1
-        second = remote_provider(url, cache_dir=str(tmp_path)).embed(["Hit", "Miss"])
-        assert len(script.requests) == 1
-        for a, b in zip(first, second):
-            assert a.tobytes() == b.tobytes()
-
-    def test_wrong_shape_entry_recomputed_and_rewritten(self, endpoint, tmp_path):
-        url, script = endpoint
-        (expected,) = remote_provider(url, cache_dir=str(tmp_path)).embed(["Node"])
-        path = store_path(tmp_path)
-        (record,) = valid_records(path)
-        path.write_bytes(pack_record(store_key(FINGERPRINT, "Node"), [0.5, 0.5, 0.5]))
-        (again,) = remote_provider(url, cache_dir=str(tmp_path)).embed(["Node"])
-        assert np.array_equal(again, expected)
-        assert len(script.requests) == 2
-        assert valid_records(path)[-1] == record
-
     def test_wrong_dimension_rejected(self, endpoint):
         url, script = endpoint
         provider = remote_provider(url, dimension=16)

@@ -251,11 +251,11 @@ class TestEvaluate:
 
         evaluate(Spy(), {"proj": growing_project()}, [("proj", 0)])
         ((anchor, candidates, view),) = seen
-        assert (view.project, view.diff_index) == ("proj", 0)
+        assert (view.project, view.source_version) == ("proj", 0)
         assert anchor == view.anchors[0] == "E"
         assert candidates == view.candidates == ("A", "B", "C", "D")
         assert view.positives == {"B"}
-        assert view.union.label("E") == "E"
+        assert view.label("E") == view.union.label("E") == "E"
 
     def test_semantic_scorer_end_to_end(self):
         v0 = ModelGraph(

@@ -21,7 +21,6 @@ from focusrank.graphs import (
     load_project,
     save_project,
     union_graph,
-    union_label,
 )
 
 
@@ -77,26 +76,6 @@ class TestModelGraph:
         b = graph("AB", [("A", "B", "e")])
         assert a == b
         assert a != graph("AB")
-
-
-class TestSucc:
-    def test_direct_read_of_edge_set(self):
-        g = graph("ABC", [("A", "B", "e"), ("A", "C", "e"), ("B", "C", "e")])
-        assert g.successors("A") == {"B", "C"}
-
-    def test_sink_has_no_successors(self):
-        g = graph("ABC", [("A", "B", "e"), ("A", "C", "e"), ("B", "C", "e")])
-        assert g.successors("C") == set()
-
-    def test_parallel_edges_deduplicate(self):
-        g = graph("AB", [("A", "B", "x"), ("A", "B", "y")])
-        # brute force over the edge set
-        expected = {dst for src, dst, _ in g.edges if src == "A"}
-        assert g.successors("A") == expected == {"B"}
-
-    def test_unknown_node(self):
-        with pytest.raises(UnknownNodeError):
-            graph("A").successors("Z")
 
 
 def hops(g: ModelGraph, u: str, v: str) -> float:
@@ -165,8 +144,8 @@ def bfs_over_edges(g: ModelGraph, source: str) -> dict:
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(m=random_graphs(), n=random_graphs(), made_by=st.sampled_from(["constructor", "load_project", "union_graph"]))
 def test_adjacency_matches_edge_scan(tmp_path_factory, m, n, made_by):
-    """`successors` and `distances_from`, built on first use, agree with a
-    scan of `g.edges` however the graph was made."""
+    """`distances_from`, whose adjacency sets are built on first use, agrees
+    with a scan of `g.edges` however the graph was made."""
     if made_by == "load_project":
         path = tmp_path_factory.mktemp("graph") / "p.json"
         save_project(Project("p", [m]), path)
@@ -179,26 +158,34 @@ def test_adjacency_matches_edge_scan(tmp_path_factory, m, n, made_by):
         g = ModelGraph(list(m.labels().items()), list(m.edges))
     for v in sorted(g.node_ids):
         assert g.distances_from(v) == bfs_over_edges(g, v)
-        assert g.successors(v) == {b for a, b, _ in g.edges if a == v}
+
+
+DIFF_FIELDS = ("anchors", "candidates", "changed_edges", "positives")
 
 
 def diff_sets(d) -> tuple:
-    """(changed nodes, preserved nodes, changed edges, preserved edges)."""
-    return d.changed_node_ids, d.preserved_node_ids, d.changed_edges, d.preserved_edges
+    """(changed nodes, preserved nodes, changed edges, positives) as sets."""
+    return tuple(set(getattr(d, name)) for name in DIFF_FIELDS)
 
 
 def brute_force_diff(m: ModelGraph, n: ModelGraph) -> tuple:
     """Literal membership check per element, including label comparison;
-    the four sets in the order of `diff_sets`."""
-    changed_nodes, preserved_nodes, changed_edges, preserved_edges = set(), set(), set(), set()
+    the four sets in the order of `diff_sets`. A positive is a preserved
+    node with an edge, in n, into a changed node."""
+    changed_nodes, preserved_nodes, changed_edges = set(), set(), set()
     for v in m.node_ids | n.node_ids:
         if v in m and v in n and m.label(v) == n.label(v):
             preserved_nodes.add(v)
         else:
             changed_nodes.add(v)
     for e in m.edges | n.edges:
-        (preserved_edges if e in m.edges and e in n.edges else changed_edges).add(e)
-    return changed_nodes, preserved_nodes, changed_edges, preserved_edges
+        if (e in m.edges) != (e in n.edges):
+            changed_edges.add(e)
+    positives = {
+        v for v in preserved_nodes
+        if any(src == v and dst in changed_nodes for src, dst, _ in n.edges)
+    }
+    return changed_nodes, preserved_nodes, changed_edges, positives
 
 
 class TestDiff:
@@ -206,12 +193,12 @@ class TestDiff:
         m = graph("AB", [("A", "B", "e")])
         n = graph("ABC", [("A", "B", "e"), ("B", "C", "e")])
         d = diff(m, n)
-        assert diff_sets(d) == ({"C"}, {"A", "B"}, {("B", "C", "e")}, {("A", "B", "e")})
+        assert diff_sets(d) == ({"C"}, {"A", "B"}, {("B", "C", "e")}, {"B"})
 
     def test_identity_diff_is_empty(self):
         m = graph("AB", [("A", "B", "e")])
         d = diff(m, m)
-        assert diff_sets(d) == (set(), m.node_ids, set(), m.edges)
+        assert diff_sets(d) == (set(), m.node_ids, set(), set())
 
     def test_label_change_marks_node_changed(self):
         m = labeled([("A", "Foo")])
@@ -219,34 +206,24 @@ class TestDiff:
         d = diff(m, n)
         assert diff_sets(d) == brute_force_diff(m, n) == ({"A"}, set(), set(), set())
 
-    def test_matches_brute_force_on_random_graph_pairs(self):
-        """changed/preserved partition the element union, per element."""
-        rng = random.Random("diff-oracle")
-        for _ in range(60):
-            names = [f"v{i}" for i in range(rng.randint(1, 8))]
-
-            def rand_graph():
-                nodes = {v: rng.choice("XYZ") for v in names if rng.random() < 0.8}
-                edges = set()
-                for a in nodes:
-                    for b in nodes:
-                        if a != b and rng.random() < 0.25:
-                            edges.add((a, b, rng.choice("pq")))
-                return ModelGraph(nodes, edges)
-
-            m, n = rand_graph(), rand_graph()
-            d = diff(m, n)
-            changed_nodes, preserved_nodes, changed_edges, preserved_edges = brute_force_diff(m, n)
-            assert diff_sets(d) == (changed_nodes, preserved_nodes, changed_edges, preserved_edges)
-            assert d.changed_nodes() == changed_nodes
-            assert d.preserved_nodes() == preserved_nodes
-            assert d.changed_node_ids.isdisjoint(d.preserved_node_ids)
-            assert d.changed_node_ids | d.preserved_node_ids == m.node_ids | n.node_ids
-            assert d.changed_edges.isdisjoint(d.preserved_edges)
-            assert d.changed_edges | d.preserved_edges == m.edges | n.edges
-            endpoints = {v for e in changed_edges for v in e[:2]}
-            assert d.involved_nodes() == d.changed_node_ids | endpoints
-            assert change_radius(union_graph(m, n), d).c == len(changed_nodes) + len(changed_edges)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        m=random_graphs(("x", "y", "z")),
+        n=random_graphs(("x", "y", "z")),
+        order=st.permutations(DIFF_FIELDS + ("union",)),
+    )
+    def test_matches_brute_force_on_random_graph_pairs(self, m, n, order):
+        """Each derived value equals a per-element recount, whichever of them
+        is read first; nodes come as ascending tuples."""
+        d = diff(m, n)
+        expected = dict(zip(DIFF_FIELDS, brute_force_diff(m, n)), union=union_graph(m, n))
+        for name in order:
+            value = getattr(d, name)
+            assert (value if name == "union" else set(value)) == expected[name]
+        assert d.anchors == tuple(sorted(expected["anchors"]))
+        assert d.candidates == tuple(sorted(expected["candidates"]))
+        assert d.changed_nodes() == expected["anchors"]
+        assert change_radius(d.union, d).c == len(d.anchors) + len(d.changed_edges)
 
 
 class TestUnionGraph:
@@ -263,12 +240,14 @@ class TestUnionGraph:
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(m=random_graphs(("", "x", "y")), n=random_graphs(("", "x", "y")))
 def test_union_label_is_the_union_graphs_label(m, n):
-    """For every node of either version, including empty and changed
-    labels; a node in neither version is unknown to both."""
-    u = union_graph(m, n)
+    """A diff's `label` is its union's, for every node of either version,
+    including empty and changed labels, and builds no union; a node in
+    neither version is unknown to both."""
+    d, u = diff(m, n), union_graph(m, n)
     for v in m.node_ids | n.node_ids:
-        assert union_label(m, n, v) == u.label(v)
-    for lookup in (lambda v: union_label(m, n, v), u.label):
+        assert d.label(v) == u.label(v)
+    assert "union" not in vars(d)
+    for lookup in (d.label, u.label):
         with pytest.raises(UnknownNodeError):
             lookup("H")
 
@@ -435,7 +414,8 @@ class TestProjectPersistence:
         versions = [graph("A"), graph("AB"), graph("ABC")]
         p = Project(name="p", versions=versions)
         d = p.diff_at(1)
-        assert d.source_version == 1 and d.target_version == 2
+        assert d.source_version == 1 and d.target_version == 2 and d.project == "p"
+        assert d.source is versions[1] and d.target is versions[2]
         assert d.changed_nodes() == {"C"}
 
 
