@@ -15,6 +15,7 @@ missing artifact), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import logging
@@ -32,7 +33,6 @@ from .baselines import build_cochange, save_cochange
 from .dataset import (
     BalanceConfig,
     DatasetSplit,
-    ViewPairs,
     balance,
     diff_views,
     load_pairs,
@@ -46,14 +46,8 @@ from .dataset import (
 from .config import read_config, same_kind
 from .embedding import ProviderConfig, make_provider
 from .errors import (
-    ArtifactFormatError,
-    CheckpointFormatError,
-    ConfigInvalidError,
-    FocusRankError,
-    MissingArtifactError,
-    TooFewCommitsError,
-    TooFewProjectsError,
-    UnknownNodeError,
+    ArtifactFormatError, CheckpointFormatError, ConfigInvalidError, FocusRankError,
+    MissingArtifactError, TooFewCommitsError, TooFewProjectsError, UnknownNodeError,
 )
 from .graphs import Project, load_corpus
 
@@ -67,14 +61,8 @@ APPROACHES = ("nextfocus", "random", "semantic", "cochange")
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 _VALIDATION_ERRORS = (
-    ArtifactFormatError,
-    ConfigInvalidError,
-    MissingArtifactError,
-    UnknownNodeError,
-    TooFewCommitsError,
-    TooFewProjectsError,
-    CheckpointFormatError,
-    ValueError,
+    ArtifactFormatError, ConfigInvalidError, MissingArtifactError, UnknownNodeError,
+    TooFewCommitsError, TooFewProjectsError, CheckpointFormatError, ValueError,
 )
 
 
@@ -229,25 +217,64 @@ def _load_corpus(config: RunConfig) -> dict[str, Project]:
     return load_corpus(paths)
 
 
-def _pair_arrays(pairs, corpus, provider, source) -> ranker.PairTable:
-    """The pairs as a table over the embeddings of their distinct labels,
-    each label read from its diff's two versions; `source` names the pairs
-    in errors."""
-    diffs = {k: corpus[k[0]].diff_at(k[1]) for k in {(p.project, p.diff_index) for p in pairs}}
-    texts: list[str] = []
-    for pair in pairs:
-        d = diffs[pair.project, pair.diff_index]
-        for node_id in (pair.anchor, pair.candidate):
-            try:
-                texts.append(d.label(node_id))
-            except UnknownNodeError:
-                where = f"{source}: project {pair.project!r} diff {pair.diff_index}"
-                raise ArtifactFormatError(f"{where} has no node {node_id!r}") from None
+def _table(provider, texts, anchors, cands, labels) -> ranker.PairTable:
+    """Pair i's labels are texts[anchors[i]] and texts[cands[i]]; the table
+    is over the embeddings of the sorted distinct texts."""
     unique = sorted(set(texts))
     row_of = {t: i for i, t in enumerate(unique)}
     rows = np.array([row_of[t] for t in texts], dtype=np.intp)
-    labels = np.asarray([pair.label for pair in pairs], dtype=np.float64)
-    return ranker.PairTable(provider.embed(unique), rows[0::2], rows[1::2], labels)
+    return ranker.PairTable(provider.embed(unique), rows[anchors], rows[cands], labels)
+
+
+def _balanced_table(pairs, corpus, provider, source) -> ranker.PairTable:
+    """The balanced rows as a table, each distinct (diff, node) label read
+    once; `source` names the rows in errors."""
+    slot: dict[tuple, int] = {}  # (project, diff index, node) -> its index in `texts`
+    slots = np.array([slot.setdefault((p.project, p.diff_index, node_id), len(slot))
+                      for p in pairs for node_id in (p.anchor, p.candidate)], dtype=np.intp)
+    diffs = {k: corpus[k[0]].diff_at(k[1]) for k in {(p.project, p.diff_index) for p in pairs}}
+    texts: list[str] = []
+    for project, index, node_id in slot:
+        try:
+            texts.append(diffs[project, index].label(node_id))
+        except UnknownNodeError:
+            where = f"{source}: project {project!r} diff {index}"
+            raise ArtifactFormatError(f"{where} has no node {node_id!r}") from None
+    return _table(provider, texts, slots[0::2], slots[1::2], [p.label for p in pairs])
+
+
+def _diff_table(views, provider) -> ranker.PairTable:
+    """Every labeled pair of the diffs, in `ViewPairs` order (pair i of a
+    diff is anchors[i // |C|] with candidates[i % |C|]), each node's label
+    read once."""
+    texts: list[str] = []
+    parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]  # no pairs: empty columns
+    for d in views:
+        a, c = len(d.anchors), len(d.candidates)
+        if a and c:
+            first = len(texts)
+            texts.extend(map(d.label, d.anchors + d.candidates))
+            positive = np.array([n in d.positives for n in d.candidates], dtype=np.float64)
+            parts.append((np.repeat(np.arange(first, first + a), c),
+                          np.tile(np.arange(first + a, first + a + c), a), np.tile(positive, a)))
+    return _table(provider, texts, *map(np.concatenate, zip(*parts)))
+
+
+def _train_tables(config: RunConfig):
+    """The provider and `train`'s two tables: the balanced rows and every
+    validation pair. The corpus, split and rows die on return, so training
+    holds the tables alone."""
+    corpus = _load_corpus(config)
+    train_path = Path(config.out_dir) / "pairs.train.balanced.jsonl"
+    _require(train_path, "run `focusrank prepare` first")
+    split = _load_split(config, corpus)
+    train_pairs = load_pairs(train_path)
+    if not train_pairs:
+        raise ArtifactFormatError(f"{train_path} holds no pairs; rerun `focusrank prepare`")
+    _check_keys(corpus, dict.fromkeys((p.project, p.diff_index) for p in train_pairs), train_path)
+    provider = make_provider(config.provider)
+    return (provider, _balanced_table(train_pairs, corpus, provider, train_path),
+            _diff_table(diff_views(corpus, split.validation), provider))
 
 
 def _split_for(config: RunConfig, corpus) -> DatasetSplit:
@@ -316,22 +343,9 @@ def cmd_prepare(config: RunConfig) -> int:
 
 
 def cmd_train(config: RunConfig) -> int:
-    corpus = _load_corpus(config)
+    provider, train_set, val_set = _train_tables(config)
+    gc.collect()  # empties the free lists, whose spare objects pin the freed corpus's arenas
     out_dir = Path(config.out_dir)
-    train_path = _require(
-        out_dir / "pairs.train.balanced.jsonl", "run `focusrank prepare` first"
-    )
-    split = _load_split(config, corpus)
-    train_pairs = load_pairs(train_path)
-    if not train_pairs:
-        raise ArtifactFormatError(f"{train_path} holds no pairs; rerun `focusrank prepare`")
-    _check_keys(corpus, dict.fromkeys((p.project, p.diff_index) for p in train_pairs), train_path)
-
-    provider = make_provider(config.provider)
-    train_set = _pair_arrays(train_pairs, corpus, provider, train_path)
-    val_pairs = list(ViewPairs(diff_views(corpus, split.validation)))
-    val_set = _pair_arrays(val_pairs, corpus, provider, "validation split")
-
     if config.grid:
         ckpt, rows = ranker.grid_search(
             train_set, val_set, config.train, config.grid, provider.fingerprint
@@ -395,9 +409,10 @@ def cmd_eval(config: RunConfig, approach: str, plot_data: bool = False) -> int:
         fh.write("\n")
 
     if plot_data:
+        # every scorer is stateless, so the report's own tau is not evaluated again
         taus = [_parse_tau(t, "eval.taus") for t in config.eval.taus]
         reports = [
-            evaluation.evaluate(scorer, corpus, split.test, k_max=k_max, tau=t)
+            report if t == tau else evaluation.evaluate(scorer, corpus, split.test, k_max=k_max, tau=t)
             for t in taus
         ]
         rows = evaluation.radius_rows(reports, ks=list(range(1, k_max + 1)))

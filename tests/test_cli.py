@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
@@ -18,14 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focusrank
-from focusrank import datagen, ranker
+from focusrank import cli, datagen, evaluation, ranker
 from focusrank.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_VALIDATION,
     RunConfig,
+    _balanced_table,
     _config_hash,
-    _pair_arrays,
+    _diff_table,
     _parse_tau,
     load_run_config,
     main,
@@ -33,9 +35,9 @@ from focusrank.cli import (
 from focusrank.errors import (
     ArtifactFormatError, ConfigInvalidError, MissingArtifactError, TrainingDivergedError,
 )
-from focusrank.dataset import load_pairs
+from focusrank.dataset import ViewPairs, diff_views, load_pairs, load_split
 from focusrank.embedding import HashedProvider
-from focusrank.graphs import load_corpus, load_project, union_graph
+from focusrank.graphs import ModelGraph, Project, load_corpus, load_project, union_graph
 
 
 def write_config(base_dir, **section_overrides) -> str:
@@ -84,7 +86,7 @@ class TestPipeline:
         written = load_corpus(sorted(corpus_dir.glob("proj*.json")))
         assert stats == datagen.describe(written)
 
-    def test_pair_arrays_hold_each_pairs_label_embeddings(self, pipeline):
+    def test_balanced_table_holds_each_pairs_label_embeddings(self, pipeline):
         """The table's anchor and candidate rows of pair i point at the
         embeddings of pair i's labels, as read off its diff's union graph
         and embedded one at a time; each distinct label has one row."""
@@ -92,7 +94,7 @@ class TestPipeline:
         corpus = load_corpus(sorted(corpus_dir.glob("proj*.json")))
         pairs = load_pairs(out_dir / "pairs.train.balanced.jsonl")
         provider = HashedProvider(dimension=64)
-        table = _pair_arrays(pairs, corpus, provider, "pairs")
+        table = _balanced_table(pairs, corpus, provider, "pairs")
         assert table.anchors.shape == table.cands.shape == table.labels.shape == (len(pairs),)
         texts = set()
         for i, pair in enumerate(pairs):
@@ -165,6 +167,31 @@ class TestPipeline:
         assert len(lines) == 1 + 4 * 10
         taus = {line.split(",")[0] for line in lines[1:]}
         assert taus == {"1.0", "2.0", "3.0", "inf"}
+
+    @pytest.mark.parametrize("tau, evaluated", [
+        (None, [None, 1.0, 2.0, 3.0]),
+        (2, [2.0, 1.0, 3.0, None]),
+        ("inf", [math.inf, 1.0, 2.0, 3.0, None]),
+    ])
+    def test_plot_data_reuses_the_reports_own_tau(self, pipeline, monkeypatch, tau, evaluated):
+        """The sweep takes the report's pass for a tau equal to eval.tau (None
+        only for None, inf only for inf) and writes the series a fresh pass
+        per tau gives."""
+        config_path, out_dir, corpus_dir = pipeline
+        real, taus = evaluation.evaluate, []
+        monkeypatch.setattr(
+            evaluation, "evaluate", lambda *args, tau, **kw: taus.append(tau) or real(*args, tau=tau, **kw)
+        )
+        argv = ["--config", config_path, "--set", f"eval.tau={json.dumps(tau)}",
+                "eval", "--approach", "random", "--plot-data"]
+        assert main(argv) == EXIT_OK
+        assert taus == evaluated
+        corpus = load_corpus(sorted(corpus_dir.glob("proj*.json")))
+        test_keys = load_split(out_dir / "split.json").test
+        scorer = evaluation.RandomScorer(RunConfig().eval.seed)
+        reports = [real(scorer, corpus, test_keys, k_max=10, tau=t) for t in (1.0, 2.0, 3.0, None)]
+        expected = evaluation.radius_rows_csv(evaluation.radius_rows(reports, ks=range(1, 11)))
+        assert (out_dir / "plot-random.csv").read_text() == expected
 
     def test_rank_prints_exactly_k_nodes(self, pipeline, capsys):
         config_path, _, _ = pipeline
@@ -809,6 +836,117 @@ def test_pair_node_in_neither_version_is_named(artifacts, side):
     assert_one_line_failure(code, lines)
     where = f"{path}: project {row['project']!r} diff {row['diff']}"
     assert f"{where} has no node 'zzz_missing'" in lines[0]
+
+
+@st.composite
+def small_corpora(draw):
+    """One to three projects of two to four versions over nodes a..g. After
+    the first, a version edits the one before it (relabels, adds or drops
+    nodes; its edges are drawn anew), repeats it (a diff without anchors)
+    or is empty (a diff without candidates)."""
+    corpus = {}
+    for name in ("p0", "p1", "p2")[: draw(st.integers(1, 3))]:
+        versions, labels = [], {}
+        for _ in range(draw(st.integers(2, 4))):
+            kind = draw(st.sampled_from(["edit", "edit", "repeat", "empty"])) if versions else "edit"
+            if kind == "repeat":
+                versions.append(versions[-1])
+                continue
+            edits = st.dictionaries(st.sampled_from("abcdefg"), st.sampled_from(["x y", "y", None]),
+                                    min_size=1 if versions else 4)
+            labels = {v: t for v, t in {**labels, **draw(edits)}.items() if t} if kind == "edit" else {}
+            ends = st.sampled_from(sorted(labels or "a"))
+            edges = st.sets(st.tuples(ends, ends, st.just("e")), min_size=min(3, len(labels) ** 2),
+                            max_size=10)
+            versions.append(ModelGraph(labels, draw(edges) if labels else ()))
+        corpus[name] = Project(name, versions)
+    return corpus
+
+
+def recounted_table(pairs, corpus, provider) -> ranker.PairTable:
+    """The table of `pairs`, pair by pair: each pair's two labels read off
+    its diff's union graph, and each distinct label embedded alone."""
+    texts = []
+    for pair in pairs:
+        versions = corpus[pair.project].versions
+        union = union_graph(versions[pair.diff_index], versions[pair.diff_index + 1])
+        texts += [union.label(pair.anchor), union.label(pair.candidate)]
+    unique = sorted(set(texts))
+    vectors = np.array([provider.embed([t])[0] for t in unique]).reshape(len(unique), provider.dimension)
+    rows = np.array([unique.index(t) for t in texts], dtype=np.intp).reshape(-1, 2)
+    return ranker.PairTable(vectors, rows[:, 0], rows[:, 1], [pair.label for pair in pairs])
+
+
+def assert_same_table(table, expected):
+    for part in ("vectors", "anchors", "cands", "labels"):
+        got, want = getattr(table, part), getattr(expected, part)
+        assert got.dtype == want.dtype and np.array_equal(got, want), part
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(corpus=small_corpora(), data=st.data())
+def test_tables_match_a_per_pair_recount(corpus, data):
+    """The validation table of any set of diffs (none included) holds every
+    pair `ViewPairs` lists, in its order; a balanced table holds any rows
+    drawn from those pairs, repeats included."""
+    provider = HashedProvider(dimension=16)
+    keys = [(name, i) for name in sorted(corpus) for i in range(corpus[name].n_diffs)]
+    keys = data.draw(st.lists(st.sampled_from(keys), unique=True))
+    pairs = list(ViewPairs(diff_views(corpus, keys)))
+    table = _diff_table(diff_views(corpus, keys), provider)
+    assert_same_table(table, recounted_table(pairs, corpus, provider))
+    if pairs:
+        rows = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12))
+        assert_same_table(_balanced_table(rows, corpus, provider, "rows"),
+                          recounted_table(rows, corpus, provider))
+
+
+def test_validation_split_without_pairs_is_an_empty_dataset(artifacts):
+    """An empty validation split gives an empty table, which training
+    refuses: exit 2, one line."""
+    config_path, base = artifacts
+    table = _diff_table([], HashedProvider(dimension=16))
+    assert len(table) == 0 and table.vectors.shape == (0, 16)
+    path = base / "out" / "split.json"
+    split = {**json.loads(path.read_text()), "validation": []}
+    with corrupting(path, json.dumps(split)):
+        code, lines = run_cli(["--config", config_path, "train"])
+    assert code == EXIT_RUNTIME
+    assert_one_line_failure(code, lines)
+    assert "train and validation sets must be non-empty" in lines[0]
+
+
+class _Rows(list):
+    """A list that takes weak references."""
+
+
+@pytest.mark.parametrize("trainer, sets", [("train", []), ("grid_search", ["--set", "grid.alpha=[0.5]"])])
+def test_train_holds_only_its_tables_while_training(artifacts, monkeypatch, trainer, sets):
+    """By the time the ranker trains, the corpus and the balanced rows the
+    tables were built from are gone."""
+    config_path, _ = artifacts
+    refs, alive = {}, {}
+
+    def keeping(name, load, first):
+        def wrapped(*args):
+            result = load(*args)
+            if name == "rows":
+                result = _Rows(result)
+            refs[name] = weakref.ref(first(result))
+            return result
+        return wrapped
+
+    monkeypatch.setattr(cli, "load_corpus", keeping("project", cli.load_corpus, lambda c: c["proj00"]))
+    monkeypatch.setattr(cli, "load_pairs", keeping("rows", cli.load_pairs, lambda rows: rows))
+
+    def training(train_set, val_set, *args):
+        assert isinstance(train_set, ranker.PairTable) and isinstance(val_set, ranker.PairTable)
+        alive.update((name, ref() is not None) for name, ref in refs.items())
+        raise TrainingDivergedError("stopped after the check")
+
+    monkeypatch.setattr(ranker, trainer, training)
+    assert main(["--config", config_path, *sets, "train"]) == EXIT_RUNTIME
+    assert alive == {"project": False, "rows": False}
 
 
 def test_duplicate_project_id_names_both_files(artifacts):
