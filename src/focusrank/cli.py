@@ -47,7 +47,7 @@ from .config import read_config, same_kind
 from .embedding import ProviderConfig, make_provider
 from .errors import (
     ArtifactFormatError, CheckpointFormatError, ConfigInvalidError, FocusRankError,
-    MissingArtifactError, TooFewCommitsError, TooFewProjectsError, UnknownNodeError,
+    MissingArtifactError, TooFewCommitsError, TooFewProjectsError, UnknownNodeError, read_json,
 )
 from .graphs import Project, load_corpus
 
@@ -133,9 +133,9 @@ def _apply_set(user: dict, assignment: str) -> None:
     keys = [k for k in dotted.strip().split(".") if k]
     if not keys:
         raise ConfigInvalidError(f"--set needs a key path, got {assignment!r}")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
+    try:  # an argument byte that is not UTF-8 comes back as itself, and is not JSON
+        value = read_json(raw.encode("utf-8", "surrogateescape"), assignment, ConfigInvalidError)
+    except ConfigInvalidError:  # not JSON, or nested too deeply: taken as a string
         value = raw
     node = user
     for key in keys[:-1]:
@@ -156,11 +156,7 @@ def load_run_config(
         path = Path(config_path)
         if not path.exists():
             raise MissingArtifactError(f"config file {path} does not exist")
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                user = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigInvalidError(f"{path}: invalid JSON ({exc})") from exc
+        user = read_json(path.read_bytes(), f"{path}: invalid JSON", ConfigInvalidError)
         if not isinstance(user, dict):
             raise ConfigInvalidError(f"{path}: config root must be an object")
     for assignment in set_args:

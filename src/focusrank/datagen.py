@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ConfigInvalidError
+from .errors import ArtifactFormatError, ConfigInvalidError, read_json
 from .graphs import ModelGraph, Project, save_project
 
 GROUPS_PER_PROJECT = 2
@@ -265,9 +265,9 @@ def _listed_files(manifest_path: Path) -> set[str]:
     """Project file names a manifest.json lists: plain `*.json` names in its
     directory; empty when the manifest is missing or unreadable."""
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            names = {entry["file"] for entry in json.load(fh)["projects"]}
-    except (OSError, ValueError, KeyError, TypeError):
+        manifest = read_json(manifest_path.read_bytes(), str(manifest_path), ArtifactFormatError)
+        names = {entry["file"] for entry in manifest["projects"]}
+    except (OSError, ArtifactFormatError, KeyError, TypeError):
         return set()
     return {
         name for name in names

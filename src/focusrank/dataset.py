@@ -25,6 +25,7 @@ from .errors import (
     EmptyProjectError,
     TooFewCommitsError,
     TooFewProjectsError,
+    read_json,
 )
 from .graphs import Diff, ModelGraph, Project
 
@@ -286,14 +287,14 @@ def save_pairs(pairs: Iterable[LabeledPair], path) -> None:
 def load_pairs(path) -> list[LabeledPair]:
     """Raises ArtifactFormatError, naming the line, for a malformed row."""
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                pairs.append(LabeledPair.from_record(json.loads(line)))
-            except (ArtifactFormatError, ValueError) as exc:
+                pairs.append(LabeledPair.from_record(read_json(line, "invalid JSON", ArtifactFormatError)))
+            except ArtifactFormatError as exc:
                 raise ArtifactFormatError(f"{path} line {number}: {exc}") from None
     return pairs
 
@@ -305,8 +306,8 @@ def save_split(split: DatasetSplit, path) -> None:
 
 
 def load_split(path) -> DatasetSplit:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         try:
-            return DatasetSplit.from_manifest(json.load(fh))
-        except (ArtifactFormatError, ValueError) as exc:
+            return DatasetSplit.from_manifest(read_json(fh.read(), "invalid JSON", ArtifactFormatError))
+        except ArtifactFormatError as exc:
             raise ArtifactFormatError(f"{path}: {exc}") from None

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigInvalidError, DimensionMismatchError, RemoteUnavailableError
+from .errors import ConfigInvalidError, DimensionMismatchError, RemoteUnavailableError, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -307,7 +307,7 @@ class RemoteProvider:
         if raw is None:
             raise RemoteUnavailableError(str(last_error))
         try:  # an answer that arrived is not retried: it would come back the same
-            rows = json.loads(raw.decode("utf-8"))["data"]
+            rows = read_json(raw, "malformed endpoint response", RemoteUnavailableError)["data"]
             index = [row["index"] for row in rows]
             embeddings = [row["embedding"] for row in rows]
             # NumPy would read JSON true/false and numeric strings as numbers

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its one JSON reader."""
+
+import json
 
 
 class FocusRankError(Exception):
@@ -75,3 +77,11 @@ class MissingArtifactError(FocusRankError):
 
 class TrainingDivergedError(FocusRankError):
     """A training or validation loss became NaN or infinite."""
+
+
+def read_json(data: bytes, where: str, error: type[FocusRankError]):
+    """The value that UTF-8 JSON `data` holds; else `error`, naming `where` and why."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
+        raise error(f"{where} ({exc})") from exc

@@ -35,7 +35,6 @@ class RankedList:
     anchor: str
     ordered: tuple[str, ...]
     positives: frozenset[str]
-    scores: Optional[dict[str, float]] = None
 
     def __post_init__(self):
         if len(set(self.ordered)) != len(self.ordered):
@@ -246,7 +245,7 @@ def evaluate(
             report.skipped_no_positive += 1
             continue
         scores = scorer.scores(anchor, candidates, view)
-        ranking = RankedList(anchor, tuple(by_score(candidates, scores)), positives, scores)
+        ranking = RankedList(anchor, tuple(by_score(candidates, scores)), positives)
         report.results.append(AnchorResult(view.project, view.source_version, ranking))
     return report
 

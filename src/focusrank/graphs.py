@@ -7,7 +7,6 @@ identified by their (src, dst, label) triple and have no identity beyond it.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -16,7 +15,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter, lt
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ArtifactFormatError, UnknownNodeError
+from .errors import ArtifactFormatError, UnknownNodeError, read_json
 
 EdgeKey = tuple[str, str, str]
 
@@ -277,11 +276,8 @@ def load_project(path) -> Project:
     is built from it. The versions of one file share one object per distinct
     node id, label and edge triple.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise ArtifactFormatError(f"{path}: not a JSON project file ({exc})") from exc
+    with open(path, "rb") as fh:
+        raw = read_json(fh.read(), f"{path}: not a JSON project file", ArtifactFormatError)
     name = raw.get("project") if isinstance(raw, dict) else None
     if not isinstance(name, str) or not name:
         raise ArtifactFormatError(f"{path}: not an object with a project id")

@@ -39,6 +39,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyDatasetError,
     TrainingDivergedError,
+    read_json,
 )
 
 CHECKPOINT_FORMAT = "focusrank-checkpoint"
@@ -554,11 +555,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CheckpointFormatError(f"{path}: not a checkpoint file ({exc})") from exc
+    with open(path, "rb") as fh:
+        payload = read_json(fh.read(), f"{path}: not a checkpoint file", CheckpointFormatError)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointFormatError(f"{path}: unrecognized checkpoint format")
     if payload.get("version") != CHECKPOINT_VERSION:

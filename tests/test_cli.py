@@ -368,6 +368,14 @@ class TestRunConfig:
         assert config.split.mode == "cross_project"
         assert config.eval.tau == 2
 
+    def test_set_value_nested_too_deeply_is_a_string(self, tmp_path):
+        deep = "[" * 3000
+        assert load_run_config(None, set_args=[f"out_dir={deep}"]).out_dir == deep
+        argv = ["--config", write_config(tmp_path), "--set", f"gen.projects={deep}", "gen"]
+        code, lines = run_cli(argv)
+        assert_one_line_failure(code, lines)
+        assert code == EXIT_VALIDATION and "gen.projects must be int" in lines[0]
+
     def test_grid_section_accepts_known_knobs_only(self):
         config = load_run_config(None, set_args=['grid.learning_rate=[0.01,0.1]'])
         assert config.grid == {"learning_rate": [0.01, 0.1]}
@@ -541,10 +549,11 @@ def artifacts(pipeline, tmp_path_factory):
 
 
 @contextlib.contextmanager
-def corrupting(path: Path, text: str):
-    """`path` holds `text` inside the block and its old bytes after it."""
+def corrupting(path: Path, text: str | bytes):
+    """`path` holds `text`, UTF-8 encoded unless given as bytes, inside the
+    block and its old bytes after it."""
     before = path.read_bytes() if path.exists() else None
-    path.write_text(text)
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
     try:
         yield
     finally:
@@ -972,10 +981,22 @@ def test_duplicate_project_id_names_both_files(artifacts):
             '{"project": "proj00", "diff": 0, "anchor": "a\\nb", "candidate": "n1", "label": 0}\n',
             "train",
         ),
+        # nested too deeply to parse, or not UTF-8 (json.dumps cannot write the first)
+        ("corpus/zz.json", "[" * 3000, "prepare"),
+        ("corpus/zz.json", b'{"project": "\xff"}', "prepare"),
+        ("out/split.json", "[" * 3000, "train"),
+        ("out/split.json", b"\xff", "train"),
+        ("out/pairs.train.balanced.jsonl", "[" * 3000 + "\n", "train"),
+        ("out/pairs.train.balanced.jsonl", b'{"anchor": "\xff"}\n', "train"),
+        ("out/checkpoint.json", "[" * 3000, "eval"),
+        ("out/checkpoint.json", b"\xff", "eval"),
+        ("config.json", "[" * 3000, "gen"),
+        ("config.json", b"{\xff}", "gen"),
     ],
 )
 def test_malformed_artifact_exits_1_with_one_stderr_line(artifacts, relative, text, command):
-    """Through the console entry point: stderr is one line, no traceback."""
+    """Through the console entry point: stderr is one line, no traceback,
+    naming the file."""
     config_path, base = artifacts
     src = str(Path(focusrank.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -988,7 +1009,7 @@ def test_malformed_artifact_exits_1_with_one_stderr_line(artifacts, relative, te
     assert done.returncode == EXIT_VALIDATION
     assert "Traceback" not in done.stderr
     lines = done.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("ERROR focusrank.cli: "), lines
+    assert len(lines) == 1 and lines[0].startswith(f"ERROR focusrank.cli: {base / relative}"), lines
 
 
 def test_regenerating_fewer_projects_leaves_no_stale_ones(tmp_path):
@@ -1004,6 +1025,18 @@ def test_regenerating_fewer_projects_leaves_no_stale_ones(tmp_path):
     assert main(["--config", config_path, "prepare"]) == EXIT_OK
     split = json.loads((tmp_path / "out" / "split.json").read_text())
     assert sorted(name for name, _ in split["test"]) == expected
+
+
+@pytest.mark.parametrize("manifest", [b"[" * 3000, b"\xff"])
+def test_unreadable_stale_manifest_leaves_unlisted_files(tmp_path, manifest):
+    """gen over a manifest it cannot read deletes nothing and succeeds."""
+    config_path = write_config(tmp_path)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "manifest.json").write_bytes(manifest)
+    (corpus / "zz.json").write_text("{}")
+    assert main(["--config", config_path, "gen"]) == EXIT_OK
+    assert (corpus / "zz.json").read_text() == "{}"
 
 
 # values TrainConfig would take without complaint, were they not type-checked

@@ -437,15 +437,18 @@ class TestPersistence:
             {"project": "p", "diff": 0, "anchor": "A", "candidate": "B", "label": 2},
             {"project": "p", "diff": 0, "anchor": "A", "candidate": "B", "label": True},
             ["p", 0, "A", "B", 1],
+            b'{"project": "p", "diff": 0, "anchor": "\xff", "candidate": "B", "label": 1}',
+            b"[" * 3000,
         ],
     )
     def test_malformed_pair_row_names_its_line(self, tmp_path, record):
         path = tmp_path / "pairs.jsonl"
         save_pairs([LabeledPair("p", 0, "A", "C", 0)], path)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record) + "\n")
-        with pytest.raises(ArtifactFormatError, match="line 2"):
+        with open(path, "ab") as fh:  # a bytes record is written as it is
+            fh.write((record if isinstance(record, bytes) else json.dumps(record).encode()) + b"\n")
+        with pytest.raises(ArtifactFormatError) as caught:
             load_pairs(path)
+        assert str(caught.value).startswith(f"{path} line 2: ")
 
     @pytest.mark.parametrize(
         "manifest",

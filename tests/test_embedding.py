@@ -683,13 +683,14 @@ class TestMalformedResponses:
             lambda texts: json.dumps({"data": {"0": 1}}).encode(),
             lambda texts: json.dumps([1, 2]).encode(),
             lambda texts: b"not json",
+            lambda texts: b"[" * 3000,
         ],
         ids=[
             "null-embedding", "scalar-embedding", "string-components", "string-embedding",
             "bool-components", "numeric-string-components",
             "duplicate-index", "index-out-of-range", "float-index", "bool-index",
             "null-component", "indices-7-and-up", "all-null", "all-scalar", "one-row-short",
-            "data-object", "list-root", "not-json",
+            "data-object", "list-root", "not-json", "nested-too-deeply",
         ],
     )
     def test_malformed_answer_is_remote_unavailable(self, endpoint, reply):
@@ -754,7 +755,7 @@ def malformed_replies(draw, texts: list[str]):
         ["bytes", "root", "data", "count", "row", "key", "index", "embedding", "width", "component"]
     ))
     if kind == "bytes":
-        return draw(st.sampled_from([b"", b"{", b"[1,", b"\xff\xfe", b"{'data': []}"]))
+        return draw(st.sampled_from([b"", b"{", b"[1,", b"\xff\xfe", b"{'data': []}", b"[" * 3000]))
     if kind == "root":
         payload = draw(json_values.filter(lambda v: not isinstance(v, dict)))
     elif kind == "data":
@@ -782,13 +783,15 @@ def malformed_replies(draw, texts: list[str]):
 @given(data=st.data())
 def test_any_malformed_response_raises_a_typed_error(shared_endpoint, data):
     """Whatever breaks in a response, `embed` raises a FocusRankError and
-    nothing else."""
+    nothing else, after one POST: an answer that arrived is not retried."""
     url, script = shared_endpoint
     texts = ["A", "B", "C"]
     body = data.draw(malformed_replies(texts))
     script.reply = lambda _: body
+    posts = len(script.requests)
     with pytest.raises(FocusRankError):
         remote_provider(url).embed(texts)
+    assert len(script.requests) == posts + 1
 
 
 class TestProviderConfig:

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from focusrank.baselines import CoChangeMatrix, rank_random
+from focusrank.dataset import diff_views
 from focusrank.embedding import HashedProvider
 from focusrank.errors import NoPositivesError
 from focusrank.evaluation import (
@@ -32,10 +33,8 @@ from focusrank.ranker import Checkpoint, TrainConfig, init_params
 import random
 
 
-def ranked(ordered, positives, anchor="A", scores=None):
-    return RankedList(
-        anchor=anchor, ordered=tuple(ordered), positives=frozenset(positives), scores=scores
-    )
+def ranked(ordered, positives, anchor="A"):
+    return RankedList(anchor=anchor, ordered=tuple(ordered), positives=frozenset(positives))
 
 
 class TestPrecisionAtK:
@@ -267,12 +266,14 @@ class TestEvaluate:
             [("B", "Q", "e"), ("B", "T", "e"), ("Q", "T", "e")],
         )
         corpus = {"p": Project(name="p", versions=[v0, v1])}
-        provider = HashedProvider(dimension=32)
-        report = evaluate(SemanticScorer(provider), corpus, [("p", 0)], k_max=2)
+        scorer = SemanticScorer(HashedProvider(dimension=32))
+        report = evaluate(scorer, corpus, [("p", 0)], k_max=2)
         (result,) = report.results
         # anchor T ("BillingTask") shares a token with B, not with Q
         assert result.ranking.ordered[0] == "B"
-        assert result.ranking.scores["B"] > result.ranking.scores["Q"]
+        (view,) = diff_views(corpus, [("p", 0)])
+        scores = scorer.scores(result.ranking.anchor, result.ranking.ordered, view)
+        assert scores["B"] > scores["Q"]
 
     def test_neural_scorer_with_fresh_checkpoint_ties_to_id_order(self):
         """An untrained checkpoint scores every pair 0.5, so ordering falls
@@ -284,10 +285,13 @@ class TestEvaluate:
             train_config=TrainConfig(),
             provider_fingerprint=provider.fingerprint,
         )
-        report = evaluate(NeuralScorer(ckpt, provider), corpus, [("proj", 0)], k_max=4)
+        scorer = NeuralScorer(ckpt, provider)
+        report = evaluate(scorer, corpus, [("proj", 0)], k_max=4)
         (result,) = report.results
         assert result.ranking.ordered == ("A", "B", "C", "D")
-        assert all(s == 0.5 for s in result.ranking.scores.values())
+        (view,) = diff_views(corpus, [("proj", 0)])
+        scores = scorer.scores(result.ranking.anchor, result.ranking.ordered, view)
+        assert all(s == 0.5 for s in scores.values())
 
     def test_cochange_scorer_uses_history(self):
         corpus = {"proj": growing_project()}
