@@ -8,12 +8,17 @@ identified by their (src, dst, label) triple and have no identity beyond it.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter, lt
-from typing import Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Mapping, Sequence
 
 from .errors import ArtifactFormatError, UnknownNodeError, read_json
 
@@ -322,13 +327,66 @@ def save_project(project: Project, path) -> None:
 
 
 def load_corpus(paths: Sequence) -> dict[str, Project]:
-    """Load several project files into a name-keyed corpus."""
-    corpus: dict[str, Project] = {}
-    path_of = {}
-    for path in paths:
-        project = load_project(path)
-        name = project.name
-        if name in corpus:
-            raise ArtifactFormatError(f"{path_of[name]} and {path}: duplicate project id {name!r}")
-        corpus[name], path_of[name] = project, path
-    return corpus
+    """Load several project files into a name-keyed corpus.
+
+    The paths are cut, in order, into one run of about equal bytes per usable
+    CPU. This process loads the first run while forked workers load the rest.
+    The corpus is built and checked in path order, loading here each run its
+    worker did not send, so the corpus and its errors are a one-process read's.
+    """
+    runs, workers = _runs(list(paths)), {}
+    try:
+        for j in range(1, len(runs)):
+            workers[j] = _fork_loader(runs[j])
+        corpus: dict[str, Project] = {}
+        path_of = {}
+        for j, run in enumerate(runs):
+            sent = _received(*workers[j]) if j in workers else None
+            workers.pop(j, None)  # only once reaped: an interrupted read leaves it to the finally
+            for path, project in zip(run, map(load_project, run) if sent is None else pickle.loads(sent)):
+                name = project.name
+                if name in corpus:
+                    raise ArtifactFormatError(f"{path_of[name]} and {path}: duplicate project id {name!r}")
+                corpus[name], path_of[name] = project, path
+        return corpus
+    finally:  # no worker outlives the call
+        for pid, pipe in workers.values():
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _runs(paths: list) -> list[list]:
+    """`paths` cut, in order, into one run of about equal bytes per usable CPU,
+    or one run where `os.fork` is missing; a file that cannot be sized counts 0."""
+    k = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    k = min(len(paths), k if hasattr(os, "fork") else 1)
+    ends = list(accumulate(os.stat(p).st_size if os.path.isfile(p) else 0 for p in paths))
+    cuts = [0]
+    for j in range(1, k):  # each run takes at least one file
+        cuts.append(max(cuts[-1] + 1, min(bisect_left(ends, ends[-1] * j / k) + 1, len(paths) - k + j)))
+    return [paths[a:b] for a, b in zip(cuts, cuts[1:] + [len(paths)])]
+
+
+def _fork_loader(run: list) -> tuple[int, BinaryIO]:
+    """The pid and pipe of a forked worker that sends `run`'s projects as one
+    pickle, so their shared parts stay shared, or exits 1 without a word."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker: it never returns into its caller's code
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps([load_project(p) for p in run], pickle.HIGHEST_PROTOCOL))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_end)  # before the next fork, so that no later worker holds it open
+    return pid, open(read_end, "rb")
+
+
+def _received(pid: int, pipe: BinaryIO) -> bytes | None:
+    """What a worker sent, read to EOF, once it is reaped; None unless it exited 0."""
+    with pipe:
+        data = pipe.read()
+    return data if os.waitpid(pid, 0)[1] == 0 else None

@@ -650,19 +650,24 @@ def bad_record_versions(draw, kind=None):
     return version
 
 
-malformed_projects = st.one_of(
-    not_object,
-    st.fixed_dictionaries({"project": not_str.filter(lambda v: v is not None), "versions": json_values}),
-    st.fixed_dictionaries({"versions": json_values}),
-    st.fixed_dictionaries({"project": st.just("zz"), "versions": not_list}),
-    st.fixed_dictionaries({"project": st.just("zz"), "versions": versions_with(not_object)}),
-    st.fixed_dictionaries({"project": st.just("zz"), "versions": versions_with(
+PROJECT_FAULTS = {
+    "not object": not_object,
+    "project not str": st.fixed_dictionaries(
+        {"project": not_str.filter(lambda v: v is not None), "versions": json_values}
+    ),
+    "no project": st.fixed_dictionaries({"versions": json_values}),
+    "versions not list": st.fixed_dictionaries({"project": st.just("zz"), "versions": not_list}),
+    "version not object": st.fixed_dictionaries(
+        {"project": st.just("zz"), "versions": versions_with(not_object)}
+    ),
+    "parts not lists": st.fixed_dictionaries({"project": st.just("zz"), "versions": versions_with(
         st.one_of(st.fixed_dictionaries({"nodes": not_list}), st.fixed_dictionaries({"edges": not_list}))
     )}),
-    st.fixed_dictionaries({
+    "bad record": st.fixed_dictionaries({
         "project": st.just("zz"), "versions": versions_with(bad_record_versions()),
     }),
-)
+}
+malformed_projects = st.one_of(*PROJECT_FAULTS.values())
 
 
 def assert_project_rejected(artifacts, payload):
@@ -679,6 +684,15 @@ def assert_project_rejected(artifacts, payload):
 @given(payload=malformed_projects)
 def test_malformed_project_file_fails_in_one_line(artifacts, payload):
     assert_project_rejected(artifacts, payload)
+
+
+@pytest.mark.parametrize("kind", sorted(PROJECT_FAULTS))
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_each_malformed_project_kind_fails_in_one_line(artifacts, kind, data):
+    """Each branch of `malformed_projects`, which the drawn test above may
+    miss; zz.json, last in path order, is read by a worker on two CPUs."""
+    assert_project_rejected(artifacts, data.draw(PROJECT_FAULTS[kind]))
 
 
 @pytest.mark.parametrize("kind", RECORD_FAULTS)
@@ -745,9 +759,13 @@ def bad_split_entries():
     )
 
 
+SPLIT_FAULTS = ["root", "drop", "mode", "part", "entry"]
+
+
 @st.composite
-def malformed_splits(draw, split):
-    kind = draw(st.sampled_from(["root", "drop", "mode", "part", "entry"]))
+def malformed_splits(draw, split, kind=None):
+    """`split` with one fault: `kind` is one of SPLIT_FAULTS, or drawn when None."""
+    kind = kind or draw(st.sampled_from(SPLIT_FAULTS))
     record = json.loads(json.dumps(split))
     if kind == "root":
         return draw(not_object)
@@ -763,15 +781,26 @@ def malformed_splits(draw, split):
     return record
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_malformed_split_fails_in_one_line(artifacts, data):
+def assert_split_rejected(artifacts, data, kind=None):
     config_path, base = artifacts
     path = base / "out" / "split.json"
-    record = data.draw(malformed_splits(json.loads(path.read_text())))
+    record = data.draw(malformed_splits(json.loads(path.read_text()), kind))
     command = data.draw(st.sampled_from([["train"], ["eval", "--approach", "random"]]))
     with corrupting(path, json.dumps(record)):
         assert_one_line_failure(*run_cli(["--config", config_path, *command]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_malformed_split_fails_in_one_line(artifacts, data):
+    assert_split_rejected(artifacts, data)
+
+
+@pytest.mark.parametrize("kind", SPLIT_FAULTS)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_each_malformed_split_kind_fails_in_one_line(artifacts, kind, data):
+    assert_split_rejected(artifacts, data, kind)
 
 
 ghost = st.text(max_size=4).map(lambda t: "ghost-" + t)
@@ -784,9 +813,13 @@ bad_fields = {
 }
 
 
+ROW_FAULTS = ["line", "drop", "field"]
+
+
 @st.composite
-def malformed_rows(draw, row):
-    kind = draw(st.sampled_from(["line", "drop", "field"]))
+def malformed_rows(draw, row, kind=None):
+    """`row` with one fault: `kind` is one of ROW_FAULTS, or drawn when None."""
+    kind = kind or draw(st.sampled_from(ROW_FAULTS))
     if kind == "line":
         return draw(st.one_of(not_object.map(json.dumps), st.just("{not json")))
     row = dict(row)
@@ -798,16 +831,27 @@ def malformed_rows(draw, row):
     return json.dumps(row)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_malformed_pairs_fail_in_one_line(artifacts, data):
+def assert_pairs_rejected(artifacts, data, kind=None):
     config_path, base = artifacts
     path = base / "out" / "pairs.train.balanced.jsonl"
     lines = path.read_text().splitlines()
     at = data.draw(st.integers(0, len(lines) - 1))
-    lines[at] = data.draw(malformed_rows(json.loads(lines[at])))
+    lines[at] = data.draw(malformed_rows(json.loads(lines[at]), kind))
     with corrupting(path, "\n".join(lines) + "\n"):
         assert_one_line_failure(*run_cli(["--config", config_path, "train"]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_malformed_pairs_fail_in_one_line(artifacts, data):
+    assert_pairs_rejected(artifacts, data)
+
+
+@pytest.mark.parametrize("kind", ROW_FAULTS)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_each_malformed_row_kind_fails_in_one_line(artifacts, kind, data):
+    assert_pairs_rejected(artifacts, data, kind)
 
 
 @pytest.mark.parametrize("key", [["nope", 0], ["proj00", 99], ["proj00", -1]])
@@ -1012,6 +1056,28 @@ def test_malformed_artifact_exits_1_with_one_stderr_line(artifacts, relative, te
     assert len(lines) == 1 and lines[0].startswith(f"ERROR focusrank.cli: {base / relative}"), lines
 
 
+def test_every_cpu_count_writes_the_same_bytes(tmp_path, monkeypatch):
+    """prepare, train and eval read the corpus alone on one usable CPU and
+    with a forked worker on two, and write the same files either way."""
+    config_path = write_config(tmp_path, train={"epochs": 3})
+    assert main(["--config", config_path, "gen"]) == EXIT_OK
+    out, after_gen = tmp_path / "out", tmp_path / "out-after-gen"
+    shutil.copytree(out, after_gen)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    written = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        shutil.rmtree(out)
+        shutil.copytree(after_gen, out)
+        for argv in (["prepare"], ["train"], ["eval", "--approach", "random", "--plot-data"]):
+            assert main(["--config", config_path, *argv]) == EXIT_OK
+        written[cpus] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert len(forks) == 3 * (cpus - 1)
+    assert written[1] == written[2]
+    assert {"split.json", "checkpoint.json", "plot-random.csv"} <= {p.name for p in written[2]}
+
+
 def test_regenerating_fewer_projects_leaves_no_stale_ones(tmp_path):
     """gen 10 then gen 8 into one corpus_dir: the two projects the first
     run alone wrote are gone from the directory, the stats and prepare."""
@@ -1043,11 +1109,13 @@ def test_unreadable_stale_manifest_leaves_unlisted_files(tmp_path, manifest):
 MISTYPED_TRAIN_CONFIG = [("h", True), ("epochs", 2.5), ("batch_size", True)]
 
 
+CHECKPOINT_FAULTS = ["root", "drop", "value", "dims", "non-finite", "truncated", "train_config"]
+
+
 @st.composite
-def malformed_checkpoints(draw, payload):
-    kind = draw(st.sampled_from(
-        ["root", "drop", "value", "dims", "non-finite", "truncated", "train_config"]
-    ))
+def malformed_checkpoints(draw, payload, kind=None):
+    """`payload` with one fault: `kind` is one of CHECKPOINT_FAULTS, or drawn when None."""
+    kind = kind or draw(st.sampled_from(CHECKPOINT_FAULTS))
     record = dict(payload)
     raw = base64.b64decode(payload["theta"])
     if kind == "root":
@@ -1071,19 +1139,30 @@ def malformed_checkpoints(draw, payload):
     if kind == "train_config":
         key, value = draw(st.sampled_from(MISTYPED_TRAIN_CONFIG))
         record["train_config"] = {**payload["train_config"], key: value}
-    elif kind != "value":
+    elif kind != "value" and "train_config" in record:  # a dropped train_config stays dropped
         record["train_config"] = draw(st.one_of(st.just(payload["train_config"]), not_object))
     return record
+
+
+def assert_checkpoint_rejected(artifacts, data, kind=None):
+    config_path, base = artifacts
+    path = base / "out" / "checkpoint.json"
+    record = data.draw(malformed_checkpoints(json.loads(path.read_text()), kind))
+    with corrupting(path, json.dumps(record)):
+        assert_one_line_failure(*run_cli(["--config", config_path, "eval", "--approach", "nextfocus"]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_malformed_checkpoint_fails_in_one_line(artifacts, data):
-    config_path, base = artifacts
-    path = base / "out" / "checkpoint.json"
-    record = data.draw(malformed_checkpoints(json.loads(path.read_text())))
-    with corrupting(path, json.dumps(record)):
-        assert_one_line_failure(*run_cli(["--config", config_path, "eval", "--approach", "nextfocus"]))
+    assert_checkpoint_rejected(artifacts, data)
+
+
+@pytest.mark.parametrize("kind", CHECKPOINT_FAULTS)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_each_malformed_checkpoint_kind_fails_in_one_line(artifacts, kind, data):
+    assert_checkpoint_rejected(artifacts, data, kind)
 
 
 @pytest.mark.parametrize("edit", [

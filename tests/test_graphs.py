@@ -2,13 +2,14 @@
 
 import json
 import math
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focusrank import datagen
+from focusrank import datagen, graphs
 from focusrank.errors import ArtifactFormatError, UnknownNodeError
 from focusrank.graphs import (
     INFINITE,
@@ -417,6 +418,141 @@ class TestProjectPersistence:
         assert d.source_version == 1 and d.target_version == 2 and d.project == "p"
         assert d.source is versions[1] and d.target is versions[2]
         assert d.changed_nodes() == {"C"}
+
+
+@pytest.fixture
+def corpus_files(tmp_path):
+    """Six generated project files, in path order."""
+    corpus, _ = datagen.build_corpus(datagen.GenConfig(projects=6, commits_per_project=4))
+    paths = [tmp_path / f"{name}.json" for name in sorted(corpus)]
+    for path in paths:
+        save_project(corpus[path.stem], path)
+    return paths
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Sets how many CPUs `load_corpus` may use, and counts its forks."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        return forks
+
+    return use
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def loaded_or_error(paths):
+    try:
+        return load_corpus(paths)
+    except Exception as exc:  # compared with the other read's
+        return type(exc), str(exc)
+
+
+class TestCorpusWorkers:
+    def test_runs_cut_the_paths_in_order_by_bytes(self, corpus_files, usable_cpus):
+        size = {path: path.stat().st_size for path in corpus_files}
+        for cpus in (1, 2, 3, 6, 9):
+            usable_cpus(cpus)
+            runs = graphs._runs(corpus_files)
+            assert [p for run in runs for p in run] == corpus_files
+            assert len(runs) == min(cpus, len(corpus_files)) and all(runs)
+            share = sum(size.values()) / len(runs)
+            assert all(abs(sum(map(size.get, run)) - share) < max(size.values()) for run in runs)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_workers_read_what_one_process_reads(self, corpus_files, usable_cpus, cpus):
+        usable_cpus(1)
+        alone = load_corpus(corpus_files)
+        forks = usable_cpus(cpus)
+        shared = load_corpus(corpus_files)
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+        assert list(shared) == list(alone) == [p.stem for p in corpus_files]
+        for name, project in alone.items():
+            assert shared[name].versions == project.versions
+        first: dict = {}  # the last project was read by a worker
+        for g in shared[corpus_files[-1].stem].versions:
+            for part in [*g.labels().keys(), *g.labels().values(), *g.edges]:
+                assert first.setdefault(part, part) is part
+
+    @pytest.mark.parametrize("fault", ["malformed record", "not JSON", "duplicate id", "missing file"])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_fault_in_a_workers_run_is_the_one_process_error(
+        self, corpus_files, usable_cpus, fault, cpus
+    ):
+        """The last file, which a worker reads, is the one broken file, so
+        both reads raise for it."""
+        last = corpus_files[-1]
+        if fault == "malformed record":
+            project = json.loads(last.read_text())
+            project["versions"][1]["nodes"][0] = {"id": 5}
+            last.write_text(json.dumps(project))
+        elif fault == "not JSON":
+            last.write_bytes(b'{"project": "p", "versions": [')
+        elif fault == "duplicate id":
+            last.write_bytes(corpus_files[0].read_bytes())
+        else:
+            last.unlink()
+        usable_cpus(1)
+        expected = loaded_or_error(corpus_files)
+        assert isinstance(expected, tuple) and str(last) in expected[1]
+        forks = usable_cpus(cpus)
+        assert loaded_or_error(corpus_files) == expected
+        assert forks
+        assert_no_child_left()
+
+    def test_the_first_fault_in_path_order_wins(self, corpus_files, usable_cpus):
+        corpus_files[1].write_bytes(b"[")
+        corpus_files[-1].unlink()
+        usable_cpus(2)
+        with pytest.raises(ArtifactFormatError, match="not a JSON project file") as info:
+            load_corpus(corpus_files)
+        assert str(info.value).startswith(str(corpus_files[1]))
+        assert_no_child_left()
+
+    def test_a_run_its_worker_did_not_send_is_loaded_here(self, corpus_files, usable_cpus, monkeypatch):
+        usable_cpus(1)
+        alone = load_corpus(corpus_files)
+        parent, load = os.getpid(), graphs.load_project
+
+        def load_in_parent_only(path):
+            if os.getpid() != parent:
+                os._exit(3)
+            return load(path)
+
+        monkeypatch.setattr(graphs, "load_project", load_in_parent_only)
+        forks = usable_cpus(2)
+        assert load_corpus(corpus_files) == alone
+        assert forks
+        assert_no_child_left()
+
+    def test_one_usable_cpu_forks_nothing(self, corpus_files, usable_cpus, monkeypatch):
+        usable_cpus(1)
+
+        def no_fork():
+            raise AssertionError("forked with one usable CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert list(load_corpus(corpus_files)) == [p.stem for p in corpus_files]
+
+    def test_a_process_without_fork_reads_alone(self, corpus_files, usable_cpus, monkeypatch):
+        usable_cpus(4)
+        monkeypatch.delattr(os, "fork")
+        assert graphs._runs(corpus_files) == [corpus_files]
+        assert list(load_corpus(corpus_files)) == [p.stem for p in corpus_files]
 
 
 # Quotes, backslashes, control and non-BMP characters, besides any other.
