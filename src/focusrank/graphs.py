@@ -331,13 +331,16 @@ def load_corpus(paths: Sequence) -> dict[str, Project]:
 
     The paths are cut, in order, into one run of about equal bytes per usable
     CPU. This process loads the first run while forked workers load the rest.
-    The corpus is built and checked in path order, loading here each run its
-    worker did not send, so the corpus and its errors are a one-process read's.
+    The corpus is built and checked in path order, loading here each run no
+    worker sent, so the corpus and its errors are a one-process read's.
     """
     runs, workers = _runs(list(paths)), {}
     try:
         for j in range(1, len(runs)):
-            workers[j] = _fork_loader(runs[j])
+            try:
+                workers[j] = _fork_loader(runs[j])
+            except OSError:  # a refused pipe or fork (EAGAIN, EMFILE): the rest load here
+                break
         corpus: dict[str, Project] = {}
         path_of = {}
         for j, run in enumerate(runs):
@@ -372,7 +375,12 @@ def _fork_loader(run: list) -> tuple[int, BinaryIO]:
     """The pid and pipe of a forked worker that sends `run`'s projects as one
     pickle, so their shared parts stay shared, or exits 1 without a word."""
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
     if pid == 0:  # the worker: it never returns into its caller's code
         try:
             os.close(read_end)

@@ -480,6 +480,22 @@ def test_cli_import_leaves_the_http_stack_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_the_package_root_binds_no_name_but_its_version():
+    """`import focusrank` re-exports nothing: each public name it binds,
+    besides `__version__`, is a submodule, so every name has one import path."""
+    src = str(Path(focusrank.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import types, focusrank; print(sorted(name for name, value in vars(focusrank).items() "
+        "if not name.startswith('_') and not isinstance(value, types.ModuleType)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("flags, expect_info", [([], True), (["--log-level", "WARNING"], False)])
 def test_log_level_flag_filters_stderr(tmp_path, flags, expect_info):
     """INFO is the default; at WARNING a successful `gen` prints nothing."""

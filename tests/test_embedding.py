@@ -746,14 +746,16 @@ not_a_number = st.one_of(
 )
 
 
+REPLY_FAULTS = ["bytes", "root", "data", "count", "row", "key", "index", "embedding", "width", "component"]
+
+
 @st.composite
-def malformed_replies(draw, texts: list[str]):
-    """A response body for `texts` that breaks the wire format in one place."""
+def malformed_replies(draw, texts: list[str], kind=None):
+    """A response body for `texts` that breaks the wire format in one place:
+    `kind` is one of REPLY_FAULTS, or drawn when None."""
     data = answer(texts, 8)
     row = draw(st.integers(0, len(data) - 1))
-    kind = draw(st.sampled_from(
-        ["bytes", "root", "data", "count", "row", "key", "index", "embedding", "width", "component"]
-    ))
+    kind = kind or draw(st.sampled_from(REPLY_FAULTS))
     if kind == "bytes":
         return draw(st.sampled_from([b"", b"{", b"[1,", b"\xff\xfe", b"{'data': []}", b"[" * 3000]))
     if kind == "root":
@@ -779,19 +781,31 @@ def malformed_replies(draw, texts: list[str]):
     return json.dumps(payload).encode("utf-8")
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_any_malformed_response_raises_a_typed_error(shared_endpoint, data):
-    """Whatever breaks in a response, `embed` raises a FocusRankError and
-    nothing else, after one POST: an answer that arrived is not retried."""
+def assert_reply_rejected(shared_endpoint, data, kind=None):
     url, script = shared_endpoint
     texts = ["A", "B", "C"]
-    body = data.draw(malformed_replies(texts))
+    body = data.draw(malformed_replies(texts, kind))
     script.reply = lambda _: body
     posts = len(script.requests)
     with pytest.raises(FocusRankError):
         remote_provider(url).embed(texts)
     assert len(script.requests) == posts + 1
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_malformed_response_raises_a_typed_error(shared_endpoint, data):
+    """Whatever breaks in a response, `embed` raises a FocusRankError and
+    nothing else, after one POST: an answer that arrived is not retried."""
+    assert_reply_rejected(shared_endpoint, data)
+
+
+@pytest.mark.parametrize("kind", REPLY_FAULTS)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_each_malformed_response_kind_raises_a_typed_error(shared_endpoint, kind, data):
+    """Each branch of `malformed_replies`, which the drawn test above may miss."""
+    assert_reply_rejected(shared_endpoint, data, kind)
 
 
 class TestProviderConfig:

@@ -1,5 +1,6 @@
 """Graph construction, diffing, distances, and change-radius behavior."""
 
+import errno
 import json
 import math
 import os
@@ -537,6 +538,30 @@ class TestCorpusWorkers:
         forks = usable_cpus(2)
         assert load_corpus(corpus_files) == alone
         assert forks
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("call", [1, 2])
+    @pytest.mark.parametrize("refused", ["fork", "pipe"])
+    def test_a_refused_fork_loads_its_runs_here(self, corpus_files, usable_cpus, monkeypatch, refused, call):
+        """A pipe or fork refused at the first or a later worker (EAGAIN under a
+        process limit, EMFILE): no further fork is tried, the runs that got no
+        worker load here, and no descriptor or child is left."""
+        usable_cpus(1)
+        alone = load_corpus(corpus_files)
+        forks = usable_cpus(3)
+        real, calls = getattr(os, refused), []
+
+        def refuse_at_call():
+            calls.append(1)
+            if len(calls) == call:
+                raise OSError(errno.EAGAIN if refused == "fork" else errno.EMFILE, "refused")
+            return real()
+
+        monkeypatch.setattr(os, refused, refuse_at_call)
+        fds = len(os.listdir("/proc/self/fd"))
+        assert load_corpus(corpus_files) == alone
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert len(calls) == call and len(forks) == call - 1
         assert_no_child_left()
 
     def test_one_usable_cpu_forks_nothing(self, corpus_files, usable_cpus, monkeypatch):
