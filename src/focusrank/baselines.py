@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyCandidatesError
+from .errors import EmptyCandidatesError, write_artifact
 from .graphs import Diff
 
 
@@ -76,10 +76,7 @@ def build_cochange(train_diffs: Iterable[Diff]) -> CoChangeMatrix:
 
 
 def save_cochange(matrix: CoChangeMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for (anchor, candidate), count in sorted(matrix.counts().items()):
-            fh.write(json.dumps(
-                {"anchor": anchor, "candidate": candidate, "count": count},
-                sort_keys=True,
-            ))
-            fh.write("\n")
+    write_artifact(path, (
+        json.dumps({"anchor": anchor, "candidate": candidate, "count": count}, sort_keys=True) + "\n"
+        for (anchor, candidate), count in sorted(matrix.counts().items())
+    ))

@@ -47,7 +47,8 @@ from .config import read_config, same_kind
 from .embedding import ProviderConfig, make_provider
 from .errors import (
     ArtifactFormatError, CheckpointFormatError, ConfigInvalidError, FocusRankError,
-    MissingArtifactError, TooFewCommitsError, TooFewProjectsError, UnknownNodeError, read_json,
+    MissingArtifactError, TooFewCommitsError, TooFewProjectsError, UnknownNodeError, json_text,
+    read_json, write_artifact,
 )
 from .graphs import Project, load_corpus
 
@@ -185,8 +186,6 @@ def _config_hash(config: dict) -> str:
 
 
 def _write_manifest(config: RunConfig, command: str, outputs: Sequence[str]) -> None:
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "config_sha256": _config_hash(asdict(config)),
@@ -198,9 +197,7 @@ def _write_manifest(config: RunConfig, command: str, outputs: Sequence[str]) -> 
         },
         "outputs": sorted(outputs),
     }
-    with open(out_dir / f"manifest-{command}.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_artifact(Path(config.out_dir) / f"manifest-{command}.json", json_text(manifest))
 
 
 def _load_corpus(config: RunConfig) -> dict[str, Project]:
@@ -310,12 +307,7 @@ def _load_split(config: RunConfig, corpus) -> DatasetSplit:
 def cmd_gen(config: RunConfig) -> int:
     corpus, manifest = datagen.build_corpus(config.gen)
     paths = datagen.write_corpus(corpus, manifest, config.corpus_dir)
-    stats = datagen.describe(corpus)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "corpus-stats.json", "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_artifact(Path(config.out_dir) / "corpus-stats.json", json_text(datagen.describe(corpus)))
     _write_manifest(config, "gen", [str(p) for p in paths] + ["corpus-stats.json"])
     logger.info("generated %d projects under %s", len(paths), config.corpus_dir)
     return EXIT_OK
@@ -325,8 +317,6 @@ def cmd_prepare(config: RunConfig) -> int:
     corpus = _load_corpus(config)
     split = _split_for(config, corpus)
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     groups = pairs_by_project(diff_views(corpus, split.train))
     balanced = balance(groups, config.balance)
 
@@ -346,9 +336,7 @@ def cmd_train(config: RunConfig) -> int:
         ckpt, rows = ranker.grid_search(
             train_set, val_set, config.train, config.grid, provider.fingerprint
         )
-        with open(out_dir / "grid-results.json", "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_artifact(out_dir / "grid-results.json", json_text(rows))
         outputs = ["checkpoint.json", "grid-results.json"]
     else:
         ckpt = ranker.train(train_set, val_set, config.train, provider.fingerprint)
@@ -398,11 +386,8 @@ def cmd_eval(config: RunConfig, approach: str, plot_data: bool = False) -> int:
         report.results, ks=list(report.ks()), dynamic=True
     )
     outputs = [f"report-{approach}.csv", f"report-{approach}.json"]
-    with open(out_dir / f"report-{approach}.csv", "w", encoding="utf-8") as fh:
-        fh.write(evaluation.report_to_csv(report))
-    with open(out_dir / f"report-{approach}.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_artifact(out_dir / f"report-{approach}.csv", evaluation.report_to_csv(report))
+    write_artifact(out_dir / f"report-{approach}.json", json_text(summary))
 
     if plot_data:
         # every scorer is stateless, so the report's own tau is not evaluated again
@@ -412,8 +397,7 @@ def cmd_eval(config: RunConfig, approach: str, plot_data: bool = False) -> int:
             for t in taus
         ]
         rows = evaluation.radius_rows(reports, ks=list(range(1, k_max + 1)))
-        with open(out_dir / f"plot-{approach}.csv", "w", encoding="utf-8") as fh:
-            fh.write(evaluation.radius_rows_csv(rows))
+        write_artifact(out_dir / f"plot-{approach}.csv", evaluation.radius_rows_csv(rows))
         outputs.append(f"plot-{approach}.csv")
 
     if approach == "cochange":

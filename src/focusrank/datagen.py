@@ -12,13 +12,12 @@ task non-trivial.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ArtifactFormatError, ConfigInvalidError, read_json
+from .errors import ArtifactFormatError, ConfigInvalidError, json_text, read_json, write_artifact
 from .graphs import ModelGraph, Project, save_project
 
 GROUPS_PER_PROJECT = 2
@@ -246,7 +245,6 @@ def write_corpus(corpus: Mapping[str, Project], manifest: dict, out_dir) -> list
     project file paths. Project files that the replaced manifest.json lists
     but this corpus lacks are deleted, so no stale project outlives its run."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stale = _listed_files(out / "manifest.json")
     paths = []
     for name in sorted(corpus):
@@ -255,9 +253,7 @@ def write_corpus(corpus: Mapping[str, Project], manifest: dict, out_dir) -> list
         paths.append(path)
     for file_name in sorted(stale - {path.name for path in paths}):
         (out / file_name).unlink(missing_ok=True)
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_artifact(out / "manifest.json", json_text(manifest))
     return paths
 
 

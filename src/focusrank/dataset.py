@@ -15,9 +15,9 @@ import math
 import random
 from bisect import bisect_right
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
     ArtifactFormatError,
@@ -25,11 +25,14 @@ from .errors import (
     EmptyProjectError,
     TooFewCommitsError,
     TooFewProjectsError,
+    json_text,
     read_json,
+    write_artifact,
 )
 from .graphs import Diff, ModelGraph, Project
 
 PairKey = tuple[str, int]  # (project, diff_index)
+T = TypeVar("T")
 
 
 def _is_int(value) -> bool:
@@ -88,12 +91,7 @@ def label_pairs(
     stray = anchors.difference(d.anchors)
     if stray:
         raise ValueError(f"anchors are not changed nodes: {sorted(stray)}")
-    return [
-        LabeledPair(project, d.source_version, anchor, candidate, int(candidate in d.positives))
-        for anchor in sorted(anchors)
-        for candidate in d.candidates
-        if candidate != anchor
-    ]
+    return [replace(p, project=project) for p in ViewPairs([d]) if p.anchor in anchors]
 
 
 def diff_views(corpus: Mapping[str, Project], keys: Iterable[PairKey]) -> Iterator[Diff]:
@@ -124,11 +122,8 @@ class ViewPairs(SequenceABC):
 
 
 def pairs_by_project(views: Iterable[Diff]) -> dict[str, ViewPairs]:
-    """`group_by_project` for diffs; projects without a pair are left out."""
-    grouped: dict[str, list[Diff]] = {}
-    for d in views:
-        grouped.setdefault(d.project, []).append(d)
-    return {name: pairs for name, g in grouped.items() if (pairs := ViewPairs(g))}
+    """The pairs of each project's diffs; projects without a pair are left out."""
+    return {name: pairs for name, g in group_by_project(views).items() if (pairs := ViewPairs(g))}
 
 
 @dataclass
@@ -270,18 +265,16 @@ def balance(
     return out
 
 
-def group_by_project(pairs: Iterable[LabeledPair]) -> dict[str, list[LabeledPair]]:
-    groups: dict[str, list[LabeledPair]] = {}
-    for pair in pairs:
-        groups.setdefault(pair.project, []).append(pair)
+def group_by_project(items: Iterable[T]) -> dict[str, list[T]]:
+    """Diffs, pairs or anchor results by their `.project`, in first-seen order."""
+    groups: dict[str, list[T]] = {}
+    for item in items:
+        groups.setdefault(item.project, []).append(item)
     return groups
 
 
 def save_pairs(pairs: Iterable[LabeledPair], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            fh.write(json.dumps(pair.to_record(), sort_keys=True))
-            fh.write("\n")
+    write_artifact(path, (json.dumps(pair.to_record(), sort_keys=True) + "\n" for pair in pairs))
 
 
 def load_pairs(path) -> list[LabeledPair]:
@@ -300,9 +293,7 @@ def load_pairs(path) -> list[LabeledPair]:
 
 
 def save_split(split: DatasetSplit, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(split.to_manifest(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_artifact(path, json_text(split.to_manifest()))
 
 
 def load_split(path) -> DatasetSplit:

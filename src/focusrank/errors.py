@@ -1,6 +1,10 @@
-"""Exception hierarchy shared across the package, and its one JSON reader."""
+"""Exception hierarchy shared across the package, its one JSON reader, and
+its one artifact writer, `write_artifact`, with the JSON layout `json_text`."""
 
 import json
+import os
+from pathlib import Path
+from typing import Iterable
 
 
 class FocusRankError(Exception):
@@ -85,3 +89,25 @@ def read_json(data: bytes, where: str, error: type[FocusRankError]):
         return json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise error(f"{where} ({exc})") from exc
+
+
+def json_text(value) -> str:
+    """`value` in the artifacts' JSON layout: indent 1, sorted keys, final newline."""
+    return json.dumps(value, indent=1, sort_keys=True) + "\n"
+
+
+def write_artifact(path, chunks: str | Iterable[str]) -> None:
+    """Write `chunks` to `path` whole, creating its directory: they go to a
+    hidden `.<name>.<pid>.tmp` sibling, renamed over `path` once all are
+    written. On any exception the sibling is removed, so `path` keeps its
+    old bytes, or stays absent, and never holds a prefix."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:  # not mkstemp, whose file is 0600
+            fh.writelines([chunks] if isinstance(chunks, str) else chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import ranker as ranker_mod
 from .baselines import CoChangeMatrix, rank_random, semantic_scores
-from .dataset import diff_views
+from .dataset import diff_views, group_by_project
 from .errors import NoPositivesError
 from .graphs import Diff, ModelGraph, Project
 
@@ -258,9 +258,7 @@ def aggregate_by_project(
 ) -> dict:
     """Mean precision per project (unweighted over anchors), then the
     overall mean over projects; optionally also at a per-anchor dynamic k."""
-    by_project: dict[str, list[AnchorResult]] = {}
-    for r in results:
-        by_project.setdefault(r.project, []).append(r)
+    by_project = group_by_project(results)
     projects = {}
     for name in sorted(by_project):
         group = by_project[name]

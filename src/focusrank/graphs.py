@@ -18,9 +18,9 @@ from functools import cached_property
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter, lt
-from typing import BinaryIO, Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
-from .errors import ArtifactFormatError, UnknownNodeError, read_json
+from .errors import ArtifactFormatError, UnknownNodeError, read_json, write_artifact
 
 EdgeKey = tuple[str, str, str]
 
@@ -316,14 +316,17 @@ def _version_graph(raw, where: str, shared: dict) -> ModelGraph:
 
 def save_project(project: Project, path) -> None:
     """Write a project file in the format load_project reads: the bytes of a
-    sorted-key, compact `json.dumps`, written straight from each version."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"project":{_quote(project.name)},"versions":[')
-        for i, g in enumerate(project.versions):
-            edges = ",".join(f'{{"dst":{_quote(d)},"label":{_quote(e)},"src":{_quote(s)}}}' for s, d, e in g._edges)
-            nodes = ",".join(f'{{"id":{_quote(v)},"label":{_quote(x)}}}' for v, x in sorted(g._labels.items()))
-            fh.write(f'{"," if i else ""}{{"edges":[{edges}],"nodes":[{nodes}]}}')
-        fh.write("]}\n")
+    sorted-key, compact `json.dumps`, streamed one version at a time."""
+    write_artifact(path, _project_chunks(project))
+
+
+def _project_chunks(project: Project) -> Iterator[str]:
+    yield f'{{"project":{_quote(project.name)},"versions":['
+    for i, g in enumerate(project.versions):
+        edges = ",".join(f'{{"dst":{_quote(d)},"label":{_quote(e)},"src":{_quote(s)}}}' for s, d, e in g._edges)
+        nodes = ",".join(f'{{"id":{_quote(v)},"label":{_quote(x)}}}' for v, x in sorted(g._labels.items()))
+        yield f'{"," if i else ""}{{"edges":[{edges}],"nodes":[{nodes}]}}'
+    yield "]}\n"
 
 
 def load_corpus(paths: Sequence) -> dict[str, Project]:

@@ -24,7 +24,6 @@ pair off the per-label projections.
 from __future__ import annotations
 
 import base64
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from itertools import product
@@ -39,7 +38,9 @@ from .errors import (
     DimensionMismatchError,
     EmptyDatasetError,
     TrainingDivergedError,
+    json_text,
     read_json,
+    write_artifact,
 )
 
 CHECKPOINT_FORMAT = "focusrank-checkpoint"
@@ -549,9 +550,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "history": ckpt.history,
         "theta": base64.b64encode(ckpt.params.theta.astype("<f8").tobytes()).decode("ascii"),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_artifact(path, json_text(payload))
 
 
 def load_checkpoint(path) -> Checkpoint:
