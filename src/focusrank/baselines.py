@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import EmptyCandidatesError, write_artifact
 from .graphs import Diff
 
@@ -31,10 +29,12 @@ def rank_random(candidates: Sequence[str], seed: int, anchor: str = "") -> list[
 
 
 def semantic_scores(
-    anchor_emb: np.ndarray, candidate_embs: Mapping[str, np.ndarray]
+    anchor_emb: "np.ndarray", candidate_embs: Mapping[str, "np.ndarray"]
 ) -> dict[str, float]:
     """Cosine against the anchor; zero vectors score a sentinel below -1 so
     they always land after every defined similarity."""
+    import numpy as np
+
     anchor = np.asarray(anchor_emb, dtype=np.float64)
     anchor_norm = float(np.linalg.norm(anchor))
     scores: dict[str, float] = {}

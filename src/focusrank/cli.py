@@ -2,11 +2,11 @@
 
 All commands read one JSON config (unknown keys rejected), overridable with
 ``--set section.key=value``, ``--seed`` and ``--out``, and parsed once into a
-typed `RunConfig`. Outputs land under
-the configured output directory together with a run manifest that records
-the effective config hash, seeds and library versions; nothing in the
-outputs depends on wall-clock time, so identical configs reproduce
-byte-identical artifacts.
+typed `RunConfig`. Outputs land under the configured output directory
+together with a run manifest that records the effective config hash, seeds
+and the versions of the libraries the stage loaded; nothing in the outputs
+depends on wall-clock time, so identical configs reproduce byte-identical
+artifacts.
 
 Exit codes: 0 success, 1 validation problem (bad config, bad arguments,
 missing artifact), 2 runtime failure.
@@ -25,10 +25,8 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
-from . import datagen, evaluation, ranker
+from . import datagen, evaluation  # NumPy, ranker and embedding load in the stages that use them
 from .baselines import build_cochange, save_cochange
 from .dataset import (
     BalanceConfig,
@@ -43,8 +41,7 @@ from .dataset import (
     split_cross_project,
     split_temporal,
 )
-from .config import read_config, same_kind
-from .embedding import ProviderConfig, make_provider
+from .config import GRID_KEYS, ProviderConfig, TrainConfig, read_config, same_kind
 from .errors import (
     ArtifactFormatError, CheckpointFormatError, ConfigInvalidError, FocusRankError,
     MissingArtifactError, TooFewCommitsError, TooFewProjectsError, UnknownNodeError, json_text,
@@ -106,14 +103,14 @@ class RunConfig:
     provider: ProviderConfig = field(default_factory=ProviderConfig)
     split: SplitConfig = field(default_factory=SplitConfig)
     balance: BalanceConfig = field(default_factory=BalanceConfig)
-    train: ranker.TrainConfig = field(default_factory=ranker.TrainConfig)
-    grid: dict = field(default_factory=dict)  # value lists of ranker.GRID_KEYS knobs
+    train: TrainConfig = field(default_factory=TrainConfig)
+    grid: dict = field(default_factory=dict)  # value lists of config.GRID_KEYS knobs
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
         if not self.out_dir or not self.corpus_dir:
             raise ConfigInvalidError("out_dir and corpus_dir must be non-empty")
-        bad = set(self.grid) - ranker.GRID_KEYS
+        bad = set(self.grid) - GRID_KEYS
         if bad:
             raise ConfigInvalidError(f"unknown grid keys: {sorted(bad)}")
         for knob, values in self.grid.items():
@@ -192,11 +189,12 @@ def _write_manifest(config: RunConfig, command: str, outputs: Sequence[str]) -> 
         "seeds": {name: getattr(config, name).seed for name in SEEDED},
         "versions": {
             "focusrank": __version__,
-            "numpy": np.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
         "outputs": sorted(outputs),
     }
+    if "numpy" in sys.modules:  # a library is listed only if the stage loaded it
+        manifest["versions"]["numpy"] = sys.modules["numpy"].__version__
     write_artifact(Path(config.out_dir) / f"manifest-{command}.json", json_text(manifest))
 
 
@@ -210,18 +208,21 @@ def _load_corpus(config: RunConfig) -> dict[str, Project]:
     return load_corpus(paths)
 
 
-def _table(provider, texts, anchors, cands, labels) -> ranker.PairTable:
+def _table(provider, texts, anchors, cands, labels) -> "ranker.PairTable":
     """Pair i's labels are texts[anchors[i]] and texts[cands[i]]; the table
     is over the embeddings of the sorted distinct texts."""
+    import numpy as np
+    from . import ranker
     unique = sorted(set(texts))
     row_of = {t: i for i, t in enumerate(unique)}
     rows = np.array([row_of[t] for t in texts], dtype=np.intp)
     return ranker.PairTable(provider.embed(unique), rows[anchors], rows[cands], labels)
 
 
-def _balanced_table(pairs, corpus, provider, source) -> ranker.PairTable:
+def _balanced_table(pairs, corpus, provider, source) -> "ranker.PairTable":
     """The balanced rows as a table, each distinct (diff, node) label read
     once; `source` names the rows in errors."""
+    import numpy as np
     slot: dict[tuple, int] = {}  # (project, diff index, node) -> its index in `texts`
     slots = np.array([slot.setdefault((p.project, p.diff_index, node_id), len(slot))
                       for p in pairs for node_id in (p.anchor, p.candidate)], dtype=np.intp)
@@ -236,10 +237,11 @@ def _balanced_table(pairs, corpus, provider, source) -> ranker.PairTable:
     return _table(provider, texts, slots[0::2], slots[1::2], [p.label for p in pairs])
 
 
-def _diff_table(views, provider) -> ranker.PairTable:
+def _diff_table(views, provider) -> "ranker.PairTable":
     """Every labeled pair of the diffs, in `ViewPairs` order (pair i of a
     diff is anchors[i // |C|] with candidates[i % |C|]), each node's label
     read once."""
+    import numpy as np
     texts: list[str] = []
     parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]  # no pairs: empty columns
     for d in views:
@@ -257,6 +259,7 @@ def _train_tables(config: RunConfig):
     """The provider and `train`'s two tables: the balanced rows and every
     validation pair. The corpus, split and rows die on return, so training
     holds the tables alone."""
+    from . import embedding
     corpus = _load_corpus(config)
     train_path = Path(config.out_dir) / "pairs.train.balanced.jsonl"
     _require(train_path, "run `focusrank prepare` first")
@@ -265,7 +268,7 @@ def _train_tables(config: RunConfig):
     if not train_pairs:
         raise ArtifactFormatError(f"{train_path} holds no pairs; rerun `focusrank prepare`")
     _check_keys(corpus, dict.fromkeys((p.project, p.diff_index) for p in train_pairs), train_path)
-    provider = make_provider(config.provider)
+    provider = embedding.make_provider(config.provider)
     return (provider, _balanced_table(train_pairs, corpus, provider, train_path),
             _diff_table(diff_views(corpus, split.validation), provider))
 
@@ -329,6 +332,7 @@ def cmd_prepare(config: RunConfig) -> int:
 
 
 def cmd_train(config: RunConfig) -> int:
+    from . import ranker
     provider, train_set, val_set = _train_tables(config)
     gc.collect()  # empties the free lists, whose spare objects pin the freed corpus's arenas
     out_dir = Path(config.out_dir)
@@ -351,9 +355,10 @@ def cmd_train(config: RunConfig) -> int:
 def _make_scorer(config: RunConfig, approach: str, corpus, split: DatasetSplit):
     out_dir = Path(config.out_dir)
     if approach == "nextfocus":
+        from . import embedding, ranker
         ckpt_path = _require(out_dir / "checkpoint.json", "run `focusrank train` first")
         ckpt = ranker.load_checkpoint(ckpt_path)
-        provider = make_provider(config.provider)
+        provider = embedding.make_provider(config.provider)
         if ckpt.provider_fingerprint and ckpt.provider_fingerprint != provider.fingerprint:
             raise ConfigInvalidError(
                 "checkpoint was trained with embedding provider "
@@ -363,7 +368,8 @@ def _make_scorer(config: RunConfig, approach: str, corpus, split: DatasetSplit):
     if approach == "random":
         return evaluation.RandomScorer(config.eval.seed)
     if approach == "semantic":
-        return evaluation.SemanticScorer(make_provider(config.provider))
+        from . import embedding
+        return evaluation.SemanticScorer(embedding.make_provider(config.provider))
     if approach == "cochange":
         matrix = build_cochange(diff_views(corpus, split.train))
         save_cochange(matrix, out_dir / "cochange.jsonl")
@@ -412,6 +418,7 @@ def cmd_eval(config: RunConfig, approach: str, plot_data: bool = False) -> int:
 
 
 def cmd_rank(config: RunConfig, project_name: str, anchor: str, k: int) -> int:
+    from . import embedding, ranker
     if k < 1:
         raise ConfigInvalidError("k must be >= 1")
     corpus = _load_corpus(config)
@@ -423,7 +430,7 @@ def cmd_rank(config: RunConfig, project_name: str, anchor: str, k: int) -> int:
     ckpt = ranker.load_checkpoint(
         _require(out_dir / "checkpoint.json", "run `focusrank train` first")
     )
-    provider = make_provider(config.provider)
+    provider = embedding.make_provider(config.provider)
 
     latest = corpus[project_name].versions[-1]
     if anchor not in latest:
@@ -442,6 +449,7 @@ def cmd_rank(config: RunConfig, project_name: str, anchor: str, k: int) -> int:
 
 
 def cmd_gradcheck(trials: int, seed: int) -> int:
+    from . import ranker
     if trials < 1:
         raise ConfigInvalidError("trials must be >= 1")
     results = ranker.gradient_check(trials=trials, seed=seed)
@@ -533,6 +541,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_VALIDATION
     except (FocusRankError, OSError) as exc:
         logger.error("%s", _one_line(exc))
+        return EXIT_RUNTIME
+    except MemoryError as exc:  # its text may be empty
+        logger.error("out of memory: %s", _one_line(exc) or "MemoryError")
         return EXIT_RUNTIME
     return EXIT_RUNTIME
 

@@ -5,12 +5,16 @@ must have the JSON type of its field's default: an int may stand for a
 float, a bool is never a number, and a list stands for a tuple. A nested
 dataclass is read the same way; a field whose default is None takes any
 value, for its dataclass to check.
+
+The ranker and provider configs live here, so reading them loads no NumPy.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Optional
 
 from .errors import ConfigInvalidError
 
@@ -53,3 +57,85 @@ def read_config(cls, record, path: str, complete: bool = False):
             raise ConfigInvalidError(f"{here} must be {_kind(base)}, got {json.dumps(value)}")
         values[key] = tuple(value) if isinstance(base, tuple) else value
     return cls(**values)
+
+
+# Knobs a grid search may vary: the loss factors and two training settings.
+_LOSS_KEYS = frozenset({"alpha", "beta", "lambda_penalty"})
+GRID_KEYS = _LOSS_KEYS | {"learning_rate", "h"}
+
+
+@dataclass(frozen=True)
+class LossConfig:
+    """Factors of the reshaped BCE loss.
+
+    alpha weighs the positive class, beta sharpens the down-weighting of
+    easy examples, lambda_penalty scales the extra cost of high-probability
+    negatives.
+    """
+
+    alpha: float = 0.5
+    beta: float = 2.0
+    lambda_penalty: float = 4.0
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must be in (0, 1)")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and >= 0")
+        if not 0.0 <= self.lambda_penalty < math.inf:
+            raise ValueError("lambda_penalty must be finite and >= 0")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    learning_rate: float = 0.01
+    batch_size: int = 64
+    epochs: int = 200
+    seed: int = 7
+    early_stop_patience: int = 10
+    loss: LossConfig = field(default_factory=LossConfig)
+    h: int = 64
+    init_scale: float = 1.0
+
+    def __post_init__(self):
+        if self.learning_rate <= 0 or self.batch_size <= 0 or self.h <= 0:
+            raise ValueError("learning_rate, batch_size and h must be positive")
+        if not math.isfinite(self.learning_rate) or not math.isfinite(self.init_scale):
+            raise ValueError("learning_rate and init_scale must be finite")
+        if self.epochs < 0 or self.early_stop_patience < 0:
+            raise ValueError("epochs and early_stop_patience must be >= 0")
+
+
+@dataclass
+class RemoteConfig:
+    endpoint: str
+    model: str
+    auth_env: str = ""
+
+
+@dataclass
+class ProviderConfig:
+    kind: str = "hashed"  # "hashed" | "remote"
+    dimension: int = 256
+    remote: Optional[RemoteConfig] = None
+    cache_dir: Optional[str] = None  # the remote provider's cache; hashing needs none
+
+    def __post_init__(self):
+        remote = self.remote  # a JSON config gives an object of strings
+        if (isinstance(remote, dict) and all(isinstance(v, str) for v in remote.values())
+                and {"endpoint", "model"} <= remote.keys() <= {"endpoint", "model", "auth_env"}):
+            self.remote = RemoteConfig(**remote)
+        elif not isinstance(remote, (RemoteConfig, type(None))):
+            raise ConfigInvalidError(
+                "remote must be an object of strings: endpoint, model, optional auth_env"
+            )
+
+    def validate(self) -> None:
+        if not isinstance(self.cache_dir, (str, type(None))):
+            raise ConfigInvalidError("provider.cache_dir must be null or a path")
+        if self.kind not in ("hashed", "remote"):
+            raise ConfigInvalidError(f"unknown provider kind {self.kind!r}")
+        if self.dimension < 8:
+            raise ConfigInvalidError("embedding dimension must be >= 8")
+        if self.kind == "remote" and self.remote is None:
+            raise ConfigInvalidError("remote provider needs endpoint settings")

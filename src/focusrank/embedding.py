@@ -22,12 +22,12 @@ import os
 import re
 import time
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .config import ProviderConfig, RemoteConfig  # noqa: F401  (callers also import them from here)
 from .errors import ConfigInvalidError, DimensionMismatchError, RemoteUnavailableError, read_json
 
 logger = logging.getLogger(__name__)
@@ -60,41 +60,6 @@ def fnv1a_64_all(items: Sequence[bytes]) -> np.ndarray:
     for byte, alive in zip(data.T, live.T):
         value = np.where(alive, (value ^ byte) * prime, value)  # uint64 wraps mod 2**64
     return value
-
-
-@dataclass
-class RemoteConfig:
-    endpoint: str
-    model: str
-    auth_env: str = ""
-
-
-@dataclass
-class ProviderConfig:
-    kind: str = "hashed"  # "hashed" | "remote"
-    dimension: int = 256
-    remote: Optional[RemoteConfig] = None
-    cache_dir: Optional[str] = None  # the remote provider's cache; hashing needs none
-
-    def __post_init__(self):
-        remote = self.remote  # a JSON config gives an object of strings
-        if (isinstance(remote, dict) and all(isinstance(v, str) for v in remote.values())
-                and {"endpoint", "model"} <= remote.keys() <= {"endpoint", "model", "auth_env"}):
-            self.remote = RemoteConfig(**remote)
-        elif not isinstance(remote, (RemoteConfig, type(None))):
-            raise ConfigInvalidError(
-                "remote must be an object of strings: endpoint, model, optional auth_env"
-            )
-
-    def validate(self) -> None:
-        if not isinstance(self.cache_dir, (str, type(None))):
-            raise ConfigInvalidError("provider.cache_dir must be null or a path")
-        if self.kind not in ("hashed", "remote"):
-            raise ConfigInvalidError(f"unknown provider kind {self.kind!r}")
-        if self.dimension < 8:
-            raise ConfigInvalidError("embedding dimension must be >= 8")
-        if self.kind == "remote" and self.remote is None:
-            raise ConfigInvalidError("remote provider needs endpoint settings")
 
 
 class _EmbeddingStore:

@@ -17,9 +17,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
-from . import ranker as ranker_mod
 from .baselines import CoChangeMatrix, rank_random, semantic_scores
 from .dataset import diff_views, group_by_project
 from .errors import NoPositivesError
@@ -81,10 +78,14 @@ def neural_scores(params, provider, graph: ModelGraph | Diff, anchor: str, candi
     """Predicted probability that each candidate changes with the anchor,
     from their labels in `graph`, a version or a diff. The anchor is row 0
     of the embedded labels, so it is projected once for all candidates."""
+    import numpy as np
+
+    from . import ranker
+
     embs = provider.embed([graph.label(v) for v in [anchor, *candidates]])
     n = len(candidates)
-    logits = ranker_mod.pair_logits(params, embs, np.zeros(n, np.intp), np.arange(1, n + 1))
-    return ranker_mod.sigmoid(logits)
+    logits = ranker.pair_logits(params, embs, np.zeros(n, np.intp), np.arange(1, n + 1))
+    return ranker.sigmoid(logits)
 
 
 class Scorer:
@@ -101,7 +102,7 @@ class NeuralScorer(Scorer):
 
     name = "nextfocus"
 
-    def __init__(self, checkpoint: ranker_mod.Checkpoint, provider):
+    def __init__(self, checkpoint: "ranker.Checkpoint", provider):
         self.checkpoint = checkpoint
         self.provider = provider
 

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import read_config
+from .config import _LOSS_KEYS, GRID_KEYS, LossConfig, TrainConfig, read_config
 from .errors import (
     CheckpointFormatError,
     ConfigInvalidError,
@@ -50,10 +50,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Knobs a grid search may vary: the loss factors and two training settings.
-_LOSS_KEYS = frozenset({"alpha", "beta", "lambda_penalty"})
-GRID_KEYS = _LOSS_KEYS | {"learning_rate", "h"}
-
 # Pairs per step of `pair_logits`, so that scoring needs working memory
 # for this many gathered Q and K rows per side (0.5 MB at h = 64) rather
 # than for the whole set.
@@ -71,48 +67,6 @@ def sigmoid(z):
     ez = np.exp(arr[~pos])
     out[~pos] = ez / (1.0 + ez)
     return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Factors of the reshaped BCE loss.
-
-    alpha weighs the positive class, beta sharpens the down-weighting of
-    easy examples, lambda_penalty scales the extra cost of high-probability
-    negatives.
-    """
-
-    alpha: float = 0.5
-    beta: float = 2.0
-    lambda_penalty: float = 4.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-        if not 0.0 <= self.beta < math.inf:
-            raise ValueError("beta must be finite and >= 0")
-        if not 0.0 <= self.lambda_penalty < math.inf:
-            raise ValueError("lambda_penalty must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.01
-    batch_size: int = 64
-    epochs: int = 200
-    seed: int = 7
-    early_stop_patience: int = 10
-    loss: LossConfig = field(default_factory=LossConfig)
-    h: int = 64
-    init_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.h <= 0:
-            raise ValueError("learning_rate, batch_size and h must be positive")
-        if not math.isfinite(self.learning_rate) or not math.isfinite(self.init_scale):
-            raise ValueError("learning_rate and init_scale must be finite")
-        if self.epochs < 0 or self.early_stop_patience < 0:
-            raise ValueError("epochs and early_stop_patience must be >= 0")
 
 
 def _block(name: str) -> property:

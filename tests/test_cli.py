@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focusrank
-from focusrank import cli, datagen, evaluation, ranker
+from focusrank import cli, config, datagen, embedding, evaluation, ranker
 from focusrank.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -58,6 +58,19 @@ def write_config(base_dir, **section_overrides) -> str:
     path = base_dir / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+ENTRY = "import sys; from focusrank.cli import main; sys.exit(main())"
+
+
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """`python -c code args` in a new interpreter that imports this
+    package, with stdout and stderr captured as text."""
+    src = str(Path(focusrank.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +227,7 @@ class TestPipeline:
             == EXIT_VALIDATION
         )
 
-    def test_manifests_record_config_and_versions_without_timestamps(self, pipeline):
+    def test_manifests_record_config_and_versions_without_timestamps(self, pipeline, tmp_path):
         _, out_dir, _ = pipeline
         manifest = json.loads((out_dir / "manifest-train.json").read_text())
         assert set(manifest) == {"command", "config_sha256", "seeds", "versions", "outputs"}
@@ -222,6 +235,11 @@ class TestPipeline:
         assert set(manifest["seeds"]) == {"gen", "split", "balance", "train", "eval"}
         assert set(manifest["versions"]) == {"focusrank", "numpy", "python"}
         assert len(manifest["config_sha256"]) == 64
+        # a manifest lists the libraries its stage loaded, and gen loads no NumPy
+        done = fresh_python(ENTRY, "--config", write_config(tmp_path), "gen")
+        assert done.returncode == EXIT_OK, done.stderr
+        gen = json.loads((tmp_path / "out" / "manifest-gen.json").read_text())
+        assert set(gen["versions"]) == {"focusrank", "python"}
 
 
 class TestExitCodes:
@@ -451,18 +469,18 @@ class TestRunConfig:
         assert _config_hash(a) != _config_hash({"x": 2, "y": {"a": 2, "b": 3}})
 
 
+# The modules a NumPy stage (train, rank) loads besides the CLI.
+MODEL_STAGE_IMPORTS = "import sys, focusrank.cli, focusrank.ranker, focusrank.embedding, focusrank.evaluation"
+
+
 def test_cli_import_leaves_scipy_unloaded():
-    """SciPy is a test dependency only: neither the CLI nor a rank
-    correlation's p-value loads it."""
-    src = str(Path(focusrank.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    """SciPy is a test dependency only: neither the CLI, with the modules
+    its model stages load, nor a rank correlation's p-value loads it."""
     probe = (
-        "import sys, focusrank.cli; from focusrank.stats import spearman_rho; "
+        f"{MODEL_STAGE_IMPORTS}; from focusrank.stats import spearman_rho; "
         "spearman_rho([1, 2, 3, 4], [1, 3, 2, 4]); print('scipy' in sys.modules)"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
+    done = fresh_python(probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
@@ -470,28 +488,42 @@ def test_cli_import_leaves_scipy_unloaded():
 def test_cli_import_leaves_the_http_stack_unloaded():
     """The remote provider imports the HTTP stack on its first post, so a
     CLI process that never posts does not pay for it."""
-    src = str(Path(focusrank.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, focusrank.cli; print(sorted({'http.client', 'urllib.request', 'ssl'} & set(sys.modules)))"
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
+    done = fresh_python(f"{MODEL_STAGE_IMPORTS}; "
+                        "print(sorted({'http.client', 'urllib.request', 'ssl'} & set(sys.modules)))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_each_config_class_has_one_definition():
+    """The ranker and embedding configs live in `config`, which loads no
+    NumPy; the modules that use them name the same classes."""
+    assert ranker.TrainConfig is config.TrainConfig and ranker.LossConfig is config.LossConfig
+    assert embedding.ProviderConfig is config.ProviderConfig
+    assert embedding.RemoteConfig is config.RemoteConfig
+
+
+def test_stages_without_a_model_never_load_numpy(tmp_path):
+    """gen, prepare and the random and co-change baselines run no ranker
+    and embed no label, so their process never imports NumPy."""
+    probe = (
+        "import json, sys; from focusrank.cli import main\n"
+        "print(json.dumps([[main(['--config', sys.argv[1], *stage.split()]), 'numpy' in sys.modules]"
+        " for stage in sys.argv[2:]]))"
+    )
+    stages = ["gen", "prepare", "eval --approach random", "eval --approach cochange"]
+    done = fresh_python(probe, write_config(tmp_path), *stages)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[EXIT_OK, False]] * len(stages)
 
 
 def test_the_package_root_binds_no_name_but_its_version():
     """`import focusrank` re-exports nothing: each public name it binds,
     besides `__version__`, is a submodule, so every name has one import path."""
-    src = str(Path(focusrank.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = (
         "import types, focusrank; print(sorted(name for name, value in vars(focusrank).items() "
         "if not name.startswith('_') and not isinstance(value, types.ModuleType)))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
+    done = fresh_python(probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 
@@ -499,13 +531,7 @@ def test_the_package_root_binds_no_name_but_its_version():
 @pytest.mark.parametrize("flags, expect_info", [([], True), (["--log-level", "WARNING"], False)])
 def test_log_level_flag_filters_stderr(tmp_path, flags, expect_info):
     """INFO is the default; at WARNING a successful `gen` prints nothing."""
-    src = str(Path(focusrank.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys; from focusrank.cli import main; sys.exit(main())",
-         *flags, "--config", write_config(tmp_path), "gen"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = fresh_python(ENTRY, *flags, "--config", write_config(tmp_path), "gen")
     assert done.returncode == EXIT_OK, done.stderr
     lines = done.stderr.splitlines()
     if expect_info:
@@ -1018,6 +1044,26 @@ def test_train_holds_only_its_tables_while_training(artifacts, monkeypatch, trai
     assert alive == {"project": False, "rows": False}
 
 
+@pytest.mark.parametrize(
+    "error, line",
+    [("MemoryError", "out of memory: MemoryError"),
+     ("MemoryError('Unable to allocate 18.0 GiB')", "out of memory: Unable to allocate 18.0 GiB")],
+)
+def test_out_of_memory_exits_2_in_one_line(artifacts, error, line):
+    """A stage that runs out of memory logs one line, never empty, and
+    exits 2; the allocation is simulated, not made."""
+    config_path, _ = artifacts
+    probe = (
+        "import sys; from focusrank import cli, ranker\n"
+        f"def exhausted(*args):\n    raise {error}\n"
+        "ranker.init_params = exhausted\nsys.exit(cli.main())"
+    )
+    done = fresh_python(probe, "--config", config_path, "train")
+    assert done.returncode == EXIT_RUNTIME
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == [f"ERROR focusrank.cli: {line}"]
+
+
 def test_duplicate_project_id_names_both_files(artifacts):
     config_path, base = artifacts
     corpus = base / "corpus"
@@ -1058,14 +1104,8 @@ def test_malformed_artifact_exits_1_with_one_stderr_line(artifacts, relative, te
     """Through the console entry point: stderr is one line, no traceback,
     naming the file."""
     config_path, base = artifacts
-    src = str(Path(focusrank.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     with corrupting(base / relative, text):
-        done = subprocess.run(
-            [sys.executable, "-c", "import sys; from focusrank.cli import main; sys.exit(main())",
-             "--config", config_path, command],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        done = fresh_python(ENTRY, "--config", config_path, command)
     assert done.returncode == EXIT_VALIDATION
     assert "Traceback" not in done.stderr
     lines = done.stderr.splitlines()
