@@ -41,7 +41,7 @@ from .dataset import (
     split_cross_project,
     split_temporal,
 )
-from .config import GRID_KEYS, ProviderConfig, TrainConfig, read_config, same_kind
+from .config import GRID_KEYS, ProviderConfig, TrainConfig, read_config, same_kind, with_grid
 from .errors import (
     ArtifactFormatError, CheckpointFormatError, ConfigInvalidError, FocusRankError,
     MissingArtifactError, TooFewCommitsError, TooFewProjectsError, UnknownNodeError, json_text,
@@ -117,11 +117,15 @@ class RunConfig:
             kind = 1 if knob == "h" else 1.0
             if not isinstance(values, list) or not all(same_kind(kind, v) for v in values):
                 raise ConfigInvalidError(f"grid.{knob} must be a list of numbers")
-        self.gen.validate()
-        self.provider.validate()
+            for value in values:
+                try:
+                    with_grid(self.train, {knob: value})
+                except ConfigInvalidError as exc:
+                    raise ConfigInvalidError(f"grid.{knob}: {exc}") from None
 
 
 SEEDED = ("gen", "split", "balance", "train", "eval")  # the sections `--seed` sets
+NUMPY_STAGES = frozenset({"train", "eval-nextfocus", "eval-semantic", "rank"})  # these load NumPy
 
 
 def _apply_set(user: dict, assignment: str) -> None:
@@ -193,8 +197,9 @@ def _write_manifest(config: RunConfig, command: str, outputs: Sequence[str]) -> 
         },
         "outputs": sorted(outputs),
     }
-    if "numpy" in sys.modules:  # a library is listed only if the stage loaded it
-        manifest["versions"]["numpy"] = sys.modules["numpy"].__version__
+    if command in NUMPY_STAGES:
+        import numpy
+        manifest["versions"]["numpy"] = numpy.__version__
     write_artifact(Path(config.out_dir) / f"manifest-{command}.json", json_text(manifest))
 
 
@@ -352,19 +357,23 @@ def cmd_train(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _load_model(config: RunConfig) -> evaluation.NeuralScorer:
+    """The trained ranker as a scorer, refused unless the configured provider trained it."""
+    from . import embedding, ranker
+    path = _require(Path(config.out_dir) / "checkpoint.json", "run `focusrank train` first")
+    ckpt = ranker.load_checkpoint(path)
+    provider = embedding.make_provider(config.provider)
+    if ckpt.provider_fingerprint and ckpt.provider_fingerprint != provider.fingerprint:
+        raise ConfigInvalidError(
+            "checkpoint was trained with embedding provider "
+            f"{ckpt.provider_fingerprint!r} but config selects {provider.fingerprint!r}"
+        )
+    return evaluation.NeuralScorer(ckpt, provider)
+
+
 def _make_scorer(config: RunConfig, approach: str, corpus, split: DatasetSplit):
-    out_dir = Path(config.out_dir)
     if approach == "nextfocus":
-        from . import embedding, ranker
-        ckpt_path = _require(out_dir / "checkpoint.json", "run `focusrank train` first")
-        ckpt = ranker.load_checkpoint(ckpt_path)
-        provider = embedding.make_provider(config.provider)
-        if ckpt.provider_fingerprint and ckpt.provider_fingerprint != provider.fingerprint:
-            raise ConfigInvalidError(
-                "checkpoint was trained with embedding provider "
-                f"{ckpt.provider_fingerprint!r} but config selects {provider.fingerprint!r}"
-            )
-        return evaluation.NeuralScorer(ckpt, provider)
+        return _load_model(config)
     if approach == "random":
         return evaluation.RandomScorer(config.eval.seed)
     if approach == "semantic":
@@ -372,7 +381,7 @@ def _make_scorer(config: RunConfig, approach: str, corpus, split: DatasetSplit):
         return evaluation.SemanticScorer(embedding.make_provider(config.provider))
     if approach == "cochange":
         matrix = build_cochange(diff_views(corpus, split.train))
-        save_cochange(matrix, out_dir / "cochange.jsonl")
+        save_cochange(matrix, Path(config.out_dir) / "cochange.jsonl")
         return evaluation.CoChangeScorer(matrix)
     raise ConfigInvalidError(f"unknown approach {approach!r}; choose from {APPROACHES}")
 
@@ -418,7 +427,6 @@ def cmd_eval(config: RunConfig, approach: str, plot_data: bool = False) -> int:
 
 
 def cmd_rank(config: RunConfig, project_name: str, anchor: str, k: int) -> int:
-    from . import embedding, ranker
     if k < 1:
         raise ConfigInvalidError("k must be >= 1")
     corpus = _load_corpus(config)
@@ -426,11 +434,7 @@ def cmd_rank(config: RunConfig, project_name: str, anchor: str, k: int) -> int:
         raise ConfigInvalidError(
             f"project {project_name!r} not in corpus ({', '.join(sorted(corpus))})"
         )
-    out_dir = Path(config.out_dir)
-    ckpt = ranker.load_checkpoint(
-        _require(out_dir / "checkpoint.json", "run `focusrank train` first")
-    )
-    provider = embedding.make_provider(config.provider)
+    model = _load_model(config)
 
     latest = corpus[project_name].versions[-1]
     if anchor not in latest:
@@ -441,8 +445,7 @@ def cmd_rank(config: RunConfig, project_name: str, anchor: str, k: int) -> int:
     if not candidates:
         raise ConfigInvalidError("no candidates left after the radius filter")
 
-    probs = evaluation.neural_scores(ckpt.params, provider, latest, anchor, candidates)
-    for node_id in evaluation.by_score(candidates, dict(zip(candidates, probs)))[:k]:
+    for node_id in evaluation.by_score(candidates, model.scores(anchor, candidates, latest))[:k]:
         print(node_id)
     _write_manifest(config, "rank", [])
     return EXIT_OK

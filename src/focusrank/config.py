@@ -1,10 +1,10 @@
 """Typed configs read from JSON objects.
 
 `read_config` overlays a JSON object on a dataclass's defaults. A value
-must have the JSON type of its field's default: an int may stand for a
-float, a bool is never a number, and a list stands for a tuple. A nested
-dataclass is read the same way; a field whose default is None takes any
-value, for its dataclass to check.
+must have the JSON type of its field's default: a float may be an int in
+float range, a bool is never a number, a list stands for a tuple, and a
+None default takes any value. A nested dataclass is read the same way.
+Every config checks its own values when built, raising ConfigInvalidError.
 
 The ranker and provider configs live here, so reading them loads no NumPy.
 """
@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+import sys
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Optional
 
 from .errors import ConfigInvalidError
@@ -30,8 +31,8 @@ def same_kind(default, value) -> bool:
     """Whether `value` may replace `default`."""
     if isinstance(default, bool) or isinstance(value, bool):
         return isinstance(default, bool) and isinstance(value, bool)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
+    if isinstance(default, float):  # an int only within float range
+        return isinstance(value, float) or isinstance(value, int) and abs(value) <= sys.float_info.max
     return type(value).__name__ == _kind(default)
 
 
@@ -79,11 +80,11 @@ class LossConfig:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+            raise ConfigInvalidError("alpha must be in (0, 1)")
         if not 0.0 <= self.beta < math.inf:
-            raise ValueError("beta must be finite and >= 0")
+            raise ConfigInvalidError("beta must be finite and >= 0")
         if not 0.0 <= self.lambda_penalty < math.inf:
-            raise ValueError("lambda_penalty must be finite and >= 0")
+            raise ConfigInvalidError("lambda_penalty must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -99,21 +100,29 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.h <= 0:
-            raise ValueError("learning_rate, batch_size and h must be positive")
+            raise ConfigInvalidError("learning_rate, batch_size and h must be positive")
         if not math.isfinite(self.learning_rate) or not math.isfinite(self.init_scale):
-            raise ValueError("learning_rate and init_scale must be finite")
+            raise ConfigInvalidError("learning_rate and init_scale must be finite")
         if self.epochs < 0 or self.early_stop_patience < 0:
-            raise ValueError("epochs and early_stop_patience must be >= 0")
+            raise ConfigInvalidError("epochs and early_stop_patience must be >= 0")
+        if self.seed < 0:
+            raise ConfigInvalidError("train.seed must be >= 0")
 
 
-@dataclass
+def with_grid(cfg: TrainConfig, chosen: dict) -> TrainConfig:
+    """`cfg` with the grid knobs `chosen` set, each loss factor in `cfg.loss`."""
+    loss = replace(cfg.loss, **{k: v for k, v in chosen.items() if k in _LOSS_KEYS})
+    return replace(cfg, loss=loss, **{k: v for k, v in chosen.items() if k not in _LOSS_KEYS})
+
+
+@dataclass(frozen=True)
 class RemoteConfig:
     endpoint: str
     model: str
     auth_env: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProviderConfig:
     kind: str = "hashed"  # "hashed" | "remote"
     dimension: int = 256
@@ -124,13 +133,11 @@ class ProviderConfig:
         remote = self.remote  # a JSON config gives an object of strings
         if (isinstance(remote, dict) and all(isinstance(v, str) for v in remote.values())
                 and {"endpoint", "model"} <= remote.keys() <= {"endpoint", "model", "auth_env"}):
-            self.remote = RemoteConfig(**remote)
+            object.__setattr__(self, "remote", RemoteConfig(**remote))
         elif not isinstance(remote, (RemoteConfig, type(None))):
             raise ConfigInvalidError(
                 "remote must be an object of strings: endpoint, model, optional auth_env"
             )
-
-    def validate(self) -> None:
         if not isinstance(self.cache_dir, (str, type(None))):
             raise ConfigInvalidError("provider.cache_dir must be null or a path")
         if self.kind not in ("hashed", "remote"):

@@ -57,7 +57,7 @@ class GenConfig:
     noise_rate: float = 0.3
     seed: int = DEFAULT_SEED
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.projects < 1:
             raise ConfigInvalidError("projects must be >= 1")
         if self.commits_per_project < 3:
@@ -200,7 +200,6 @@ def _noise(state: _ProjectState, backbone: list, fillers: list, rng: random.Rand
 
 def build_corpus(cfg: GenConfig) -> tuple[dict[str, Project], dict]:
     """Generate all projects in memory plus the ground-truth manifest."""
-    cfg.validate()
     corpus: dict[str, Project] = {}
     manifest_projects = []
     for p in range(cfg.projects):

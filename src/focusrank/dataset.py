@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
     ArtifactFormatError,
+    ConfigInvalidError,
     EmptyAnchorSetError,
     EmptyProjectError,
     TooFewCommitsError,
@@ -234,7 +235,7 @@ class BalanceConfig:
 
     def __post_init__(self):
         if self.target_pairs_per_project <= 0:
-            raise ValueError("target_pairs_per_project must be positive")
+            raise ConfigInvalidError("target_pairs_per_project must be positive")
 
 
 def balance(

@@ -203,7 +203,6 @@ class RemoteProvider:
     timeout_seconds = 30.0
 
     def __init__(self, config: ProviderConfig, retry_base_seconds: float = 0.5):
-        config.validate()
         if config.kind != "remote":
             raise ConfigInvalidError("RemoteProvider needs kind='remote'")
         self.dimension = config.dimension
@@ -299,7 +298,6 @@ class RemoteProvider:
 
 
 def make_provider(config: ProviderConfig, retry_base_seconds: float = 0.5):
-    config.validate()
     if config.kind == "hashed":
         return HashedProvider(config.dimension)
     return RemoteProvider(config, retry_base_seconds=retry_base_seconds)

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import _LOSS_KEYS, GRID_KEYS, LossConfig, TrainConfig, read_config
+from .config import GRID_KEYS, LossConfig, TrainConfig, read_config, with_grid
 from .errors import (
     CheckpointFormatError,
     ConfigInvalidError,
@@ -59,14 +59,9 @@ VAL_CHUNK_ROWS = 256
 def sigmoid(z):
     """Numerically stable logistic function; scalar in, scalar out."""
     arr = np.asarray(z, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ez = np.exp(arr[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return float(out[0]) if scalar else out
+    e = np.exp(np.minimum(arr, -arr))  # exp(-|z|), never overflowing; a NaN keeps its sign
+    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
+    return float(out) if arr.ndim == 0 else out
 
 
 def _block(name: str) -> property:
@@ -667,11 +662,7 @@ def grid_search(
     rows = []
     for combo in combos:
         chosen = dict(zip(keys, combo))
-        loss_cfg = replace(base_cfg.loss, **{k: v for k, v in chosen.items() if k in _LOSS_KEYS})
-        cfg = replace(
-            base_cfg, loss=loss_cfg, **{k: v for k, v in chosen.items() if k not in _LOSS_KEYS}
-        )
-        ckpt = train(train_set, val_set, cfg, provider_fingerprint)
+        ckpt = train(train_set, val_set, with_grid(base_cfg, chosen), provider_fingerprint)
         val = min((row["val_loss"] for row in ckpt.history), default=math.inf)
         rows.append({"combo": chosen, "val_loss": val})
         if val < best_val:

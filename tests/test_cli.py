@@ -10,7 +10,7 @@ import shutil
 import subprocess
 import sys
 import weakref
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from focusrank.cli import (
 from focusrank.errors import (
     ArtifactFormatError, ConfigInvalidError, MissingArtifactError, TrainingDivergedError,
 )
-from focusrank.dataset import ViewPairs, diff_views, load_pairs, load_split
+from focusrank.dataset import BalanceConfig, ViewPairs, diff_views, load_pairs, load_split
 from focusrank.embedding import HashedProvider
 from focusrank.graphs import ModelGraph, Project, load_corpus, load_project, union_graph
 
@@ -502,6 +502,82 @@ def test_each_config_class_has_one_definition():
     assert embedding.RemoteConfig is config.RemoteConfig
 
 
+INVALID_CONFIGS = [
+    (datagen.GenConfig, dict(projects=0)),
+    (datagen.GenConfig, dict(commits_per_project=2)),
+    (datagen.GenConfig, dict(pattern_size_c=1)),
+    (datagen.GenConfig, dict(target_dispersion_s=1)),
+    (datagen.GenConfig, dict(noise_rate=-0.1)),
+    (datagen.GenConfig, dict(noise_rate=1.5)),
+    (datagen.GenConfig, dict(vocabulary=("Solo",))),
+    (datagen.GenConfig, dict(vocabulary=("Has Space", "Ok"))),
+    (datagen.GenConfig, dict(base_nodes=10)),
+    (config.ProviderConfig, dict(remote=5)),
+    (config.ProviderConfig, dict(remote={"model": "m"})),
+    (config.ProviderConfig, dict(cache_dir=5)),
+    (config.ProviderConfig, dict(kind="psychic")),
+    (config.ProviderConfig, dict(dimension=7)),
+    (config.ProviderConfig, dict(kind="remote")),
+    (cli.SplitConfig, dict(mode="sideways")),
+    (BalanceConfig, dict(target_pairs_per_project=0)),
+    (config.LossConfig, dict(alpha=0.0)),
+    (config.LossConfig, dict(alpha=1.0)),
+    (config.LossConfig, dict(beta=-1.0)),
+    (config.LossConfig, dict(beta=math.inf)),
+    (config.LossConfig, dict(lambda_penalty=-0.5)),
+    (config.LossConfig, dict(lambda_penalty=math.nan)),
+    (config.TrainConfig, dict(learning_rate=0.0)),
+    (config.TrainConfig, dict(batch_size=0)),
+    (config.TrainConfig, dict(h=0)),
+    (config.TrainConfig, dict(learning_rate=math.inf)),
+    (config.TrainConfig, dict(init_scale=math.nan)),
+    (config.TrainConfig, dict(epochs=-1)),
+    (config.TrainConfig, dict(early_stop_patience=-1)),
+    (config.TrainConfig, dict(seed=-1)),
+    (cli.EvalConfig, dict(k_max=0)),
+    (cli.EvalConfig, dict(tau=-1)),
+    (cli.EvalConfig, dict(taus=())),
+    (cli.EvalConfig, dict(taus=(1, "sideways"))),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, values", INVALID_CONFIGS,
+    ids=[f"{cls.__name__}-{k}={v!r}" for cls, d in INVALID_CONFIGS for k, v in d.items()],
+)
+def test_each_config_checks_itself_when_built(cls, values):
+    """A config that exists is valid: each bad value fails its constructor,
+    and a built config cannot be changed, so no caller checks one again."""
+    built = cls()
+    with pytest.raises(ConfigInvalidError):
+        cls(**values)
+    with pytest.raises(FrozenInstanceError):
+        setattr(built, *next(iter(values.items())))
+
+
+def test_manifests_list_numpy_for_the_stages_that_use_it(tmp_path):
+    """Whether a manifest lists NumPy depends on its stage alone, not on
+    what the calling process imported before."""
+    probe = (
+        "import sys, numpy; from focusrank.cli import main\n"
+        "for stage in sys.argv[2:]:\n"
+        "    assert main(['--config', sys.argv[1], *stage.split()]) == 0, stage"
+    )
+    stages = ["gen", "prepare", "train", "rank --project proj00 --anchor n0"] + [
+        f"eval --approach {approach}" for approach in cli.APPROACHES
+    ]
+    done = fresh_python(probe, write_config(tmp_path, train={"epochs": 1}), *stages)
+    assert done.returncode == 0, done.stderr
+    listed = {}
+    for path in (tmp_path / "out").glob("manifest-*.json"):
+        manifest = json.loads(path.read_text())
+        listed[manifest["command"]] = "numpy" in manifest["versions"]
+    assert listed == {
+        "gen": False, "prepare": False, "train": True, "rank": True, "eval-nextfocus": True,
+        "eval-semantic": True, "eval-random": False, "eval-cochange": False,
+    }
+
+
 def test_stages_without_a_model_never_load_numpy(tmp_path):
     """gen, prepare and the random and co-change baselines run no ranker
     and embed no label, so their process never imports NumPy."""
@@ -642,17 +718,79 @@ def test_malformed_config_fails_in_one_line(tmp_path_factory, path, value):
     assert_one_line_failure(*run_cli(["--config", str(base / "config.json"), "prepare"]))
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "value", ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="10**400")],
+)
 @pytest.mark.parametrize(
     "knob", ["train.learning_rate", "train.init_scale", "train.loss.beta", "train.loss.lambda_penalty"],
 )
 def test_non_finite_training_knob_fails_in_one_line(tmp_path, knob, value):
     """Rejected with the config, before any stage runs (a NaN rate used to
-    pass `<= 0` and fail only in training, with exit 2)."""
+    pass `<= 0` and fail only in training, with exit 2; an integer past
+    float range failed with an OverflowError traceback)."""
     code, lines = run_cli(["--config", write_config(tmp_path), "--set", f"{knob}={value}", "gen"])
     assert_one_line_failure(code, lines)
     assert code == EXIT_VALIDATION
     assert not (tmp_path / "corpus").exists()
+
+
+EVERY_STAGE = [
+    ["gen"], ["prepare"], ["train"], ["eval", "--approach", "random"],
+    ["rank", "--project", "proj00", "--anchor", "n0"],
+]
+
+
+@pytest.mark.parametrize("stage", EVERY_STAGE, ids=lambda stage: stage[0])
+def test_negative_seed_fails_every_stage_in_one_line(artifacts, stage):
+    """NumPy takes no negative seed, so the config refuses one, naming it,
+    before any stage runs."""
+    config_path, _ = artifacts
+    for flags in (["--seed", "-1"], ["--set", "train.seed=-1"]):
+        code, lines = run_cli(["--config", config_path, *flags, *stage])
+        assert_one_line_failure(code, lines)
+        assert code == EXIT_VALIDATION and lines[0].endswith("train.seed must be >= 0")
+
+
+@pytest.mark.parametrize("stage", ["gen", "train"])
+@pytest.mark.parametrize("grid, message", [
+    ("grid.alpha=[0.4,1.5]", "grid.alpha: alpha must be in (0, 1)"),
+    ("grid.h=[16,0]", "grid.h: learning_rate, batch_size and h must be positive"),
+])
+def test_bad_grid_value_fails_before_the_stage_runs(artifacts, monkeypatch, stage, grid, message):
+    """Each grid value is built into the config it overrides when the
+    config is read, so no stage reads the corpus with it."""
+    config_path, _ = artifacts
+    monkeypatch.setattr(cli, "_load_corpus", lambda config: pytest.fail("corpus read"))
+    monkeypatch.setattr(datagen, "build_corpus", lambda config: pytest.fail("corpus built"))
+    code, lines = run_cli(["--config", config_path, "--set", grid, stage])
+    assert_one_line_failure(code, lines)
+    assert code == EXIT_VALIDATION and lines[0].endswith(message)
+
+
+@pytest.mark.parametrize("command", [
+    ["rank", "--project", "proj00", "--anchor", "n0"], ["eval", "--approach", "nextfocus"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("trained_with, selected", [
+    (None, "hashed:d=32"),  # another dimension
+    ("remote:other:d=64", None),  # another provider of the same dimension
+])
+def test_model_from_another_provider_is_refused(artifacts, command, trained_with, selected):
+    """rank and eval load the model alike: a checkpoint trained on other
+    embeddings fails in one line naming both providers."""
+    config_path, base = artifacts
+    path = base / "out" / "checkpoint.json"
+    ckpt = json.loads(path.read_text())
+    if trained_with:
+        ckpt["provider_fingerprint"] = trained_with
+    sets = ["--set", "provider.dimension=32"] if selected else []
+    with corrupting(path, json.dumps(ckpt)):
+        done = fresh_python(ENTRY, "--config", config_path, *sets, *command)
+    assert done.returncode == EXIT_VALIDATION
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == [
+        "ERROR focusrank.cli: checkpoint was trained with embedding provider "
+        f"{trained_with or 'hashed:d=64'!r} but config selects {selected or 'hashed:d=64'!r}"
+    ]
 
 
 def versions_with(bad_version):

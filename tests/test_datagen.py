@@ -26,7 +26,6 @@ def small_config(**overrides) -> GenConfig:
 class TestGenConfig:
     def test_default_config_is_valid(self):
         cfg = GenConfig()
-        cfg.validate()
         assert cfg.projects == 8
         assert cfg.commits_per_project == 10
         assert cfg.noise_rate == 0.3
@@ -46,7 +45,7 @@ class TestGenConfig:
         ]
         for overrides in bad:
             with pytest.raises(ConfigInvalidError):
-                small_config(**overrides).validate()
+                small_config(**overrides)
 
 
 class TestDeterminism:

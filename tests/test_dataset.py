@@ -30,6 +30,7 @@ from focusrank.dataset import (
 from focusrank.embedding import HashedProvider
 from focusrank.errors import (
     ArtifactFormatError,
+    ConfigInvalidError,
     EmptyAnchorSetError,
     EmptyProjectError,
     TooFewCommitsError,
@@ -402,7 +403,7 @@ class TestBalance:
             balance({"p": []}, BalanceConfig(target_pairs_per_project=5, seed=0))
 
     def test_nonpositive_target_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigInvalidError):
             BalanceConfig(target_pairs_per_project=0, seed=0)
 
 

@@ -811,11 +811,11 @@ def test_each_malformed_response_kind_raises_a_typed_error(shared_endpoint, kind
 class TestProviderConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigInvalidError):
-            ProviderConfig(kind="psychic").validate()
+            ProviderConfig(kind="psychic")
 
     def test_remote_requires_endpoint_settings(self):
         with pytest.raises(ConfigInvalidError):
-            ProviderConfig(kind="remote").validate()
+            ProviderConfig(kind="remote")
 
     def test_make_provider_picks_hashed(self):
         provider = make_provider(ProviderConfig(kind="hashed", dimension=32))

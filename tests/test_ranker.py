@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from focusrank.errors import (
     CheckpointFormatError,
+    ConfigInvalidError,
     DimensionMismatchError,
     EmptyDatasetError,
     TrainingDivergedError,
@@ -37,6 +38,7 @@ from focusrank.ranker import (
     per_sample_loss,
     predict_proba,
     save_checkpoint,
+    sigmoid,
     train,
 )
 from focusrank.ranker import (
@@ -373,6 +375,26 @@ class TestPairTable:
             train(PairTable.of(toy_task()), empty, toy_config(epochs=1))
 
 
+def two_branch_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The reference: 1 / (1 + exp(-z)) where z >= 0, exp(z) / (1 + exp(z))
+    elsewhere, NaN included."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    out[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+    return out
+
+
+def test_sigmoid_matches_the_two_branch_form_bit_for_bit():
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0, 5e-324, -5e-324]
+    z = np.concatenate([special, np.random.default_rng(0).normal(0.0, 20.0, 1000)])
+    assert sigmoid(z).view(np.uint64).tolist() == two_branch_sigmoid(z).view(np.uint64).tolist()
+    assert sigmoid(z.reshape(2, -1)).shape == (2, len(z) // 2)
+    for value in (-3.5, 0.0, 2.0, np.float64(-700.0)):
+        got = sigmoid(value)
+        assert type(got) is float and got == two_branch_sigmoid(np.array([value]))[0]
+
+
 def oracle_loss(z: float, y: int, alpha: float, beta: float, lam: float) -> float:
     """The four-factor loss written out term by term."""
     p = 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
@@ -466,11 +488,11 @@ class TestLoss:
         )
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigInvalidError):
             LossConfig(alpha=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigInvalidError):
             LossConfig(beta=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigInvalidError):
             LossConfig(lambda_penalty=-0.5)
 
 
