@@ -41,7 +41,7 @@ from .dataset import (
     split_cross_project,
     split_temporal,
 )
-from .config import GRID_KEYS, ProviderConfig, TrainConfig, read_config, same_kind, with_grid
+from .config import ProviderConfig, TrainConfig, read_config, same_kind, with_grid
 from .errors import (
     ArtifactFormatError, CheckpointFormatError, ConfigInvalidError, FocusRankError,
     MissingArtifactError, TooFewCommitsError, TooFewProjectsError, UnknownNodeError, json_text,
@@ -110,13 +110,10 @@ class RunConfig:
     def __post_init__(self):
         if not self.out_dir or not self.corpus_dir:
             raise ConfigInvalidError("out_dir and corpus_dir must be non-empty")
-        bad = set(self.grid) - GRID_KEYS
-        if bad:
-            raise ConfigInvalidError(f"unknown grid keys: {sorted(bad)}")
-        for knob, values in self.grid.items():
+        for knob, values in self.grid.items():  # with_grid refuses a knob outside GRID_KEYS
             kind = 1 if knob == "h" else 1.0
-            if not isinstance(values, list) or not all(same_kind(kind, v) for v in values):
-                raise ConfigInvalidError(f"grid.{knob} must be a list of numbers")
+            if not isinstance(values, list) or not values or not all(same_kind(kind, v) for v in values):
+                raise ConfigInvalidError(f"grid.{knob} must be a non-empty list of numbers")
             for value in values:
                 try:
                     with_grid(self.train, {knob: value})
@@ -341,15 +338,13 @@ def cmd_train(config: RunConfig) -> int:
     provider, train_set, val_set = _train_tables(config)
     gc.collect()  # empties the free lists, whose spare objects pin the freed corpus's arenas
     out_dir = Path(config.out_dir)
+    ckpt, rows = ranker.grid_search(
+        train_set, val_set, config.train, config.grid, provider.fingerprint
+    )
+    outputs = ["checkpoint.json"]
     if config.grid:
-        ckpt, rows = ranker.grid_search(
-            train_set, val_set, config.train, config.grid, provider.fingerprint
-        )
         write_artifact(out_dir / "grid-results.json", json_text(rows))
-        outputs = ["checkpoint.json", "grid-results.json"]
-    else:
-        ckpt = ranker.train(train_set, val_set, config.train, provider.fingerprint)
-        outputs = ["checkpoint.json"]
+        outputs.append("grid-results.json")
     ranker.save_checkpoint(ckpt, out_dir / "checkpoint.json")
     _write_manifest(config, "train", outputs)
     best = min((row["val_loss"] for row in ckpt.history), default=math.nan)
@@ -380,9 +375,9 @@ def _make_scorer(config: RunConfig, approach: str, corpus, split: DatasetSplit):
         from . import embedding
         return evaluation.SemanticScorer(embedding.make_provider(config.provider))
     if approach == "cochange":
-        matrix = build_cochange(diff_views(corpus, split.train))
-        save_cochange(matrix, Path(config.out_dir) / "cochange.jsonl")
-        return evaluation.CoChangeScorer(matrix)
+        counts = build_cochange(diff_views(corpus, split.train))
+        save_cochange(counts, Path(config.out_dir) / "cochange.jsonl")
+        return evaluation.CoChangeScorer(counts)
     raise ConfigInvalidError(f"unknown approach {approach!r}; choose from {APPROACHES}")
 
 
@@ -397,9 +392,7 @@ def cmd_eval(config: RunConfig, approach: str, plot_data: bool = False) -> int:
     report = evaluation.evaluate(scorer, corpus, split.test, k_max=k_max, tau=tau)
 
     summary = report.summary()
-    summary["by_project"] = evaluation.aggregate_by_project(
-        report.results, ks=list(report.ks()), dynamic=True
-    )
+    summary["by_project"] = evaluation.aggregate_by_project(report.results, ks=list(report.ks()))
     outputs = [f"report-{approach}.csv", f"report-{approach}.json"]
     write_artifact(out_dir / f"report-{approach}.csv", evaluation.report_to_csv(report))
     write_artifact(out_dir / f"report-{approach}.json", json_text(summary))
@@ -455,6 +448,8 @@ def cmd_gradcheck(trials: int, seed: int) -> int:
     from . import ranker
     if trials < 1:
         raise ConfigInvalidError("trials must be >= 1")
+    if seed < 0:
+        raise ConfigInvalidError("--seed must be >= 0")
     results = ranker.gradient_check(trials=trials, seed=seed)
     for row in results:
         print(

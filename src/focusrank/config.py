@@ -110,7 +110,11 @@ class TrainConfig:
 
 
 def with_grid(cfg: TrainConfig, chosen: dict) -> TrainConfig:
-    """`cfg` with the grid knobs `chosen` set, each loss factor in `cfg.loss`."""
+    """`cfg` with the grid knobs `chosen` set, each loss factor in `cfg.loss`.
+    Raises ConfigInvalidError for a knob outside GRID_KEYS."""
+    unknown = chosen.keys() - GRID_KEYS
+    if unknown:
+        raise ConfigInvalidError(f"unknown grid keys: {sorted(unknown)}")
     loss = replace(cfg.loss, **{k: v for k, v in chosen.items() if k in _LOSS_KEYS})
     return replace(cfg, loss=loss, **{k: v for k, v in chosen.items() if k not in _LOSS_KEYS})
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .baselines import CoChangeMatrix, rank_random, semantic_scores
+from .baselines import rank_random
 from .dataset import diff_views, group_by_project
 from .errors import NoPositivesError
 from .graphs import Diff, ModelGraph, Project
@@ -50,9 +50,9 @@ def precision_at_k(ranking: RankedList, k: int) -> float:
     return hits / min(k, len(ranking.positives))
 
 
-def dynamic_k(n_candidates: int, fraction: float = 0.01) -> int:
-    """Candidate-count-proportional cutoff, never below 1."""
-    return max(1, math.ceil(fraction * n_candidates))
+def dynamic_k(n_candidates: int) -> int:
+    """One percent of the candidates, rounded up, never below 1."""
+    return max(1, math.ceil(0.01 * n_candidates))
 
 
 def radius_filter(
@@ -125,7 +125,10 @@ class RandomScorer(Scorer):
 
 
 class SemanticScorer(Scorer):
-    """Cosine similarity between anchor and candidate label embeddings."""
+    """Cosine similarity between anchor and candidate label embeddings; a
+    zero vector scores a sentinel below -1, so it lands after every defined
+    similarity. Row by row: a batched norm or product may differ in the
+    last bits and flip a tie."""
 
     name = "semantic"
 
@@ -133,20 +136,30 @@ class SemanticScorer(Scorer):
         self.provider = provider
 
     def scores(self, anchor, candidates, view):
-        embs = self.provider.embed([view.label(v) for v in [anchor, *candidates]])
-        return semantic_scores(embs[0], dict(zip(candidates, embs[1:])))
+        import numpy as np
+
+        texts = [view.label(v) for v in [anchor, *candidates]]
+        anchor_emb, *embs = np.asarray(self.provider.embed(texts), dtype=np.float64)
+        anchor_norm = float(np.linalg.norm(anchor_emb))
+        scores = {}
+        for c, vec in zip(candidates, embs):
+            norm = float(np.linalg.norm(vec))
+            zero = anchor_norm == 0.0 or norm == 0.0
+            scores[c] = -2.0 if zero else float(anchor_emb @ vec) / (anchor_norm * norm)
+        return scores
 
 
 class CoChangeScorer(Scorer):
-    """Historical count of the (anchor, candidate) pair as a positive."""
+    """Historical count of the (anchor, candidate) pair as a positive, from
+    `baselines.build_cochange`; an absent pair counts 0."""
 
     name = "cochange"
 
-    def __init__(self, matrix: CoChangeMatrix):
-        self.matrix = matrix
+    def __init__(self, counts: Mapping[tuple[str, str], int]):
+        self.counts = counts
 
     def scores(self, anchor, candidates, view):
-        return {c: self.matrix.count(anchor, c) for c in candidates}
+        return {c: self.counts.get((anchor, c), 0) for c in candidates}
 
 
 @dataclass(frozen=True)
@@ -254,11 +267,9 @@ def evaluate(
 def aggregate_by_project(
     results: Sequence[AnchorResult],
     ks: Sequence[int] = tuple(range(1, 11)),
-    dynamic: bool = False,
-    dynamic_fraction: float = 0.01,
 ) -> dict:
-    """Mean precision per project (unweighted over anchors), then the
-    overall mean over projects; optionally also at a per-anchor dynamic k."""
+    """Mean precision per project (unweighted over anchors) at each k and at
+    each anchor's `dynamic_k`, then the overall mean over projects."""
     by_project = group_by_project(results)
     projects = {}
     for name in sorted(by_project):
@@ -266,16 +277,11 @@ def aggregate_by_project(
         entry = {
             str(k): sum(r.precision(k) for r in group) / len(group) for k in ks
         }
-        if dynamic:
-            entry["dynamic"] = sum(
-                r.precision(dynamic_k(r.n_candidates, dynamic_fraction)) for r in group
-            ) / len(group)
+        entry["dynamic"] = sum(r.precision(dynamic_k(r.n_candidates)) for r in group) / len(group)
         projects[name] = entry
-    n = len(projects)
-    overall = {}
-    if n:
-        keys = [str(k) for k in ks] + (["dynamic"] if dynamic else [])
-        overall = {key: sum(projects[p][key] for p in projects) / n for key in keys}
+    keys = [str(k) for k in ks] + ["dynamic"]
+    overall = {key: sum(e[key] for e in projects.values()) / len(projects)
+               for key in keys} if projects else {}
     return {"projects": projects, "overall": overall}
 
 

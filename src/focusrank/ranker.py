@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import GRID_KEYS, LossConfig, TrainConfig, read_config, with_grid
+from .config import LossConfig, TrainConfig, read_config, with_grid
 from .errors import (
     CheckpointFormatError,
     ConfigInvalidError,
@@ -646,17 +646,17 @@ def grid_search(
 ) -> tuple[Checkpoint, list[dict]]:
     """Exhaustive search over explicit value lists for selected knobs.
 
-    Grid keys are those of GRID_KEYS. Returns the checkpoint with the
-    lowest best-epoch validation loss plus one result row per combination;
-    ties resolve to the earliest combination in sorted-key order.
+    Grid keys are those of config.GRID_KEYS; `with_grid` refuses others.
+    An empty grid is one combination, the base config. Returns the
+    checkpoint with the lowest best-epoch validation loss plus one result
+    row per combination; ties, and a grid where no combination has a
+    validation loss, resolve to the earliest combination in sorted-key order.
     """
-    unknown = set(grid) - GRID_KEYS
-    if unknown:
-        raise ValueError(f"unknown grid keys: {sorted(unknown)}")
-
     train_set, val_set = PairTable.of(train_set), PairTable.of(val_set)
     keys = sorted(grid)
-    combos = list(product(*(grid[k] for k in keys))) if keys else [()]
+    combos = list(product(*(grid[k] for k in keys)))  # no keys: one empty combination
+    if not combos:
+        raise ConfigInvalidError(f"grid values must be non-empty lists, got {grid}")
     best: Optional[Checkpoint] = None
     best_val = math.inf
     rows = []
@@ -665,10 +665,8 @@ def grid_search(
         ckpt = train(train_set, val_set, with_grid(base_cfg, chosen), provider_fingerprint)
         val = min((row["val_loss"] for row in ckpt.history), default=math.inf)
         rows.append({"combo": chosen, "val_loss": val})
-        if val < best_val:
+        if best is None or val < best_val:
             best_val = val
             best = ckpt
-    if best is None:
-        best = train(train_set, val_set, base_cfg, provider_fingerprint)
     return best, rows
 

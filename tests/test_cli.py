@@ -147,6 +147,7 @@ class TestPipeline:
         assert ckpt["format"] == "focusrank-checkpoint"
         assert ckpt["d"] == 64
         assert ckpt["provider_fingerprint"] == "hashed:d=64"
+        assert not (out_dir / "grid-results.json").exists()  # written only for a grid
 
     def test_eval_every_approach(self, pipeline):
         config_path, out_dir, _ = pipeline
@@ -232,6 +233,7 @@ class TestPipeline:
         manifest = json.loads((out_dir / "manifest-train.json").read_text())
         assert set(manifest) == {"command", "config_sha256", "seeds", "versions", "outputs"}
         assert manifest["command"] == "train"
+        assert manifest["outputs"] == ["checkpoint.json"]
         assert set(manifest["seeds"]) == {"gen", "split", "balance", "train", "eval"}
         assert set(manifest["versions"]) == {"focusrank", "numpy", "python"}
         assert len(manifest["config_sha256"]) == 64
@@ -335,6 +337,15 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert_one_line_failure(code, lines)
         assert "trials must be >= 1" in lines[0]
+        assert "passed" not in capsys.readouterr().out
+
+    def test_gradcheck_with_a_negative_seed_is_a_validation_error(self, capsys):
+        """gradcheck reads no config, so it checks `--seed` itself: exit 1,
+        one line naming the flag, before NumPy sees the seed."""
+        code, lines = run_cli(["--seed", "-1", "gradcheck"])
+        assert code == EXIT_VALIDATION
+        assert_one_line_failure(code, lines)
+        assert lines[0].endswith("--seed must be >= 0")
         assert "passed" not in capsys.readouterr().out
 
 
@@ -755,6 +766,9 @@ def test_negative_seed_fails_every_stage_in_one_line(artifacts, stage):
 @pytest.mark.parametrize("grid, message", [
     ("grid.alpha=[0.4,1.5]", "grid.alpha: alpha must be in (0, 1)"),
     ("grid.h=[16,0]", "grid.h: learning_rate, batch_size and h must be positive"),
+    ("grid.alpha=[]", "grid.alpha must be a non-empty list of numbers"),
+    ("grid.momentum=[]", "grid.momentum must be a non-empty list of numbers"),
+    ("grid.momentum=[0.9]", "grid.momentum: unknown grid keys: ['momentum']"),
 ])
 def test_bad_grid_value_fails_before_the_stage_runs(artifacts, monkeypatch, stage, grid, message):
     """Each grid value is built into the config it overrides when the

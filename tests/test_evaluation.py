@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from focusrank.baselines import CoChangeMatrix, rank_random
+from focusrank.baselines import rank_random
 from focusrank.dataset import diff_views
 from focusrank.embedding import HashedProvider
 from focusrank.errors import NoPositivesError
@@ -295,8 +295,7 @@ class TestEvaluate:
 
     def test_cochange_scorer_uses_history(self):
         corpus = {"proj": growing_project()}
-        matrix = CoChangeMatrix({("E", "D"): 7})
-        report = evaluate(CoChangeScorer(matrix), corpus, [("proj", 0)], k_max=4)
+        report = evaluate(CoChangeScorer({("E", "D"): 7}), corpus, [("proj", 0)], k_max=4)
         assert report.results[0].ranking.ordered[0] == "D"
 
 
@@ -309,24 +308,26 @@ class TestAggregation:
 
     def test_single_anchor_passes_through(self):
         agg = aggregate_by_project([self.hit_result("x")], ks=[1, 2])
-        assert agg["projects"]["x"] == {"1": 1.0, "2": 1.0}
-        assert agg["overall"] == {"1": 1.0, "2": 1.0}
+        assert agg["projects"]["x"] == {"1": 1.0, "2": 1.0, "dynamic": 1.0}
+        assert agg["overall"] == {"1": 1.0, "2": 1.0, "dynamic": 1.0}
 
     def test_projects_average_evenly(self):
         agg = aggregate_by_project([self.hit_result("x"), self.miss_result("y")], ks=[1])
-        assert agg["projects"]["x"]["1"] == 1.0
-        assert agg["projects"]["y"]["1"] == 0.0
-        assert agg["overall"]["1"] == 0.5
+        assert agg["projects"] == {"x": {"1": 1.0, "dynamic": 1.0}, "y": {"1": 0.0, "dynamic": 0.0}}
+        assert agg["overall"] == {"1": 0.5, "dynamic": 0.5}
 
     def test_anchor_count_does_not_skew_project_weighting(self):
         results = [self.hit_result("x"), self.hit_result("x"), self.miss_result("y")]
         agg = aggregate_by_project(results, ks=[1])
-        assert agg["overall"]["1"] == 0.5
+        assert agg["overall"] == {"1": 0.5, "dynamic": 0.5}
 
     def test_dynamic_column(self):
-        agg = aggregate_by_project([self.hit_result("x")], ks=[1], dynamic=True)
-        assert agg["projects"]["x"]["dynamic"] == 1.0
-        assert agg["overall"]["dynamic"] == 1.0
+        """An anchor with 101 candidates is judged at k = 2, where its one
+        positive in second place is a hit; at k = 1 it is a miss."""
+        ordered = ["n0", "p1", *(f"n{i}" for i in range(1, 100))]
+        agg = aggregate_by_project([AnchorResult("x", 0, ranked(ordered, {"p1"}))], ks=[1])
+        assert agg["projects"]["x"] == {"1": 0.0, "dynamic": 1.0}
+        assert agg["overall"] == {"1": 0.0, "dynamic": 1.0}
 
     def test_empty_results(self):
         assert aggregate_by_project([], ks=[1]) == {"projects": {}, "overall": {}}

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from focusrank.config import with_grid
 from focusrank.errors import (
     CheckpointFormatError,
     ConfigInvalidError,
@@ -963,5 +964,36 @@ class TestGridSearch:
 
     def test_unknown_key_rejected(self):
         data = toy_task(n=8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigInvalidError, match="unknown grid keys"):
             grid_search(data, data, toy_config(epochs=1), {"momentum": [0.9]})
+
+    def test_with_grid_rejects_an_unknown_key(self):
+        with pytest.raises(ConfigInvalidError, match=r"unknown grid keys: \['momentum'\]"):
+            with_grid(toy_config(), {"alpha": 0.3, "momentum": 0.9})
+        assert with_grid(toy_config(), {"alpha": 0.3, "h": 5}).loss.alpha == 0.3
+
+    def test_empty_grid_trains_the_base_config_once(self, monkeypatch):
+        from focusrank import ranker
+
+        data = toy_task(n=24)
+        cfg = toy_config(epochs=3, early_stop_patience=0)
+        alone = train(data, data, cfg)
+        calls = []
+        monkeypatch.setattr(ranker, "train", lambda *args: calls.append(args) or alone)
+        best, rows = grid_search(data, data, cfg, {})
+        assert len(calls) == 1 and calls[0][2] == cfg
+        assert best is alone
+        assert rows == [{"combo": {}, "val_loss": min(r["val_loss"] for r in alone.history)}]
+
+    def test_empty_value_list_rejected(self):
+        data = toy_task(n=8)
+        with pytest.raises(ConfigInvalidError, match="non-empty"):
+            grid_search(data, data, toy_config(epochs=1), {"alpha": [0.3], "h": []})
+
+    def test_no_validation_loss_keeps_the_first_combination(self):
+        """With no epoch run no combination has a validation loss; the
+        earliest one is returned, not a model outside the grid."""
+        data = toy_task(n=8)
+        best, rows = grid_search(data, data, toy_config(epochs=0), {"h": [3, 2]})
+        assert [row["combo"] for row in rows] == [{"h": 3}, {"h": 2}]
+        assert best.train_config.h == 3 and best.params.h == 3
