@@ -35,6 +35,10 @@ from .graphs import Diff, ModelGraph, Project
 PairKey = tuple[str, int]  # (project, diff_index)
 T = TypeVar("T")
 
+#: The keys of a pair row, in `LabeledPair` field order, and a split's parts.
+PAIR_KEYS = ("project", "diff", "anchor", "candidate", "label")
+SPLIT_PARTS = ("train", "validation", "test")
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -47,29 +51,6 @@ class LabeledPair:
     anchor: str
     candidate: str
     label: int
-
-    def to_record(self) -> dict:
-        return {
-            "project": self.project,
-            "diff": self.diff_index,
-            "anchor": self.anchor,
-            "candidate": self.candidate,
-            "label": self.label,
-        }
-
-    @staticmethod
-    def from_record(record: Mapping) -> "LabeledPair":
-        """Raises ArtifactFormatError unless the record has string project,
-        anchor and candidate, an integer diff, and a 0/1 label."""
-        fields = ("project", "diff", "anchor", "candidate", "label")
-        if not isinstance(record, Mapping) or set(fields) - set(record):
-            raise ArtifactFormatError(f"a pair record is an object with keys {fields}")
-        pair = LabeledPair(*(record[key] for key in fields))
-        texts = (pair.project, pair.anchor, pair.candidate)
-        if not (all(isinstance(t, str) for t in texts) and _is_int(pair.diff_index)
-                and _is_int(pair.label) and pair.label in (0, 1)):
-            raise ArtifactFormatError(f"pair record has mistyped fields: {dict(record)!r}")
-        return pair
 
 
 def label_pairs(
@@ -135,31 +116,6 @@ class DatasetSplit:
     validation: list[PairKey]
     test: list[PairKey]
     mode: str  # "temporal" | "cross_project"
-
-    def to_manifest(self) -> dict:
-        return {
-            "mode": self.mode,
-            "train": [list(key) for key in self.train],
-            "validation": [list(key) for key in self.validation],
-            "test": [list(key) for key in self.test],
-        }
-
-    @staticmethod
-    def from_manifest(record: Mapping) -> "DatasetSplit":
-        """Raises ArtifactFormatError unless every part lists [project,
-        diff index] entries and the mode is known."""
-        parts = ("train", "validation", "test")
-        if (not isinstance(record, Mapping) or {"mode", *parts} - set(record)
-                or record["mode"] not in ("temporal", "cross_project")):
-            raise ArtifactFormatError(f"a split manifest has a known mode and lists {parts}")
-        for part in parts:
-            keys = record[part]
-            if not isinstance(keys, list) or not all(
-                isinstance(k, list) and len(k) == 2 and isinstance(k[0], str) and _is_int(k[1])
-                for k in keys
-            ):
-                raise ArtifactFormatError(f"split {part} must list [project, diff] pairs")
-        return DatasetSplit(*([tuple(k) for k in record[p]] for p in parts), mode=record["mode"])
 
 
 def split_temporal(project_diffs: Sequence[PairKey]) -> DatasetSplit:
@@ -275,11 +231,15 @@ def group_by_project(items: Iterable[T]) -> dict[str, list[T]]:
 
 
 def save_pairs(pairs: Iterable[LabeledPair], path) -> None:
-    write_artifact(path, (json.dumps(pair.to_record(), sort_keys=True) + "\n" for pair in pairs))
+    """One sorted-key JSON object per line, keyed by `PAIR_KEYS`."""
+    rows = ((p.project, p.diff_index, p.anchor, p.candidate, p.label) for p in pairs)
+    write_artifact(path, (json.dumps(dict(zip(PAIR_KEYS, row)), sort_keys=True) + "\n" for row in rows))
 
 
 def load_pairs(path) -> list[LabeledPair]:
-    """Raises ArtifactFormatError, naming the line, for a malformed row."""
+    """Raises ArtifactFormatError, naming the line, unless every row is an
+    object with string project, anchor and candidate, an integer diff, and
+    a 0/1 label."""
     pairs = []
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
@@ -287,19 +247,41 @@ def load_pairs(path) -> list[LabeledPair]:
             if not line:
                 continue
             try:
-                pairs.append(LabeledPair.from_record(read_json(line, "invalid JSON", ArtifactFormatError)))
+                record = read_json(line, "invalid JSON", ArtifactFormatError)
+                if not isinstance(record, dict) or set(PAIR_KEYS) - set(record):
+                    raise ArtifactFormatError(f"a pair record is an object with keys {PAIR_KEYS}")
+                project, diff_index, anchor, candidate, label = map(record.get, PAIR_KEYS)
+                if not (all(isinstance(t, str) for t in (project, anchor, candidate))
+                        and _is_int(diff_index) and _is_int(label) and label in (0, 1)):
+                    raise ArtifactFormatError(f"pair record has mistyped fields: {record!r}")
             except ArtifactFormatError as exc:
                 raise ArtifactFormatError(f"{path} line {number}: {exc}") from None
+            pairs.append(LabeledPair(project, diff_index, anchor, candidate, label))
     return pairs
 
 
 def save_split(split: DatasetSplit, path) -> None:
-    write_artifact(path, json_text(split.to_manifest()))
+    parts = {part: [list(key) for key in getattr(split, part)] for part in SPLIT_PARTS}
+    write_artifact(path, json_text({"mode": split.mode, **parts}))
 
 
 def load_split(path) -> DatasetSplit:
+    """Raises ArtifactFormatError, naming the file, unless the mode is known
+    and every part lists [project, diff index] entries."""
     with open(path, "rb") as fh:
-        try:
-            return DatasetSplit.from_manifest(read_json(fh.read(), "invalid JSON", ArtifactFormatError))
-        except ArtifactFormatError as exc:
-            raise ArtifactFormatError(f"{path}: {exc}") from None
+        data = fh.read()
+    try:
+        record = read_json(data, "invalid JSON", ArtifactFormatError)
+        if (not isinstance(record, dict) or {"mode", *SPLIT_PARTS} - set(record)
+                or record["mode"] not in ("temporal", "cross_project")):
+            raise ArtifactFormatError(f"a split manifest has a known mode and lists {SPLIT_PARTS}")
+        for part in SPLIT_PARTS:
+            keys = record[part]
+            if not isinstance(keys, list) or not all(
+                isinstance(k, list) and len(k) == 2 and isinstance(k[0], str) and _is_int(k[1])
+                for k in keys
+            ):
+                raise ArtifactFormatError(f"split {part} must list [project, diff] pairs")
+    except ArtifactFormatError as exc:
+        raise ArtifactFormatError(f"{path}: {exc}") from None
+    return DatasetSplit(*([tuple(k) for k in record[part]] for part in SPLIT_PARTS), mode=record["mode"])

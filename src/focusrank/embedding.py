@@ -43,14 +43,10 @@ def tokenize(text: str) -> list[str]:
     return [tok.lower() for tok in _TOKEN_RE.findall(text)]
 
 
-def fnv1a_64(data: bytes) -> int:
-    """64-bit FNV-1a; portable and stable across runs and platforms."""
-    return int(fnv1a_64_all([data])[0])
-
-
 def fnv1a_64_all(items: Sequence[bytes]) -> np.ndarray:
-    """`fnv1a_64` of every byte string, as uint64: one vectorized FNV step
-    per byte position, applied to the strings that are that long."""
+    """64-bit FNV-1a of every byte string, as uint64, portable and stable
+    across runs and platforms: one vectorized FNV step per byte position,
+    applied to the strings that are that long."""
     lengths = np.fromiter(map(len, items), dtype=np.intp, count=len(items))
     live = np.arange(lengths.max(initial=0)) < lengths[:, None]
     data = np.zeros(live.shape, dtype=np.uint64)
@@ -191,24 +187,24 @@ class RemoteProvider:
     POSTs {"model": name, "input": [texts]} and reads
     {"data": [{"index": i, "embedding": [...]}]}, whose indices must be
     0..n-1, one each. Requests are batched and retried with exponential
-    backoff, except on 4xx answers and bodies that are not JSON, which a
-    retry cannot fix; each attempt waits at most `timeout_seconds` for the
-    endpoint. The bearer token comes from the environment variable named in
-    the config.
+    backoff from `retry_base_seconds`, except on 4xx answers and bodies
+    that are not JSON, which a retry cannot fix; each attempt waits at most
+    `timeout_seconds` for the endpoint. The bearer token comes from the
+    environment variable named in the config.
     """
 
     kind = "remote"
     max_batch = 128
     max_attempts = 3
     timeout_seconds = 30.0
+    retry_base_seconds = 0.5
 
-    def __init__(self, config: ProviderConfig, retry_base_seconds: float = 0.5):
+    def __init__(self, config: ProviderConfig):
         if config.kind != "remote":
             raise ConfigInvalidError("RemoteProvider needs kind='remote'")
         self.dimension = config.dimension
         self.remote = config.remote
         self.fingerprint = f"remote:{config.remote.model}:d={config.dimension}"
-        self.retry_base_seconds = retry_base_seconds
         self._store = (
             _EmbeddingStore(config.cache_dir, self.fingerprint, self.dimension)
             if config.cache_dir
@@ -297,7 +293,7 @@ class RemoteProvider:
         return vectors[np.argsort(index)]
 
 
-def make_provider(config: ProviderConfig, retry_base_seconds: float = 0.5):
+def make_provider(config: ProviderConfig):
     if config.kind == "hashed":
         return HashedProvider(config.dimension)
-    return RemoteProvider(config, retry_base_seconds=retry_base_seconds)
+    return RemoteProvider(config)

@@ -88,16 +88,7 @@ def neural_scores(params, provider, graph: ModelGraph | Diff, anchor: str, candi
     return ranker.sigmoid(logits)
 
 
-class Scorer:
-    """Scores an anchor's candidates within one diff."""
-
-    name = "scorer"
-
-    def scores(self, anchor: str, candidates: Sequence[str], view: Diff) -> dict:
-        raise NotImplementedError
-
-
-class NeuralScorer(Scorer):
+class NeuralScorer:
     """Scores pairs with a trained checkpoint's predicted probability."""
 
     name = "nextfocus"
@@ -111,7 +102,7 @@ class NeuralScorer(Scorer):
         return {c: float(p) for c, p in zip(candidates, probs)}
 
 
-class RandomScorer(Scorer):
+class RandomScorer:
     """The seeded permutation of `rank_random`: earlier places score higher."""
 
     name = "random"
@@ -124,7 +115,7 @@ class RandomScorer(Scorer):
         return {c: -place for place, c in enumerate(order)}
 
 
-class SemanticScorer(Scorer):
+class SemanticScorer:
     """Cosine similarity between anchor and candidate label embeddings; a
     zero vector scores a sentinel below -1, so it lands after every defined
     similarity. Row by row: a batched norm or product may differ in the
@@ -149,7 +140,7 @@ class SemanticScorer(Scorer):
         return scores
 
 
-class CoChangeScorer(Scorer):
+class CoChangeScorer:
     """Historical count of the (anchor, candidate) pair as a positive, from
     `baselines.build_cochange`; an absent pair counts 0."""
 
@@ -239,13 +230,15 @@ class EvalReport:
 
 
 def evaluate(
-    scorer: Scorer,
+    scorer,
     corpus: Mapping[str, Project],
     items: Sequence[tuple[str, int]],
     k_max: int = 10,
     tau: Optional[float] = None,
 ) -> EvalReport:
-    """Run one scorer over (project, diff_index) test items."""
+    """Run one scorer over (project, diff_index) test items, reading only its
+    `name` and `scores(anchor, candidates, view)`, which maps each candidate
+    to its score within the diff `view`."""
     report = EvalReport(approach=scorer.name, tau=tau, k_max=k_max)
     for view in diff_views(corpus, items):
         if not view.anchors:

@@ -74,9 +74,6 @@ class ModelGraph:
         except KeyError:
             raise UnknownNodeError(node_id) from None
 
-    def labels(self) -> dict[str, str]:
-        return dict(self._labels)
-
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._labels
 
@@ -161,8 +158,7 @@ class Diff:
 
     source: ModelGraph
     target: ModelGraph
-    source_version: int = 0
-    target_version: int = 1
+    source_version: int = 0  # the target is version source_version + 1
     project: str = ""
 
     @cached_property
@@ -199,9 +195,9 @@ class Diff:
         return frozenset(self.anchors)
 
 
-def diff(m: ModelGraph, n: ModelGraph, source_version=0, target_version=1, project="") -> Diff:
+def diff(m: ModelGraph, n: ModelGraph, source_version=0, project="") -> Diff:
     """The diff from version m to version n, nodes matched by identifier."""
-    return Diff(m, n, source_version, target_version, project)
+    return Diff(m, n, source_version, project)
 
 
 def union_graph(m: ModelGraph, n: ModelGraph) -> ModelGraph:
@@ -265,7 +261,7 @@ class Project:
 
     def diff_at(self, index: int) -> Diff:
         """Diff between versions index and index+1."""
-        return diff(self.versions[index], self.versions[index + 1], index, index + 1, self.name)
+        return diff(self.versions[index], self.versions[index + 1], index, self.name)
 
 
 _NODE_FIELDS = itemgetter("id", "label")
@@ -357,9 +353,13 @@ def load_corpus(paths: Sequence) -> dict[str, Project]:
         return corpus
     finally:  # no worker outlives the call
         for pid, pipe in workers.values():
-            os.kill(pid, signal.SIGKILL)
             pipe.close()
-            os.waitpid(pid, 0)
+            try:  # an unreaped worker keeps its pid, so only then is the kill safe
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped by `_received` before the interrupt
+                pass
 
 
 def _runs(paths: list) -> list[list]:

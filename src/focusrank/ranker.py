@@ -415,10 +415,10 @@ def finite_difference_grad(
     cands: np.ndarray,
     labels: np.ndarray,
     cfg: LossConfig,
-    epsilon: float = 1e-4,
 ) -> RankerParams:
     """Central-difference gradient; the reference the analytic path is
     checked against in `gradient_check` and the gradcheck command."""
+    epsilon = 1e-4
     work = params.copy()
     theta = work.theta
     out = np.empty_like(theta)
@@ -433,19 +433,14 @@ def finite_difference_grad(
     return RankerParams.from_theta(out, params.d, params.h)
 
 
-def gradient_check(
-    trials: int = 20,
-    seed: int = 0,
-    rel_tol: float = 1e-4,
-    abs_tol: float = 1e-7,
-    epsilon: float = 1e-4,
-) -> list[dict]:
+def gradient_check(trials: int = 20, seed: int = 0) -> list[dict]:
     """Random small configurations compared against central differences.
 
     A trial's `max_rel_error` is the largest |analytic - numeric| divided by
     max(|analytic|, |numeric|, abs_tol / rel_tol); it is within rel_tol iff
     every difference is within max(abs_tol, rel_tol * |gradient|).
     """
+    rel_tol, abs_tol = 1e-4, 1e-7
     rng = np.random.default_rng(seed)
     results = []
     for trial in range(trials):
@@ -468,7 +463,7 @@ def gradient_check(
             lambda_penalty=float(rng.choice([0.0, 1.0, 4.0])),
         )
         _, analytic = grad(params, anchors, cands, labels, cfg)
-        numeric = finite_difference_grad(params, anchors, cands, labels, cfg, epsilon=epsilon)
+        numeric = finite_difference_grad(params, anchors, cands, labels, cfg)
         a_arr, n_arr = analytic.theta, numeric.theta
         diff = np.abs(a_arr - n_arr)
         denom = np.maximum(np.maximum(np.abs(a_arr), np.abs(n_arr)), abs_tol / rel_tol)

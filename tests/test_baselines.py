@@ -160,7 +160,7 @@ def view(anchors, positives, candidates=(), diff_index=0, project="p"):
     kept = set(candidates) | set(positives)
     source = ModelGraph({v: v for v in kept})
     target = ModelGraph({v: v for v in kept | set(anchors)}, [(p, min(anchors), "e") for p in positives])
-    d = diff(source, target, diff_index, diff_index + 1, project)
+    d = diff(source, target, diff_index, project)
     assert set(d.anchors) == set(anchors) and d.positives == set(positives)
     return d
 

@@ -146,7 +146,8 @@ class TestPlantedPattern:
         corpus, manifest = build_corpus(cfg)
         provider = HashedProvider(dimension=64)
         for entry in manifest["projects"]:
-            labels = corpus[entry["name"]].versions[0].labels()
+            version = corpus[entry["name"]].versions[0]
+            labels = {v: version.label(v) for v in version.node_ids}
             for group in entry["groups"]:
                 concept = group["concept"].lower()
                 member_labels = [labels[m] for m in group["members"]]

@@ -356,9 +356,9 @@ class TestCrossProjectSplit:
         counts = {f"p{i}": 3 for i in range(7)}
         a = split_cross_project(counts, folds=3, seed=42)
         b = split_cross_project(counts, folds=3, seed=42)
-        assert [f.to_manifest() for f in a] == [f.to_manifest() for f in b]
+        assert a == b
         c = split_cross_project(counts, folds=3, seed=43)
-        assert [f.to_manifest() for f in a] != [f.to_manifest() for f in c]
+        assert a != c
 
 
 def make_pairs(project, n, label=0):
@@ -467,3 +467,72 @@ class TestPersistence:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ArtifactFormatError):
             load_split(path)
+
+
+ROW_KEYS_TEXT = "a pair record is an object with keys ('project', 'diff', 'anchor', 'candidate', 'label')"
+GOOD_ROW = {"project": "p", "diff": 0, "anchor": "A", "candidate": "B", "label": 1}
+
+# (row bytes, message): the loader's text for each pair-row fault, pinned.
+PINNED_ROW_FAULTS = [
+    (b"{not json", "invalid JSON (Expecting property name enclosed in double quotes: "
+                   "line 1 column 2 (char 1))"),
+    # the row is stripped before it is read, so the offset counts from its first mark
+    (b"   [1,", "invalid JSON (Expecting value: line 1 column 4 (char 3))"),
+    (b'"\xff"', "invalid JSON ('utf-8' codec can't decode byte 0xff in position 1: invalid start byte)"),
+    (b'["p", 0, "A", "B", 1]', ROW_KEYS_TEXT),
+    (b"null", ROW_KEYS_TEXT),
+    (json.dumps({k: v for k, v in GOOD_ROW.items() if k != "label"}).encode(), ROW_KEYS_TEXT),
+    (json.dumps({**GOOD_ROW, "diff": "0"}).encode(),
+     "pair record has mistyped fields: "
+     "{'project': 'p', 'diff': '0', 'anchor': 'A', 'candidate': 'B', 'label': 1}"),
+    (json.dumps({**GOOD_ROW, "label": True, "extra": None}).encode(),
+     "pair record has mistyped fields: "
+     "{'project': 'p', 'diff': 0, 'anchor': 'A', 'candidate': 'B', 'label': True, 'extra': None}"),
+    # the text shows the row in its own key order
+    (b'{"label": 2, "candidate": "B", "anchor": 3, "diff": 0, "project": "p"}',
+     "pair record has mistyped fields: "
+     "{'label': 2, 'candidate': 'B', 'anchor': 3, 'diff': 0, 'project': 'p'}"),
+    (json.dumps({**GOOD_ROW, "diff": 1.0}).encode(),
+     "pair record has mistyped fields: "
+     "{'project': 'p', 'diff': 1.0, 'anchor': 'A', 'candidate': 'B', 'label': 1}"),
+]
+
+
+@pytest.mark.parametrize("row, message", PINNED_ROW_FAULTS)
+def test_each_pair_row_fault_keeps_its_text(tmp_path, row, message):
+    path = tmp_path / "pairs.jsonl"
+    path.write_bytes(json.dumps(GOOD_ROW).encode() + b"\n\n" + row + b"\n")
+    with pytest.raises(ArtifactFormatError) as info:
+        load_pairs(path)
+    assert str(info.value) == f"{path} line 3: {message}"
+
+
+SPLIT_KEYS_TEXT = "a split manifest has a known mode and lists ('train', 'validation', 'test')"
+GOOD_SPLIT = {"mode": "temporal", "train": [["p", 0]], "validation": [["p", 1]], "test": [["p", 2]]}
+
+# (manifest bytes, message): the loader's text for each split fault, pinned.
+PINNED_SPLIT_FAULTS = [
+    (b"", "invalid JSON (Expecting value: line 1 column 1 (char 0))"),
+    (b"\xff", "invalid JSON ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)"),
+    (b"[]", SPLIT_KEYS_TEXT),
+    (json.dumps({k: v for k, v in GOOD_SPLIT.items() if k != "test"}).encode(), SPLIT_KEYS_TEXT),
+    (json.dumps({**GOOD_SPLIT, "mode": "sideways"}).encode(), SPLIT_KEYS_TEXT),
+    (json.dumps({**GOOD_SPLIT, "mode": ["temporal"]}).encode(), SPLIT_KEYS_TEXT),
+    (json.dumps({**GOOD_SPLIT, "train": {"p": 0}}).encode(), "split train must list [project, diff] pairs"),
+    (json.dumps({**GOOD_SPLIT, "validation": [["p", "1"]]}).encode(),
+     "split validation must list [project, diff] pairs"),
+    (json.dumps({**GOOD_SPLIT, "test": [["p", 2], ["p", 3, 4]]}).encode(),
+     "split test must list [project, diff] pairs"),
+    # the first faulty part in (train, validation, test) order is named
+    (json.dumps({**GOOD_SPLIT, "test": 5, "validation": [[0, 1]]}).encode(),
+     "split validation must list [project, diff] pairs"),
+]
+
+
+@pytest.mark.parametrize("manifest, message", PINNED_SPLIT_FAULTS)
+def test_each_split_fault_keeps_its_text(tmp_path, manifest, message):
+    path = tmp_path / "split.json"
+    path.write_bytes(manifest)
+    with pytest.raises(ArtifactFormatError) as info:
+        load_split(path)
+    assert str(info.value) == f"{path}: {message}"

@@ -28,7 +28,6 @@ from focusrank.embedding import (
     ProviderConfig,
     RemoteConfig,
     RemoteProvider,
-    fnv1a_64,
     fnv1a_64_all,
     make_provider,
     tokenize,
@@ -56,6 +55,11 @@ class TestTokenize:
     def test_empty_and_symbol_only(self):
         assert tokenize("") == []
         assert tokenize("$$##") == []
+
+
+def fnv1a_64(data: bytes) -> int:
+    """The 64-bit FNV-1a of one byte string, through the vectorized hash."""
+    return int(fnv1a_64_all([data])[0])
 
 
 class TestFnv1a:
@@ -510,7 +514,9 @@ def remote_provider(url: str, dimension: int = 8, auth_env: str = "", cache_dir=
         remote=RemoteConfig(endpoint=url, model="test-model", auth_env=auth_env),
         cache_dir=cache_dir,
     )
-    return make_provider(config, retry_base_seconds=0.0)
+    provider = make_provider(config)
+    provider.retry_base_seconds = 0.0  # retries here do not wait
+    return provider
 
 
 class TestRemoteProvider:

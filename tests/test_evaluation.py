@@ -15,7 +15,6 @@ from focusrank.evaluation import (
     NeuralScorer,
     RandomScorer,
     RankedList,
-    Scorer,
     SemanticScorer,
     aggregate_by_project,
     by_score,
@@ -155,7 +154,7 @@ def growing_project(name="proj"):
     return Project(name=name, versions=[v0, v1])
 
 
-class OracleScorer(Scorer):
+class OracleScorer:
     """Reads the ground truth it is handed; the ceiling for any ranker."""
 
     name = "oracle"
@@ -167,7 +166,7 @@ class OracleScorer(Scorer):
         return {c: 1.0 if c in self.positives else 0.0 for c in candidates}
 
 
-class InverseScorer(Scorer):
+class InverseScorer:
     name = "inverse"
 
     def __init__(self, positives):
@@ -243,7 +242,9 @@ class TestEvaluate:
     def test_scorer_sees_the_diff_view(self):
         seen = []
 
-        class Spy(Scorer):
+        class Spy:
+            name = "spy"
+
             def scores(self, anchor, candidates, view):
                 seen.append((anchor, tuple(candidates), view))
                 return {c: 0.0 for c in candidates}

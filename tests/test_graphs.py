@@ -34,6 +34,11 @@ def labeled(nodes, edges=()):
     return ModelGraph(dict(nodes), edges)
 
 
+def labels(g: ModelGraph) -> dict:
+    """Each node's label by id, the stored objects themselves."""
+    return {v: g.label(v) for v in g.node_ids}
+
+
 NODE_A = {"id": "A", "label": "x"}
 
 
@@ -155,9 +160,9 @@ def test_adjacency_matches_edge_scan(tmp_path_factory, m, n, made_by):
         assert g == m
     elif made_by == "union_graph":
         g = union_graph(m, n)  # built without the constructor's checks
-        assert g == ModelGraph(m.labels() | n.labels(), m.edges | n.edges)
+        assert g == ModelGraph(labels(m) | labels(n), m.edges | n.edges)
     else:
-        g = ModelGraph(list(m.labels().items()), list(m.edges))
+        g = ModelGraph(list(labels(m).items()), list(m.edges))
     for v in sorted(g.node_ids):
         assert g.distances_from(v) == bfs_over_edges(g, v)
 
@@ -400,7 +405,7 @@ class TestProjectPersistence:
         assert loaded == versions
         first: dict = {}
         for g in loaded:
-            for part in [*g.labels().keys(), *g.labels().values(), *g.edges]:
+            for part in [*labels(g).keys(), *labels(g).values(), *g.edges]:
                 assert first.setdefault(part, part) is part
         assert len(first) == 9
 
@@ -416,7 +421,7 @@ class TestProjectPersistence:
         versions = [graph("A"), graph("AB"), graph("ABC")]
         p = Project(name="p", versions=versions)
         d = p.diff_at(1)
-        assert d.source_version == 1 and d.target_version == 2 and d.project == "p"
+        assert d.source_version == 1 and d.project == "p"
         assert d.source is versions[1] and d.target is versions[2]
         assert d.changed_nodes() == {"C"}
 
@@ -486,7 +491,7 @@ class TestCorpusWorkers:
             assert shared[name].versions == project.versions
         first: dict = {}  # the last project was read by a worker
         for g in shared[corpus_files[-1].stem].versions:
-            for part in [*g.labels().keys(), *g.labels().values(), *g.edges]:
+            for part in [*labels(g).keys(), *labels(g).values(), *g.edges]:
                 assert first.setdefault(part, part) is part
 
     @pytest.mark.parametrize("fault", ["malformed record", "not JSON", "duplicate id", "missing file"])
@@ -564,6 +569,30 @@ class TestCorpusWorkers:
         assert len(calls) == call and len(forks) == call - 1
         assert_no_child_left()
 
+    def test_an_interrupt_after_a_reap_leaves_no_worker(self, corpus_files, usable_cpus, monkeypatch):
+        """An interrupt, such as a SIGINT, that lands just after the first
+        worker is reaped, before `load_corpus` forgets it, propagates as
+        itself: the reaped pid is not killed, and the other worker and every
+        pipe are closed and reaped."""
+        forks = usable_cpus(3)
+        real, reaped = os.waitpid, []
+
+        def reap_then_interrupt(pid, options):
+            result = real(pid, options)
+            if not reaped:
+                reaped.append(pid)
+                raise KeyboardInterrupt
+            return result
+
+        monkeypatch.setattr(os, "waitpid", reap_then_interrupt)
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(KeyboardInterrupt) as info:
+            load_corpus(corpus_files)
+        assert info.value.__context__ is None
+        assert len(forks) == 2 and reaped
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert_no_child_left()
+
     def test_one_usable_cpu_forks_nothing(self, corpus_files, usable_cpus, monkeypatch):
         usable_cpus(1)
 
@@ -602,7 +631,7 @@ def json_dumps_payload(project: Project) -> dict:
         "project": project.name,
         "versions": [
             {
-                "nodes": [{"id": v, "label": label} for v, label in sorted(g.labels().items())],
+                "nodes": [{"id": v, "label": label} for v, label in sorted(labels(g).items())],
                 "edges": [{"src": s, "dst": d, "label": label} for s, d, label in sorted(g.edges)],
             }
             for g in project.versions
@@ -624,5 +653,5 @@ def test_save_project_writes_the_json_dumps_bytes(tmp_path_factory, project):
     assert loaded.name == project.name and loaded.versions == project.versions
     first: dict = {}
     for g in loaded.versions:
-        for part in [*g.labels().keys(), *g.labels().values(), *g.edges]:
+        for part in [*labels(g).keys(), *labels(g).values(), *g.edges]:
             assert first.setdefault(part, part) is part
