@@ -6,12 +6,11 @@ by ascending node id, so rankings are reproducible.
 
 from __future__ import annotations
 
-import json
 import random
 from itertools import product
 from typing import Iterable, Sequence
 
-from .errors import EmptyCandidatesError, write_artifact
+from .errors import EmptyCandidatesError, json_lines, write_artifact
 from .graphs import Diff
 
 
@@ -38,7 +37,7 @@ def build_cochange(train_diffs: Iterable[Diff]) -> dict[tuple[str, str], int]:
 
 
 def save_cochange(counts: dict[tuple[str, str], int], path) -> None:
-    write_artifact(path, (
-        json.dumps({"anchor": anchor, "candidate": candidate, "count": count}, sort_keys=True) + "\n"
+    write_artifact(path, json_lines(
+        {"anchor": anchor, "candidate": candidate, "count": count}
         for (anchor, candidate), count in sorted(counts.items())
     ))

@@ -8,8 +8,9 @@ and the versions of the libraries the stage loaded; nothing in the outputs
 depends on wall-clock time, so identical configs reproduce byte-identical
 artifacts.
 
-Exit codes: 0 success, 1 validation problem (bad config, bad arguments,
-missing artifact), 2 runtime failure.
+Exit codes: 0 success, 1 an `InvalidInputError` (bad config, bad arguments,
+missing or malformed artifact), 2 any other failure: another
+`FocusRankError`, an `OSError` or running out of memory.
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ from .dataset import (
 )
 from .config import ProviderConfig, TrainConfig, read_config, same_kind, with_grid
 from .errors import (
-    ArtifactFormatError, CheckpointFormatError, ConfigInvalidError, FocusRankError,
-    MissingArtifactError, TooFewCommitsError, TooFewProjectsError, UnknownNodeError, json_text,
-    read_json, write_artifact,
+    ArtifactFormatError, ConfigInvalidError, FocusRankError, InvalidInputError,
+    MissingArtifactError, UnknownNodeError, json_text, read_json, write_artifact,
 )
 from .graphs import Project, load_corpus
 
@@ -57,12 +57,6 @@ EXIT_RUNTIME = 2
 
 APPROACHES = ("nextfocus", "random", "semantic", "cochange")
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
-
-_VALIDATION_ERRORS = (
-    ArtifactFormatError, ConfigInvalidError, MissingArtifactError, UnknownNodeError,
-    TooFewCommitsError, TooFewProjectsError, CheckpointFormatError, ValueError,
-)
-
 
 @dataclass(frozen=True)
 class SplitConfig:
@@ -110,6 +104,9 @@ class RunConfig:
     def __post_init__(self):
         if not self.out_dir or not self.corpus_dir:
             raise ConfigInvalidError("out_dir and corpus_dir must be non-empty")
+        for key in ("out_dir", "corpus_dir"):  # the OS takes no NUL in a path
+            if "\0" in getattr(self, key):
+                raise ConfigInvalidError(f"{key} must be a path without NUL characters")
         for knob, values in self.grid.items():  # with_grid refuses a knob outside GRID_KEYS
             kind = 1 if knob == "h" else 1.0
             if not isinstance(values, list) or not values or not all(same_kind(kind, v) for v in values):
@@ -531,10 +528,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_train(config)
         if args.command == "eval":
             return cmd_eval(config, args.approach, args.plot_data)
-        if args.command == "rank":
-            return cmd_rank(config, args.project, args.anchor, args.k)
-        parser.error(f"unknown command {args.command!r}")
-    except _VALIDATION_ERRORS as exc:
+        return cmd_rank(config, args.project, args.anchor, args.k)  # the parser admits no other
+    except InvalidInputError as exc:
         logger.error("%s", _one_line(exc))
         return EXIT_VALIDATION
     except (FocusRankError, OSError) as exc:
@@ -543,7 +538,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError as exc:  # its text may be empty
         logger.error("out of memory: %s", _one_line(exc) or "MemoryError")
         return EXIT_RUNTIME
-    return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Optional
+from urllib.parse import urlsplit  # pathlib imports it already
 
 from .errors import ConfigInvalidError
 
@@ -60,6 +61,8 @@ def read_config(cls, record, path: str, complete: bool = False):
     return cls(**values)
 
 
+MAX_WIDTH = 2**16  # the widest embedding and hidden layer; NumPy refuses far wider with a ValueError
+
 # Knobs a grid search may vary: the loss factors and two training settings.
 _LOSS_KEYS = frozenset({"alpha", "beta", "lambda_penalty"})
 GRID_KEYS = _LOSS_KEYS | {"learning_rate", "h"}
@@ -101,6 +104,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.h <= 0:
             raise ConfigInvalidError("learning_rate, batch_size and h must be positive")
+        if self.h > MAX_WIDTH:
+            raise ConfigInvalidError(f"train.h must be <= {MAX_WIDTH}")
         if not math.isfinite(self.learning_rate) or not math.isfinite(self.init_scale):
             raise ConfigInvalidError("learning_rate and init_scale must be finite")
         if self.epochs < 0 or self.early_stop_patience < 0:
@@ -125,6 +130,15 @@ class RemoteConfig:
     model: str
     auth_env: str = ""
 
+    def __post_init__(self):
+        try:  # urlsplit raises for a malformed IPv6 host, `port` for a port not in 0..65535
+            url = urlsplit(self.endpoint)
+            usable = url.scheme in ("http", "https") and url.hostname and url.port != -1
+        except ValueError:
+            usable = False
+        if not usable or not all("!" <= ch <= "~" for ch in self.endpoint):  # http.client's URL chars
+            raise ConfigInvalidError("provider.remote.endpoint must be an http(s) URL with a host")
+
 
 @dataclass(frozen=True)
 class ProviderConfig:
@@ -142,11 +156,13 @@ class ProviderConfig:
             raise ConfigInvalidError(
                 "remote must be an object of strings: endpoint, model, optional auth_env"
             )
-        if not isinstance(self.cache_dir, (str, type(None))):
+        if not isinstance(self.cache_dir, (str, type(None))) or "\0" in (self.cache_dir or ""):
             raise ConfigInvalidError("provider.cache_dir must be null or a path")
         if self.kind not in ("hashed", "remote"):
             raise ConfigInvalidError(f"unknown provider kind {self.kind!r}")
         if self.dimension < 8:
             raise ConfigInvalidError("embedding dimension must be >= 8")
+        if self.dimension > MAX_WIDTH:
+            raise ConfigInvalidError(f"embedding dimension must be <= {MAX_WIDTH}")
         if self.kind == "remote" and self.remote is None:
             raise ConfigInvalidError("remote provider needs endpoint settings")

@@ -10,7 +10,6 @@ candidates, positives) describes every pair of a diff without listing them.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from bisect import bisect_right
@@ -26,6 +25,7 @@ from .errors import (
     EmptyProjectError,
     TooFewCommitsError,
     TooFewProjectsError,
+    json_lines,
     json_text,
     read_json,
     write_artifact,
@@ -233,7 +233,7 @@ def group_by_project(items: Iterable[T]) -> dict[str, list[T]]:
 def save_pairs(pairs: Iterable[LabeledPair], path) -> None:
     """One sorted-key JSON object per line, keyed by `PAIR_KEYS`."""
     rows = ((p.project, p.diff_index, p.anchor, p.candidate, p.label) for p in pairs)
-    write_artifact(path, (json.dumps(dict(zip(PAIR_KEYS, row)), sort_keys=True) + "\n" for row in rows))
+    write_artifact(path, json_lines(dict(zip(PAIR_KEYS, row)) for row in rows))
 
 
 def load_pairs(path) -> list[LabeledPair]:

@@ -148,7 +148,6 @@ class _EmbeddingStore:
 class HashedProvider:
     """Deterministic bag-of-tokens embedding over FNV-1a bucket hashing."""
 
-    kind = "hashed"
     max_batch = 128
 
     def __init__(self, dimension: int = 256):
@@ -190,18 +189,15 @@ class RemoteProvider:
     backoff from `retry_base_seconds`, except on 4xx answers and bodies
     that are not JSON, which a retry cannot fix; each attempt waits at most
     `timeout_seconds` for the endpoint. The bearer token comes from the
-    environment variable named in the config.
+    environment variable named in the config, and must be printable ASCII.
     """
 
-    kind = "remote"
     max_batch = 128
     max_attempts = 3
     timeout_seconds = 30.0
     retry_base_seconds = 0.5
 
     def __init__(self, config: ProviderConfig):
-        if config.kind != "remote":
-            raise ConfigInvalidError("RemoteProvider needs kind='remote'")
         self.dimension = config.dimension
         self.remote = config.remote
         self.fingerprint = f"remote:{config.remote.model}:d={config.dimension}"
@@ -244,6 +240,9 @@ class RemoteProvider:
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.remote.auth_env, "") if self.remote.auth_env else ""
         if token:
+            if not (token.isascii() and token.isprintable()):  # never echoed: it is a secret
+                raise ConfigInvalidError(f"the bearer token in ${self.remote.auth_env} holds "
+                                         "a character an HTTP header cannot carry")
             headers["Authorization"] = f"Bearer {token}"
 
         raw: bytes | None = None

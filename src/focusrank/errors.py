@@ -1,17 +1,23 @@
 """Exception hierarchy shared across the package, its one JSON reader, and
-its one artifact writer, `write_artifact`, with the JSON layout `json_text`."""
+its one artifact writer, `write_artifact`, with the JSON layouts `json_text`
+and `json_lines`."""
 
 import json
 import os
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class FocusRankError(Exception):
     """Base class for all package-specific errors."""
 
 
-class UnknownNodeError(FocusRankError):
+class InvalidInputError(FocusRankError):
+    """A fault in a config, an argument or an input artifact: the command
+    line exits 1 for it, and 2 for any other error."""
+
+
+class UnknownNodeError(InvalidInputError):
     """A node id does not exist in the graph being queried."""
 
 
@@ -19,11 +25,11 @@ class EmptyAnchorSetError(FocusRankError):
     """Pair labeling was requested with no anchor nodes."""
 
 
-class TooFewCommitsError(FocusRankError):
+class TooFewCommitsError(InvalidInputError):
     """A project has too few diffs for a temporal train/val/test split."""
 
 
-class TooFewProjectsError(FocusRankError):
+class TooFewProjectsError(InvalidInputError):
     """Cross-project folding was requested with fewer projects than folds."""
 
 
@@ -63,19 +69,19 @@ class EmptySampleError(FocusRankError):
     """A statistical test received an empty sample."""
 
 
-class CheckpointFormatError(FocusRankError):
+class CheckpointFormatError(InvalidInputError):
     """A checkpoint file is corrupted or has an unsupported version."""
 
 
-class ArtifactFormatError(FocusRankError):
+class ArtifactFormatError(InvalidInputError):
     """A corpus, split or pair file does not have the expected structure."""
 
 
-class ConfigInvalidError(FocusRankError):
+class ConfigInvalidError(InvalidInputError):
     """A run or generator configuration failed validation."""
 
 
-class MissingArtifactError(FocusRankError):
+class MissingArtifactError(InvalidInputError):
     """A command depends on an artifact that has not been produced yet."""
 
 
@@ -86,14 +92,25 @@ class TrainingDivergedError(FocusRankError):
 def read_json(data: bytes, where: str, error: type[FocusRankError]):
     """The value that UTF-8 JSON `data` holds; else `error`, naming `where` and why."""
     try:
-        return json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
+        value = json.loads(data.decode("utf-8"))
+        if b"\\" in data and (b"\\ud" in data or b"\\uD" in data):  # maybe a surrogate escape:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")  # no UTF-8 output takes one unpaired
+        return value
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deeply, or unpaired
         raise error(f"{where} ({exc})") from exc
 
 
 def json_text(value) -> str:
     """`value` in the artifacts' JSON layout: indent 1, sorted keys, final newline."""
     return json.dumps(value, indent=1, sort_keys=True) + "\n"
+
+
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps with a keyword builds one per call
+
+
+def json_lines(rows: Iterable) -> Iterator[str]:
+    """Each row as `json.dumps(row, sort_keys=True)` writes it, on a line of its own."""
+    return (_ROW_ENCODER.encode(row) + "\n" for row in rows)
 
 
 def write_artifact(path, chunks: str | Iterable[str]) -> None:

@@ -15,7 +15,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .baselines import rank_random
 from .dataset import diff_views, group_by_project
@@ -278,23 +278,23 @@ def aggregate_by_project(
     return {"projects": projects, "overall": overall}
 
 
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The header line, then one line per row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
 def report_to_csv(report: EvalReport) -> str:
     """One row per anchor per k, plus per-anchor context columns."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([
-        "approach", "tau", "project", "diff", "anchor",
-        "k", "precision", "n_candidates", "n_positives", "prevalence",
-    ])
     tau_text = "inf" if report.tau == math.inf else ("" if report.tau is None else report.tau)
-    for r in report.results:
-        for k in report.ks():
-            writer.writerow([
-                report.approach, tau_text, r.project, r.diff_index, r.anchor,
-                k, repr(r.precision(k)), r.n_candidates, r.n_positives,
-                repr(r.prevalence),
-            ])
-    return buf.getvalue()
+    return _csv(
+        ["approach", "tau", "project", "diff", "anchor",
+         "k", "precision", "n_candidates", "n_positives", "prevalence"],
+        ([report.approach, tau_text, r.project, r.diff_index, r.anchor,
+          k, repr(r.precision(k)), r.n_candidates, r.n_positives, repr(r.prevalence)]
+         for r in report.results for k in report.ks()),
+    )
 
 
 def radius_rows(reports: Sequence[EvalReport], ks: Sequence[int]) -> list[dict]:
@@ -314,12 +314,5 @@ def radius_rows(reports: Sequence[EvalReport], ks: Sequence[int]) -> list[dict]:
 
 
 def radius_rows_csv(rows: Sequence[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["tau", "k", "precision", "prevalence", "ratio", "margin"])
-    for row in rows:
-        writer.writerow([
-            row["tau"], row["k"], repr(row["precision"]), repr(row["prevalence"]),
-            repr(row["ratio"]), repr(row["margin"]),
-        ])
-    return buf.getvalue()
+    header = ["tau", "k", "precision", "prevalence", "ratio", "margin"]
+    return _csv(header, ([row["tau"], row["k"], *(repr(row[key]) for key in header[2:])] for row in rows))

@@ -11,13 +11,11 @@ import math
 import os
 import pickle
 import signal
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter, lt
+from operator import itemgetter
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ArtifactFormatError, UnknownNodeError, read_json, write_artifact
@@ -139,7 +137,7 @@ def _valid_parts(pairs, triples, share=None) -> tuple[dict[str, str], tuple[Edge
             raise ValueError(f"duplicate edge {key!r}")
         edge_set.add(key)
         keys.append(share(key, key) if share else key)
-    return labels, tuple(keys) if all(map(lt, keys, keys[1:])) else tuple(sorted(keys))
+    return labels, tuple(sorted(keys))
 
 
 @dataclass(frozen=True)
@@ -328,8 +326,8 @@ def _project_chunks(project: Project) -> Iterator[str]:
 def load_corpus(paths: Sequence) -> dict[str, Project]:
     """Load several project files into a name-keyed corpus.
 
-    The paths are cut, in order, into one run of about equal bytes per usable
-    CPU. This process loads the first run while forked workers load the rest.
+    The paths are cut, in order, into one run of about equal length per
+    usable CPU. This process loads the first run while forked workers load the rest.
     The corpus is built and checked in path order, loading here each run no
     worker sent, so the corpus and its errors are a one-process read's.
     """
@@ -363,15 +361,13 @@ def load_corpus(paths: Sequence) -> dict[str, Project]:
 
 
 def _runs(paths: list) -> list[list]:
-    """`paths` cut, in order, into one run of about equal bytes per usable CPU,
-    or one run where `os.fork` is missing; a file that cannot be sized counts 0."""
+    """`paths` cut, in order, into k runs of ⌊n/k⌋ or ⌈n/k⌉ of the n files, k
+    the usable CPUs, or one run where `os.fork` is missing; generated project
+    files differ in size by a few percent, so the runs are of about equal bytes."""
     k = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    k = min(len(paths), k if hasattr(os, "fork") else 1)
-    ends = list(accumulate(os.stat(p).st_size if os.path.isfile(p) else 0 for p in paths))
-    cuts = [0]
-    for j in range(1, k):  # each run takes at least one file
-        cuts.append(max(cuts[-1] + 1, min(bisect_left(ends, ends[-1] * j / k) + 1, len(paths) - k + j)))
-    return [paths[a:b] for a, b in zip(cuts, cuts[1:] + [len(paths)])]
+    n = len(paths)
+    k = min(n, k if hasattr(os, "fork") else 1)
+    return [paths[n * j // k : n * (j + 1) // k] for j in range(k)]
 
 
 def _fork_loader(run: list) -> tuple[int, BinaryIO]:

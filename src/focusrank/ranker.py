@@ -447,13 +447,7 @@ def gradient_check(trials: int = 20, seed: int = 0) -> list[dict]:
         d = int(rng.integers(2, 9))
         h = int(rng.integers(1, 5))
         n = int(rng.integers(1, 17))
-        params = RankerParams(
-            wq=rng.normal(scale=0.7, size=(d, h)),
-            wk=rng.normal(scale=0.7, size=(d, h)),
-            wv=rng.normal(scale=0.7, size=(d, h)),
-            w_out=rng.normal(scale=0.7, size=h),
-            b_out=float(rng.normal(scale=0.7)),
-        )
+        params = RankerParams.from_theta(rng.normal(scale=0.7, size=3 * d * h + h + 1), d, h)
         anchors = rng.normal(size=(n, d))
         cands = rng.normal(size=(n, d))
         labels = rng.integers(0, 2, size=n).astype(np.float64)

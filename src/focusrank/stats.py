@@ -81,29 +81,16 @@ def t_two_sided_p(t: float, dof: int) -> float:
     return 1.0 - sin * series
 
 
-def _u_statistic(a: Sequence[float], b: Sequence[float]) -> float:
-    pooled = list(a) + list(b)
-    ranks = average_ranks(pooled)
-    n1 = len(a)
-    r1 = sum(ranks[:n1])
-    return r1 - n1 * (n1 + 1) / 2.0
-
-
-def _exact_p_greater(a: Sequence[float], b: Sequence[float], u_obs: float) -> float:
+def _exact_p_greater(ranks: Sequence[float], n1: int, u_obs: float) -> float:
     """P(U >= u_obs) over all equally likely regroupings of the pooled
-    sample, keeping tie structure (permutation null)."""
-    pooled = list(a) + list(b)
-    ranks = average_ranks(pooled)
-    n1 = len(a)
+    ranks into n1 and the rest, keeping tie structure (permutation null)."""
     offset = n1 * (n1 + 1) / 2.0
     hits = 0
-    total = 0
-    for idx in combinations(range(len(pooled)), n1):
+    for idx in combinations(range(len(ranks)), n1):
         u = sum(ranks[i] for i in idx) - offset
         if u >= u_obs - 1e-12:
             hits += 1
-        total += 1
-    return hits / total
+    return hits / math.comb(len(ranks), n1)
 
 
 def _normal_p_greater(a: Sequence[float], b: Sequence[float], u_obs: float) -> float:
@@ -136,7 +123,9 @@ def mann_whitney_u(
         raise ValueError("only the one-sided 'greater' alternative is supported")
     if len(a) == 0 or len(b) == 0:
         raise EmptySampleError("both samples must be non-empty")
-    u_obs = _u_statistic(a, b)
+    ranks = average_ranks([*a, *b])  # the pooled sample's, read by U and the exact branch
+    n1 = len(a)
+    u_obs = sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0
     if max(len(a), len(b)) <= EXACT_MAX_N:
-        return u_obs, _exact_p_greater(a, b, u_obs)
+        return u_obs, _exact_p_greater(ranks, n1, u_obs)
     return u_obs, _normal_p_greater(a, b, u_obs)

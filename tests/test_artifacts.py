@@ -12,11 +12,36 @@ import pytest
 
 from focusrank import graphs
 from focusrank.cli import EXIT_OK, EXIT_RUNTIME, main
-from focusrank.errors import json_text, write_artifact
+from focusrank.errors import ArtifactFormatError, json_lines, json_text, read_json, write_artifact
 
 
 def test_json_text_is_the_artifact_layout():
     assert json_text({"b": [1], "a": "é"}) == '{\n "a": "\\u00e9",\n "b": [\n  1\n ]\n}\n'
+
+
+def test_json_lines_writes_the_bytes_of_json_dumps():
+    rows = [
+        {"b": 'a "quoted" \\ path', "a": "é\u2028\U0001f600"},
+        {"z": "\x00\x1f\x7f\n\t", "count": -3, "x": [1.5, None, True]},
+        {},
+    ]
+    assert list(json_lines(rows)) == [json.dumps(row, sort_keys=True) + "\n" for row in rows]
+
+
+@pytest.mark.parametrize("data, value", [
+    (rb'["\ud83d\ude00", "\uD83D\uDE00"]', ["\U0001f600"] * 2),  # a pair is one character
+    (rb'["\ud7ff\ue000", "\\ud800"]', ["\ud7ff\ue000", "\\ud800"]),  # not surrogates
+    (rb'["x\ud800"]', None),
+    (rb'{"\uDC80": 1}', None),
+    (rb'[["\ud83dx"]]', None),
+])
+def test_read_json_refuses_an_unpaired_surrogate(data, value):
+    """No UTF-8 artifact or stream can carry one."""
+    if value is not None:
+        assert read_json(data, "here", ArtifactFormatError) == value
+    else:
+        with pytest.raises(ArtifactFormatError, match="^here .*surrogates not allowed"):
+            read_json(data, "here", ArtifactFormatError)
 
 
 def test_the_artifact_appears_only_whole(tmp_path):

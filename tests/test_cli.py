@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import urllib.request
 import weakref
 from dataclasses import FrozenInstanceError, asdict
 from pathlib import Path
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focusrank
-from focusrank import cli, config, datagen, embedding, evaluation, ranker
+from focusrank import cli, config, datagen, embedding, errors, evaluation, ranker
 from focusrank.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -1214,6 +1215,142 @@ def test_out_of_memory_exits_2_in_one_line(artifacts, error, line):
     assert done.returncode == EXIT_RUNTIME
     assert "Traceback" not in done.stderr
     assert done.stderr.splitlines() == [f"ERROR focusrank.cli: {line}"]
+
+
+def _error_classes(base=errors.FocusRankError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+INVALID_INPUT = {
+    "InvalidInputError", "ArtifactFormatError", "CheckpointFormatError", "ConfigInvalidError",
+    "MissingArtifactError", "TooFewCommitsError", "TooFewProjectsError", "UnknownNodeError",
+}
+
+
+def test_the_invalid_input_classes_are_pinned():
+    bad_input = {cls.__name__ for cls in _error_classes() if issubclass(cls, errors.InvalidInputError)}
+    assert bad_input == INVALID_INPUT
+
+
+@pytest.mark.parametrize("cls", sorted(_error_classes(), key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_the_exit_status_comes_from_the_error_class(monkeypatch, cls):
+    """Bad input exits 1, any other package error 2, in one line."""
+
+    def failing_stage(config):
+        raise cls("the stage failed")
+
+    monkeypatch.setattr(cli, "cmd_gen", failing_stage)
+    code, lines = run_cli(["gen"])
+    assert code == (EXIT_VALIDATION if cls.__name__ in INVALID_INPUT else EXIT_RUNTIME)
+    assert lines == ["ERROR focusrank.cli: the stage failed"]
+
+
+def test_a_value_error_is_a_fault_of_the_program_not_bad_input(monkeypatch):
+    """Only an `InvalidInputError` reports bad input: a bare ValueError is a
+    bug, and propagates as itself."""
+
+    def failing_stage(config):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_gen", failing_stage)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["gen"])
+
+
+@pytest.mark.parametrize("key, message", [
+    ("out_dir", "out_dir must be a path without NUL characters"),
+    ("corpus_dir", "corpus_dir must be a path without NUL characters"),
+    ("provider.cache_dir", "provider.cache_dir must be null or a path"),
+])
+def test_a_nul_in_a_path_fails_in_one_line(tmp_path, key, message):
+    """Named by its key, not shown: the OS takes no NUL in a path."""
+    code, lines = run_cli(["--set", f'{key}="{tmp_path}/s3cr\\u0000et"', "gen"])
+    assert code == EXIT_VALIDATION and lines == [f"ERROR focusrank.cli: {message}"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("endpoint", [
+    "ftp://h/embed", "http:///embed", "localhost:8080/embed", "h/embed", "http://h:99999/x",
+    "http://h:port/x", "http://[::1/x", "http://h/a b", "http://h/\t", "http://h/é", "http://hé/x",
+])
+def test_an_endpoint_http_cannot_post_to_fails_in_one_line(endpoint):
+    remote = json.dumps({"endpoint": endpoint, "model": "m"})
+    code, lines = run_cli(["--set", "provider.kind=remote", "--set", f"provider.remote={remote}", "gen"])
+    assert code == EXIT_VALIDATION
+    assert lines == ["ERROR focusrank.cli: provider.remote.endpoint must be an http(s) URL with a host"]
+
+
+@pytest.mark.parametrize("endpoint", [
+    "http://127.0.0.1:9/none", "https://embed.example.org/v1/embeddings", "http://[::1]:8080/x",
+    "http://user:pw@h/x?q=1#f",
+])
+def test_an_http_endpoint_with_a_host_is_taken(endpoint):
+    remote = json.dumps({"endpoint": endpoint, "model": "m"})
+    config = load_run_config(None, ["provider.kind=remote", f"provider.remote={remote}"])
+    assert config.provider.remote.endpoint == endpoint
+
+
+def test_a_token_no_header_can_carry_fails_in_one_line(artifacts, monkeypatch):
+    """Refused before any request, naming the variable and never the token."""
+    config_path, _ = artifacts
+    monkeypatch.setenv("TOK", "s3cret\r\nX: 1")
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: pytest.fail("posted"))
+    remote = json.dumps({"endpoint": "http://127.0.0.1:9/none", "model": "m", "auth_env": "TOK"})
+    code, lines = run_cli(["--config", config_path, "--set", "provider.kind=remote",
+                           "--set", f"provider.remote={remote}", "train"])
+    assert code == EXIT_VALIDATION and len(lines) == 1
+    assert "$TOK" in lines[0] and "s3cret" not in lines[0]
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("provider.dimension=65537", "embedding dimension must be <= 65536"),
+    ("train.h=65537", "train.h must be <= 65536"),
+    ("provider.dimension=100000000000000000000", "embedding dimension must be <= 65536"),
+    ("train.h=4611686018427387904", "train.h must be <= 65536"),
+])
+def test_a_width_numpy_cannot_allocate_fails_in_one_line(setting, message):
+    """Refused with the config: NumPy would refuse the array with a
+    ValueError, not a MemoryError."""
+    code, lines = run_cli(["--set", setting, "gen"])
+    assert code == EXIT_VALIDATION and lines == [f"ERROR focusrank.cli: {message}"]
+    assert load_run_config(None, ["provider.dimension=65536", "train.h=65536"]).train.h == 65536
+
+
+def test_an_unpaired_surrogate_in_a_corpus_fails_in_one_line(artifacts):
+    """No UTF-8 report or stdout line could carry the label, so the corpus
+    read refuses it, naming the file."""
+    config_path, base = artifacts
+    path = base / "corpus" / "proj00.json"
+    text = path.read_text()
+    with corrupting(path, text.replace('"label":"', '"label":"\\udc80', 1)):
+        code, lines = run_cli(["--config", config_path, "eval", "--approach", "random"])
+    assert_one_line_failure(code, lines)
+    assert code == EXIT_VALIDATION and f"{path}: not a JSON project file" in lines[0]
+
+
+def test_the_names_the_benchmark_reaches_exist():
+    """The benchmark calls these, or wraps them by name, and a wrap of a
+    missing name silently wraps nothing. The first five are looked up in
+    `cli`, so it keeps them as module globals."""
+    from focusrank import baselines, dataset, graphs
+    assert (cli.load_corpus, cli.save_pairs, cli.load_pairs, cli.balance, cli.build_cochange) == (
+        graphs.load_corpus, dataset.save_pairs, dataset.load_pairs, dataset.balance,
+        baselines.build_cochange,
+    )
+    for module, names in [
+        (ranker, ["predict_proba", "load_checkpoint", "save_checkpoint", "train", "grad", "forward"]),
+        (evaluation, ["radius_filter", "evaluate"]),
+        (embedding, ["make_provider", "ProviderConfig", "RemoteConfig"]),
+        (embedding.HashedProvider, ["embed"]),
+        (embedding.RemoteProvider, ["embed"]),
+        (graphs, ["diff"]),
+        (graphs.ModelGraph, ["distances_from"]),
+        (datagen, ["build_corpus", "describe", "save_project"]),
+    ]:
+        assert all(callable(getattr(module, name, None)) for name in names), (module, names)
 
 
 def test_duplicate_project_id_names_both_files(artifacts):

@@ -632,6 +632,16 @@ class TestRemoteProvider:
         remote_provider(url).embed(["X"])
         assert script.requests[0]["authorization"] is None
 
+    @pytest.mark.parametrize("token", ["s3cret\r\nX: 1", "s3cret\n", "s3cret\x7f", "s3crét"])
+    def test_a_token_no_header_can_carry_is_refused_before_any_request(self, endpoint, monkeypatch, token):
+        """The error names the variable, never the token."""
+        url, script = endpoint
+        monkeypatch.setenv("EMBED_TOKEN", token)
+        with pytest.raises(ConfigInvalidError, match=r"\$EMBED_TOKEN") as info:
+            remote_provider(url, auth_env="EMBED_TOKEN").embed(["X"])
+        assert "s3cr" not in str(info.value)
+        assert not script.requests
+
     def test_wrong_dimension_rejected(self, endpoint):
         url, script = endpoint
         provider = remote_provider(url, dimension=16)
