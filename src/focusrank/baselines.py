@@ -10,7 +10,7 @@ import random
 from itertools import product
 from typing import Iterable, Sequence
 
-from .errors import EmptyCandidatesError, json_lines, write_artifact
+from .errors import json_lines, write_artifact
 from .graphs import Diff
 
 
@@ -18,7 +18,7 @@ def rank_random(candidates: Sequence[str], seed: int, anchor: str = "") -> list[
     """Uniform permutation, deterministic per (seed, anchor)."""
     ids = sorted(candidates)
     if not ids:
-        raise EmptyCandidatesError("cannot rank an empty candidate set")
+        raise ValueError("cannot rank an empty candidate set")
     rng = random.Random(f"random:{seed}:{anchor}")
     rng.shuffle(ids)
     return ids

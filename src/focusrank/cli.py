@@ -78,8 +78,8 @@ class EvalConfig:
     seed: int = 7
 
     def __post_init__(self):
-        if self.k_max < 1:
-            raise ConfigInvalidError("eval.k_max must be >= 1")
+        if not 1 <= self.k_max <= 1000:  # eval's time and report size grow linearly with k_max
+            raise ConfigInvalidError("eval.k_max must be >= 1 and <= 1000")
         _parse_tau(self.tau, "eval.tau")
         if not self.taus:
             raise ConfigInvalidError("eval.taus must be a non-empty list")
@@ -268,8 +268,11 @@ def _train_tables(config: RunConfig):
         raise ArtifactFormatError(f"{train_path} holds no pairs; rerun `focusrank prepare`")
     _check_keys(corpus, dict.fromkeys((p.project, p.diff_index) for p in train_pairs), train_path)
     provider = embedding.make_provider(config.provider)
-    return (provider, _balanced_table(train_pairs, corpus, provider, train_path),
-            _diff_table(diff_views(corpus, split.validation), provider))
+    val_set = _diff_table(diff_views(corpus, split.validation), provider)
+    if not len(val_set):  # the ranker selects its epoch by validation loss
+        split_path = Path(config.out_dir) / "split.json"
+        raise ArtifactFormatError(f"{split_path}: its validation diffs hold no pairs")
+    return provider, _balanced_table(train_pairs, corpus, provider, train_path), val_set
 
 
 def _split_for(config: RunConfig, corpus) -> DatasetSplit:
@@ -360,6 +363,9 @@ def _load_model(config: RunConfig) -> evaluation.NeuralScorer:
             "checkpoint was trained with embedding provider "
             f"{ckpt.provider_fingerprint!r} but config selects {provider.fingerprint!r}"
         )
+    if ckpt.params.d != provider.dimension:  # a checkpoint without a fingerprint gets here
+        raise ConfigInvalidError(f"{path} scores {ckpt.params.d}-dimensional embeddings, "
+                                 f"but provider.dimension is {provider.dimension}")
     return evaluation.NeuralScorer(ckpt, provider)
 
 

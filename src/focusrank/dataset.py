@@ -13,16 +13,15 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
     ArtifactFormatError,
     ConfigInvalidError,
-    EmptyAnchorSetError,
-    EmptyProjectError,
     TooFewCommitsError,
     TooFewProjectsError,
     json_lines,
@@ -69,7 +68,7 @@ def label_pairs(
         raise ValueError("pairs are labeled on the diff's own target version")
     anchors = set(anchors)
     if not anchors:
-        raise EmptyAnchorSetError("no anchor nodes")
+        raise ValueError("no anchor nodes")
     stray = anchors.difference(d.anchors)
     if stray:
         raise ValueError(f"anchors are not changed nodes: {sorted(stray)}")
@@ -211,7 +210,7 @@ def balance(
         group = pairs_by_project[project]
         n = len(group)
         if not n:
-            raise EmptyProjectError(project)
+            raise ValueError(project)
         rng = random.Random(f"balance:{cfg.seed}:{project}")
         if n == target:
             out.extend(group)
@@ -282,6 +281,10 @@ def load_split(path) -> DatasetSplit:
                 for k in keys
             ):
                 raise ArtifactFormatError(f"split {part} must list [project, diff] pairs")
+        parts = [[tuple(k) for k in record[part]] for part in SPLIT_PARTS]
+        twice = [key for key, n in Counter(chain(*parts)).items() if n > 1]
+        if twice:  # one diff in two parts leaks between them; twice in one part, it counts double
+            raise ArtifactFormatError(f"split lists {list(twice[0])} more than once")
     except ArtifactFormatError as exc:
         raise ArtifactFormatError(f"{path}: {exc}") from None
-    return DatasetSplit(*([tuple(k) for k in record[part]] for part in SPLIT_PARTS), mode=record["mode"])
+    return DatasetSplit(*parts, mode=record["mode"])

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import ProviderConfig, RemoteConfig  # noqa: F401  (callers also import them from here)
-from .errors import ConfigInvalidError, DimensionMismatchError, RemoteUnavailableError, read_json
+from .errors import ConfigInvalidError, RemoteUnavailableError, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -281,7 +281,7 @@ class RemoteProvider:
                 f"endpoint returned {len(index)} rows for {n} inputs, not indexed 0..{n - 1} once each"
             )
         if vectors.ndim == 2 and vectors.shape[1] != self.dimension:
-            raise DimensionMismatchError(
+            raise RemoteUnavailableError(
                 f"endpoint returned dimension {vectors.shape[1]}, expected {self.dimension}"
             )
         if vectors.shape != (n, self.dimension) or not np.isfinite(vectors).all():

@@ -9,7 +9,8 @@ from typing import Iterable, Iterator
 
 
 class FocusRankError(Exception):
-    """Base class for all package-specific errors."""
+    """A fault of a run's inputs or environment. A function called against
+    its contract raises ValueError instead, as Python's own functions do."""
 
 
 class InvalidInputError(FocusRankError):
@@ -21,10 +22,6 @@ class UnknownNodeError(InvalidInputError):
     """A node id does not exist in the graph being queried."""
 
 
-class EmptyAnchorSetError(FocusRankError):
-    """Pair labeling was requested with no anchor nodes."""
-
-
 class TooFewCommitsError(InvalidInputError):
     """A project has too few diffs for a temporal train/val/test split."""
 
@@ -33,40 +30,9 @@ class TooFewProjectsError(InvalidInputError):
     """Cross-project folding was requested with fewer projects than folds."""
 
 
-class EmptyProjectError(FocusRankError):
-    """A project group passed to balancing contains no pairs."""
-
-
 class RemoteUnavailableError(FocusRankError):
-    """The remote embedding endpoint could not be reached or kept failing."""
-
-
-class DimensionMismatchError(FocusRankError):
-    """Vector or parameter dimensions are inconsistent."""
-
-
-class EmptyDatasetError(FocusRankError):
-    """Training was requested on an empty train or validation set."""
-
-
-class EmptyCandidatesError(FocusRankError):
-    """A ranking was requested over an empty candidate set."""
-
-
-class NoPositivesError(FocusRankError):
-    """Precision@k is undefined for a ranking without positive candidates."""
-
-
-class LengthMismatchError(FocusRankError):
-    """Paired samples have different lengths."""
-
-
-class TooFewSamplesError(FocusRankError):
-    """A statistic needs more data points than were provided."""
-
-
-class EmptySampleError(FocusRankError):
-    """A statistical test received an empty sample."""
+    """The remote embedding endpoint could not be reached, kept failing or
+    gave a malformed answer."""
 
 
 class CheckpointFormatError(InvalidInputError):

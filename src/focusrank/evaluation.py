@@ -19,7 +19,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .baselines import rank_random
 from .dataset import diff_views, group_by_project
-from .errors import NoPositivesError
 from .graphs import Diff, ModelGraph, Project
 
 PREVALENCE_FLOOR = 1e-12
@@ -45,7 +44,7 @@ def precision_at_k(ranking: RankedList, k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
     if not ranking.positives:
-        raise NoPositivesError(f"anchor {ranking.anchor} has no positive candidates")
+        raise ValueError(f"anchor {ranking.anchor} has no positive candidates")
     hits = sum(1 for v in ranking.ordered[:k] if v in ranking.positives)
     return hits / min(k, len(ranking.positives))
 

@@ -35,8 +35,6 @@ from .config import LossConfig, TrainConfig, read_config, with_grid
 from .errors import (
     CheckpointFormatError,
     ConfigInvalidError,
-    DimensionMismatchError,
-    EmptyDatasetError,
     TrainingDivergedError,
     json_text,
     read_json,
@@ -74,7 +72,7 @@ def _block(name: str) -> property:
     def put(self, value) -> None:
         block = self._blocks[name]
         if np.shape(value) != block.shape:
-            raise DimensionMismatchError(
+            raise ValueError(
                 f"{name} needs shape {block.shape}, got {np.shape(value)}"
             )
         block[...] = value
@@ -152,7 +150,7 @@ def _pair_blocks(params: RankerParams, anchors, cands) -> tuple[np.ndarray, np.n
     anchors = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
     cands = np.atleast_2d(np.asarray(cands, dtype=np.float64))
     if anchors.ndim != 2 or anchors.shape != cands.shape or anchors.shape[1] != params.d:
-        raise DimensionMismatchError(
+        raise ValueError(
             f"expected two (n, {params.d}) blocks, got {anchors.shape} and {cands.shape}"
         )
     return anchors, cands
@@ -214,7 +212,7 @@ def pair_logits(
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != params.d:
-        raise DimensionMismatchError(
+        raise ValueError(
             f"expected a (u, {params.d}) matrix of vectors, got shape {vectors.shape}"
         )
     qkv, s_self, vw = _project(params, vectors)
@@ -234,7 +232,7 @@ class PairTable:
     (vectors[anchors[i]], vectors[cands[i]]) with label labels[i].
 
     Labels repeat across pairs, so `vectors` holds each distinct label once.
-    Inputs that do not fit together raise DimensionMismatchError.
+    Inputs that do not fit together raise ValueError.
     """
 
     vectors: np.ndarray  # (u, d) float64
@@ -245,27 +243,27 @@ class PairTable:
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 2:
-            raise DimensionMismatchError(
+            raise ValueError(
                 f"pair vectors must be a (u, d) matrix, got shape {self.vectors.shape}"
             )
         self.labels = np.asarray(self.labels, dtype=np.float64)
         if self.labels.ndim != 1:
-            raise DimensionMismatchError(f"pair labels must be 1-D, got shape {self.labels.shape}")
+            raise ValueError(f"pair labels must be 1-D, got shape {self.labels.shape}")
         self.anchors = self._rows(self.anchors, "anchor")
         self.cands = self._rows(self.cands, "candidate")
 
     def _rows(self, rows, role: str) -> np.ndarray:
         rows = np.asarray(rows)
         if rows.shape != self.labels.shape:
-            raise DimensionMismatchError(
+            raise ValueError(
                 f"{role} rows have shape {rows.shape}, labels {self.labels.shape}"
             )
         if rows.size == 0:
             return rows.astype(np.intp)
         if rows.dtype.kind not in "iu":
-            raise DimensionMismatchError(f"{role} rows must be integers, got {rows.dtype}")
+            raise ValueError(f"{role} rows must be integers, got {rows.dtype}")
         if rows.min() < 0 or rows.max() >= len(self.vectors):
-            raise DimensionMismatchError(
+            raise ValueError(
                 f"{role} rows must lie in [0, {len(self.vectors)}), "
                 f"got {rows.min()}..{rows.max()}"
             )
@@ -279,7 +277,7 @@ class PairTable:
             return data
         anchors, cands, labels = (np.asarray(a, dtype=np.float64) for a in data)
         if anchors.ndim != 2 or anchors.shape != cands.shape:
-            raise DimensionMismatchError(
+            raise ValueError(
                 f"expected two (n, d) blocks, got {anchors.shape} and {cands.shape}"
             )
         n = len(anchors)
@@ -374,12 +372,12 @@ def grad(
     """
     labels = np.atleast_1d(np.asarray(labels, dtype=np.float64))
     if labels.size == 0:
-        raise EmptyDatasetError("gradient of an empty batch")
+        raise ValueError("gradient of an empty batch")
     ws = workspace or _GradWorkspace(len(np.atleast_2d(anchors)), params.d, params.h)
     anchors, cands = _pair_blocks(params, anchors, cands)
     n, h = len(anchors), params.h
     if labels.shape != (n,):
-        raise DimensionMismatchError(f"need one label per pair, got {labels.shape} for {n} pairs")
+        raise ValueError(f"need one label per pair, got {labels.shape} for {n} pairs")
     x = np.concatenate([anchors, cands], out=ws.x[: 2 * n])  # pair i is rows i and n + i
     qkv, s_self, vw = _project(params, x, out=ws.qkv[: 2 * n])
     a, c = slice(0, n), slice(n, 2 * n)
@@ -572,10 +570,10 @@ def train(
     """
     tr, va = PairTable.of(train_set), PairTable.of(val_set)
     if len(tr) == 0 or len(va) == 0:
-        raise EmptyDatasetError("train and validation sets must be non-empty")
+        raise ValueError("train and validation sets must be non-empty")
     d = tr.vectors.shape[1]
     if va.vectors.shape[1] != d:
-        raise DimensionMismatchError(
+        raise ValueError(
             f"validation vectors have width {va.vectors.shape[1]}, training vectors {d}"
         )
 

@@ -13,8 +13,6 @@ import math
 from itertools import combinations
 from typing import Sequence
 
-from .errors import EmptySampleError, LengthMismatchError, TooFewSamplesError
-
 # Largest per-sample size handled by exhaustive enumeration; C(16, 8) = 12870.
 EXACT_MAX_N = 8
 
@@ -43,10 +41,10 @@ def spearman_rho(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float
     n - 2 degrees of freedom, clamped to 0 at |rho| = 1.
     """
     if len(xs) != len(ys):
-        raise LengthMismatchError(f"got {len(xs)} xs and {len(ys)} ys")
+        raise ValueError(f"got {len(xs)} xs and {len(ys)} ys")
     n = len(xs)
     if n < 3:
-        raise TooFewSamplesError("need at least 3 paired observations")
+        raise ValueError("need at least 3 paired observations")
     rx = average_ranks(xs)
     ry = average_ranks(ys)
     mx = sum(rx) / n
@@ -122,7 +120,7 @@ def mann_whitney_u(
     if alternative != "greater":
         raise ValueError("only the one-sided 'greater' alternative is supported")
     if len(a) == 0 or len(b) == 0:
-        raise EmptySampleError("both samples must be non-empty")
+        raise ValueError("both samples must be non-empty")
     ranks = average_ranks([*a, *b])  # the pooled sample's, read by U and the exact branch
     n1 = len(a)
     u_obs = sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from focusrank.baselines import build_cochange, rank_random, save_cochange
 from focusrank.datagen import GenConfig, build_corpus
 from focusrank.dataset import diff_views, label_pairs
-from focusrank.errors import EmptyCandidatesError
 from focusrank.evaluation import CoChangeScorer, SemanticScorer, by_score
 from focusrank.graphs import ModelGraph, diff
 
@@ -38,7 +37,7 @@ class TestRandomRanker:
         assert rank_random(["only"], seed=0) == ["only"]
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyCandidatesError):
+        with pytest.raises(ValueError, match="cannot rank an empty candidate set"):
             rank_random([], seed=0)
 
     def test_input_order_is_irrelevant(self):

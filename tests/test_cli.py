@@ -547,6 +547,7 @@ INVALID_CONFIGS = [
     (config.TrainConfig, dict(early_stop_patience=-1)),
     (config.TrainConfig, dict(seed=-1)),
     (cli.EvalConfig, dict(k_max=0)),
+    (cli.EvalConfig, dict(k_max=1001)),
     (cli.EvalConfig, dict(tau=-1)),
     (cli.EvalConfig, dict(taus=())),
     (cli.EvalConfig, dict(taus=(1, "sideways"))),
@@ -805,6 +806,23 @@ def test_model_from_another_provider_is_refused(artifacts, command, trained_with
     assert done.stderr.splitlines() == [
         "ERROR focusrank.cli: checkpoint was trained with embedding provider "
         f"{trained_with or 'hashed:d=64'!r} but config selects {selected or 'hashed:d=64'!r}"
+    ]
+
+
+@pytest.mark.parametrize("command", [
+    ["rank", "--project", "proj00", "--anchor", "n0"], ["eval", "--approach", "nextfocus"],
+], ids=lambda command: command[0])
+def test_model_of_another_width_without_a_fingerprint_is_refused(artifacts, command):
+    """A checkpoint that names no provider is still checked against
+    provider.dimension, in one line naming both, before anything is scored."""
+    config_path, base = artifacts
+    path = base / "out" / "checkpoint.json"
+    ckpt = {**json.loads(path.read_text()), "provider_fingerprint": ""}
+    with corrupting(path, json.dumps(ckpt)):
+        code, lines = run_cli(["--config", config_path, "--set", "provider.dimension=128", *command])
+    assert code == EXIT_VALIDATION
+    assert lines == [
+        f"ERROR focusrank.cli: {path} scores 64-dimensional embeddings, but provider.dimension is 128"
     ]
 
 
@@ -1150,8 +1168,8 @@ def test_tables_match_a_per_pair_recount(corpus, data):
 
 
 def test_validation_split_without_pairs_is_an_empty_dataset(artifacts):
-    """An empty validation split gives an empty table, which training
-    refuses: exit 2, one line."""
+    """An empty validation split gives an empty table, which train refuses
+    as a fault of the split file: exit 1, one line naming it."""
     config_path, base = artifacts
     table = _diff_table([], HashedProvider(dimension=16))
     assert len(table) == 0 and table.vectors.shape == (0, 16)
@@ -1159,9 +1177,24 @@ def test_validation_split_without_pairs_is_an_empty_dataset(artifacts):
     split = {**json.loads(path.read_text()), "validation": []}
     with corrupting(path, json.dumps(split)):
         code, lines = run_cli(["--config", config_path, "train"])
-    assert code == EXIT_RUNTIME
-    assert_one_line_failure(code, lines)
-    assert "train and validation sets must be non-empty" in lines[0]
+    assert code == EXIT_VALIDATION
+    assert lines == [f"ERROR focusrank.cli: {path}: its validation diffs hold no pairs"]
+
+
+@pytest.mark.parametrize("part, source", [("validation", "test"), ("train", "train"), ("test", "train")])
+def test_a_split_key_listed_twice_fails_in_one_line(artifacts, part, source):
+    """Within one part or across two: a test diff also listed under
+    validation would leak into model selection."""
+    config_path, base = artifacts
+    path = base / "out" / "split.json"
+    split = json.loads(path.read_text())
+    key = split[source][0]
+    split[part].append(key)
+    with corrupting(path, json.dumps(split)):
+        for command in (["train"], ["eval", "--approach", "random"]):
+            code, lines = run_cli(["--config", config_path, *command])
+            assert code == EXIT_VALIDATION
+            assert lines == [f"ERROR focusrank.cli: {path}: split lists {key} more than once"]
 
 
 class _Rows(list):
@@ -1232,6 +1265,13 @@ INVALID_INPUT = {
 def test_the_invalid_input_classes_are_pinned():
     bad_input = {cls.__name__ for cls in _error_classes() if issubclass(cls, errors.InvalidInputError)}
     assert bad_input == INVALID_INPUT
+
+
+def test_the_other_error_classes_are_pinned():
+    """Besides bad input, a run meets only an endpoint that fails and a loss
+    that diverges; a function called against its contract raises ValueError."""
+    other = {cls.__name__ for cls in _error_classes() if not issubclass(cls, errors.InvalidInputError)}
+    assert other == {"RemoteUnavailableError", "TrainingDivergedError"}
 
 
 @pytest.mark.parametrize("cls", sorted(_error_classes(), key=lambda cls: cls.__name__),
@@ -1317,6 +1357,16 @@ def test_a_width_numpy_cannot_allocate_fails_in_one_line(setting, message):
     code, lines = run_cli(["--set", setting, "gen"])
     assert code == EXIT_VALIDATION and lines == [f"ERROR focusrank.cli: {message}"]
     assert load_run_config(None, ["provider.dimension=65536", "train.h=65536"]).train.h == 65536
+
+
+@pytest.mark.parametrize("k_max", ["1001", "100000000000000000000"])
+def test_an_eval_depth_above_1000_fails_in_one_line(tmp_path, k_max):
+    """Refused with the config: eval's time and report grow linearly with
+    k_max, so a huge one would run with no message until killed."""
+    code, lines = run_cli(["--config", write_config(tmp_path), "--set", f"eval.k_max={k_max}", "gen"])
+    assert code == EXIT_VALIDATION and lines == ["ERROR focusrank.cli: eval.k_max must be >= 1 and <= 1000"]
+    assert not (tmp_path / "corpus").exists()
+    assert load_run_config(None, ["eval.k_max=1000"]).eval.k_max == 1000
 
 
 def test_an_unpaired_surrogate_in_a_corpus_fails_in_one_line(artifacts):

@@ -35,7 +35,6 @@ from focusrank.embedding import (
 from focusrank.cli import EXIT_OK, EXIT_RUNTIME, main
 from focusrank.errors import (
     ConfigInvalidError,
-    DimensionMismatchError,
     FocusRankError,
     RemoteUnavailableError,
 )
@@ -645,7 +644,7 @@ class TestRemoteProvider:
     def test_wrong_dimension_rejected(self, endpoint):
         url, script = endpoint
         provider = remote_provider(url, dimension=16)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(RemoteUnavailableError, match="dimension 8, expected 16"):
             provider.embed(["X"])
 
     def test_finished_batches_stay_cached_when_a_later_one_fails(self, endpoint, tmp_path):
@@ -716,10 +715,10 @@ class TestMalformedResponses:
             remote_provider(url).embed(["A", "B"])
         assert len(script.requests) == 1  # an answer that arrived is not retried
 
-    def test_uniformly_wrong_width_is_a_dimension_mismatch(self, endpoint):
+    def test_uniformly_wrong_width_is_a_malformed_answer(self, endpoint):
         url, script = endpoint
         script.reply = lambda texts: json.dumps({"data": answer(texts, 5)}).encode()
-        with pytest.raises(DimensionMismatchError, match="dimension 5, expected 8"):
+        with pytest.raises(RemoteUnavailableError, match="dimension 5, expected 8"):
             remote_provider(url).embed(["A", "B"])
 
     def test_train_with_a_malformed_endpoint_exits_2_in_one_line(self, endpoint, tmp_path, caplog):

@@ -7,7 +7,6 @@ import pytest
 from focusrank.baselines import rank_random
 from focusrank.dataset import diff_views
 from focusrank.embedding import HashedProvider
-from focusrank.errors import NoPositivesError
 from focusrank.evaluation import (
     AnchorResult,
     CoChangeScorer,
@@ -57,7 +56,7 @@ class TestPrecisionAtK:
 
     def test_no_positives_rejected(self):
         r = ranked(["n1", "n2"], set())
-        with pytest.raises(NoPositivesError):
+        with pytest.raises(ValueError, match="has no positive candidates"):
             precision_at_k(r, 1)
 
     def test_matches_literal_recount_on_random_rankings(self):

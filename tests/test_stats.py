@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu, spearmanr
 
-from focusrank.errors import EmptySampleError, LengthMismatchError, TooFewSamplesError
 from focusrank.stats import EXACT_MAX_N, average_ranks, mann_whitney_u, spearman_rho
 
 
@@ -66,11 +65,11 @@ class TestSpearman:
         assert spearman_rho(xs, ys) == spearman_rho(xs, [math.exp(y) for y in ys])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValueError, match="got 3 xs and 2 ys"):
             spearman_rho([1, 2, 3], [1, 2])
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamplesError):
+        with pytest.raises(ValueError, match="need at least 3 paired observations"):
             spearman_rho([1, 2], [2, 1])
 
     def test_constant_input_rejected(self):
@@ -169,9 +168,9 @@ class TestMannWhitney:
             assert u_ab + u_ba == pytest.approx(len(a) * len(b), abs=1e-9)
 
     def test_empty_sample_rejected(self):
-        with pytest.raises(EmptySampleError):
+        with pytest.raises(ValueError, match="both samples must be non-empty"):
             mann_whitney_u([], [1.0])
-        with pytest.raises(EmptySampleError):
+        with pytest.raises(ValueError, match="both samples must be non-empty"):
             mann_whitney_u([1.0], [])
 
     def test_only_greater_alternative(self):
