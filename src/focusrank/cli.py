@@ -21,6 +21,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -107,6 +108,8 @@ class RunConfig:
         for key in ("out_dir", "corpus_dir"):  # the OS takes no NUL in a path
             if "\0" in getattr(self, key):
                 raise ConfigInvalidError(f"{key} must be a path without NUL characters")
+        if os.path.abspath(self.out_dir) == os.path.abspath(self.corpus_dir):  # gen would mix the two
+            raise ConfigInvalidError("out_dir and corpus_dir must name different directories")
         for knob, values in self.grid.items():  # with_grid refuses a knob outside GRID_KEYS
             kind = 1 if knob == "h" else 1.0
             if not isinstance(values, list) or not values or not all(same_kind(kind, v) for v in values):
@@ -219,21 +222,20 @@ def _table(provider, texts, anchors, cands, labels) -> "ranker.PairTable":
 
 
 def _balanced_table(pairs, corpus, provider, source) -> "ranker.PairTable":
-    """The balanced rows as a table, each distinct (diff, node) label read
-    once; `source` names the rows in errors."""
+    """The balanced rows as a table: pair i's labels are texts 2i and 2i + 1;
+    `source` names the rows in errors."""
     import numpy as np
-    slot: dict[tuple, int] = {}  # (project, diff index, node) -> its index in `texts`
-    slots = np.array([slot.setdefault((p.project, p.diff_index, node_id), len(slot))
-                      for p in pairs for node_id in (p.anchor, p.candidate)], dtype=np.intp)
     diffs = {k: corpus[k[0]].diff_at(k[1]) for k in {(p.project, p.diff_index) for p in pairs}}
     texts: list[str] = []
-    for project, index, node_id in slot:
-        try:
-            texts.append(diffs[project, index].label(node_id))
-        except UnknownNodeError:
-            where = f"{source}: project {project!r} diff {index}"
-            raise ArtifactFormatError(f"{where} has no node {node_id!r}") from None
-    return _table(provider, texts, slots[0::2], slots[1::2], [p.label for p in pairs])
+    for p in pairs:
+        for node_id in (p.anchor, p.candidate):
+            try:
+                texts.append(diffs[p.project, p.diff_index].label(node_id))
+            except UnknownNodeError:
+                where = f"{source}: project {p.project!r} diff {p.diff_index}"
+                raise ArtifactFormatError(f"{where} has no node {node_id!r}") from None
+    anchors = np.arange(0, len(texts), 2, dtype=np.intp)
+    return _table(provider, texts, anchors, anchors + 1, [p.label for p in pairs])
 
 
 def _diff_table(views, provider) -> "ranker.PairTable":
@@ -261,16 +263,20 @@ def _train_tables(config: RunConfig):
     from . import embedding
     corpus = _load_corpus(config)
     train_path = Path(config.out_dir) / "pairs.train.balanced.jsonl"
+    split_path = Path(config.out_dir) / "split.json"
     _require(train_path, "run `focusrank prepare` first")
     split = _load_split(config, corpus)
     train_pairs = load_pairs(train_path)
     if not train_pairs:
         raise ArtifactFormatError(f"{train_path} holds no pairs; rerun `focusrank prepare`")
-    _check_keys(corpus, dict.fromkeys((p.project, p.diff_index) for p in train_pairs), train_path)
+    train_keys = set(split.train)  # each of them a diff of the corpus: _load_split checked
+    for p in train_pairs:
+        if (p.project, p.diff_index) not in train_keys:
+            raise ArtifactFormatError(f"{train_path}: project {p.project!r} diff {p.diff_index} "
+                                      f"is not a train diff of {split_path}")
     provider = embedding.make_provider(config.provider)
     val_set = _diff_table(diff_views(corpus, split.validation), provider)
     if not len(val_set):  # the ranker selects its epoch by validation loss
-        split_path = Path(config.out_dir) / "split.json"
         raise ArtifactFormatError(f"{split_path}: its validation diffs hold no pairs")
     return provider, _balanced_table(train_pairs, corpus, provider, train_path), val_set
 
@@ -295,17 +301,12 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
-def _check_keys(corpus, keys, path: Path) -> None:
-    """Every (project, diff index) an artifact names must be in the corpus."""
-    for name, index in keys:
-        if name not in corpus or not 0 <= index < corpus[name].n_diffs:
-            raise ArtifactFormatError(f"{path}: project {name!r} has no diff {index}")
-
-
 def _load_split(config: RunConfig, corpus) -> DatasetSplit:
     path = _require(Path(config.out_dir) / "split.json", "run `focusrank prepare` first")
     split = load_split(path)
-    _check_keys(corpus, split.train + split.validation + split.test, path)
+    for name, index in split.train + split.validation + split.test:
+        if name not in corpus or not 0 <= index < corpus[name].n_diffs:
+            raise ArtifactFormatError(f"{path}: project {name!r} has no diff {index}")
     return split
 
 

@@ -152,7 +152,7 @@ class HashedProvider:
 
     def __init__(self, dimension: int = 256):
         if dimension < 8:
-            raise ConfigInvalidError("embedding dimension must be >= 8")
+            raise ValueError("embedding dimension must be >= 8")
         self.dimension = dimension
         self.fingerprint = f"hashed:d={dimension}"
 

@@ -34,11 +34,11 @@ class ModelGraph:
     edge endpoint is missing, or the same (src, dst, label) triple appears
     twice. Only graphs built from valid parts (unions, generator snapshots)
     skip the checks, through `_unchecked`. Edges are kept as one ascending
-    tuple of triples, whose set `edges` builds on each call. The undirected
-    adjacency sets are built by the first `distances_from` call, then kept.
+    tuple of triples, whose set `edges` builds on each call.
+    `distances_from` builds the undirected adjacency sets on each call.
     """
 
-    __slots__ = ("_labels", "_edges", "_undirected")
+    __slots__ = ("_labels", "_edges")
 
     def __init__(
         self,
@@ -47,7 +47,6 @@ class ModelGraph:
     ):
         pairs = nodes.items() if isinstance(nodes, Mapping) else nodes
         self._labels, self._edges = _valid_parts(pairs, edges)
-        self._undirected = None
 
     @classmethod
     def _unchecked(cls, labels: dict[str, str], edges: tuple[EdgeKey, ...]) -> "ModelGraph":
@@ -55,7 +54,6 @@ class ModelGraph:
         as given without the constructor's checks: only for parts known valid."""
         graph = cls.__new__(cls)
         graph._labels, graph._edges = labels, edges
-        graph._undirected = None
         return graph
 
     @property
@@ -90,12 +88,10 @@ class ModelGraph:
         """Hop counts from `source` to every reachable node, edges undirected."""
         if source not in self._labels:
             raise UnknownNodeError(source)
-        undirected = self._undirected
-        if undirected is None:
-            undirected = self._undirected = {node_id: set() for node_id in self._labels}
-            for src, dst, _ in self._edges:
-                undirected[src].add(dst)
-                undirected[dst].add(src)
+        undirected = {node_id: set() for node_id in self._labels}
+        for src, dst, _ in self._edges:
+            undirected[src].add(dst)
+            undirected[dst].add(src)
         dist = {source: 0}
         queue = deque([source])
         while queue:

@@ -643,7 +643,7 @@ def grid_search(
     keys = sorted(grid)
     combos = list(product(*(grid[k] for k in keys)))  # no keys: one empty combination
     if not combos:
-        raise ConfigInvalidError(f"grid values must be non-empty lists, got {grid}")
+        raise ValueError(f"grid values must be non-empty lists, got {grid}")
     best: Optional[Checkpoint] = None
     best_val = math.inf
     rows = []

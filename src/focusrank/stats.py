@@ -1,4 +1,4 @@
-"""Rank statistics used by the evaluation reports.
+"""Rank statistics for comparing approaches; no pipeline stage calls them yet.
 
 Pure-Python implementations with explicit branch behavior so results are
 reproducible across platforms: Spearman correlation with average ranks and

@@ -1080,15 +1080,39 @@ def test_split_keys_must_name_corpus_diffs(artifacts, part, key):
     assert f"project {key[0]!r} has no diff {key[1]}" in lines[0]
 
 
-@pytest.mark.parametrize("project, diff", [("nope", 0), ("proj00", 99), ("proj00", -1)])
+@pytest.mark.parametrize("project, diff", [
+    ("nope", 0), ("proj00", 99), ("proj00", -1),
+    ("proj00", 4), ("proj00", 5),  # the split's validation and test diffs of proj00
+])
 def test_pair_keys_must_name_corpus_diffs(artifacts, project, diff):
+    """A balanced row must name a train diff of the split: a row on a
+    validation or test diff would leak it into training."""
     config_path, base = artifacts
     path = base / "out" / "pairs.train.balanced.jsonl"
     row = {"project": project, "diff": diff, "anchor": "n1", "candidate": "n2", "label": 0}
     with corrupting(path, path.read_text() + json.dumps(row) + "\n"):
         code, lines = run_cli(["--config", config_path, "train"])
+    assert code == EXIT_VALIDATION
     assert_one_line_failure(code, lines)
-    assert f"project {project!r} has no diff {diff}" in lines[0]
+    split_path = base / "out" / "split.json"
+    assert f"{path}: project {project!r} diff {diff} is not a train diff of {split_path}" in lines[0]
+
+
+@pytest.mark.parametrize("part", ["validation", "test"])
+def test_a_train_diff_moved_out_of_the_train_split_refuses_its_rows(artifacts, part):
+    """The balanced rows were written for the split's train diffs; once a
+    split edit moves one of them out, its rows no longer match the split."""
+    config_path, base = artifacts
+    path = base / "out" / "split.json"
+    split = json.loads(path.read_text())
+    moved = split["train"].pop(0)
+    split[part].append(moved)
+    with corrupting(path, json.dumps(split)):
+        code, lines = run_cli(["--config", config_path, "train"])
+    assert code == EXIT_VALIDATION
+    assert_one_line_failure(code, lines)
+    rows = base / "out" / "pairs.train.balanced.jsonl"
+    assert f"{rows}: project {moved[0]!r} diff {moved[1]} is not a train diff of {path}" in lines[0]
 
 
 @pytest.mark.parametrize("side", ["anchor", "candidate"])
@@ -1309,6 +1333,16 @@ def test_a_nul_in_a_path_fails_in_one_line(tmp_path, key, message):
     """Named by its key, not shown: the OS takes no NUL in a path."""
     code, lines = run_cli(["--set", f'{key}="{tmp_path}/s3cr\\u0000et"', "gen"])
     assert code == EXIT_VALIDATION and lines == [f"ERROR focusrank.cli: {message}"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_an_out_dir_equal_to_the_corpus_dir_fails_in_one_line(tmp_path, monkeypatch):
+    """`gen` would write its stats among the project files, which `prepare`
+    then reads as one; the two paths are compared once made absolute."""
+    monkeypatch.chdir(tmp_path)
+    code, lines = run_cli(["--set", "corpus_dir=x", "--set", "out_dir=./x", "gen"])
+    assert code == EXIT_VALIDATION
+    assert lines == ["ERROR focusrank.cli: out_dir and corpus_dir must name different directories"]
     assert not list(tmp_path.iterdir())
 
 

@@ -136,7 +136,7 @@ class TestHashedProvider:
             assert vec.tobytes() == oracle_hashed(label, 24).tobytes()
 
     def test_dimension_floor(self):
-        with pytest.raises(ConfigInvalidError):
+        with pytest.raises(ValueError, match="embedding dimension must be >= 8"):
             HashedProvider(dimension=4)
 
     @settings(max_examples=40, deadline=None)

@@ -151,7 +151,7 @@ def bfs_over_edges(g: ModelGraph, source: str) -> dict:
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(m=random_graphs(), n=random_graphs(), made_by=st.sampled_from(["constructor", "load_project", "union_graph"]))
 def test_adjacency_matches_edge_scan(tmp_path_factory, m, n, made_by):
-    """`distances_from`, whose adjacency sets are built on first use, agrees
+    """`distances_from`, which builds the adjacency sets on each call, agrees
     with a scan of `g.edges` however the graph was made."""
     if made_by == "load_project":
         path = tmp_path_factory.mktemp("graph") / "p.json"

@@ -985,7 +985,7 @@ class TestGridSearch:
 
     def test_empty_value_list_rejected(self):
         data = toy_task(n=8)
-        with pytest.raises(ConfigInvalidError, match="non-empty"):
+        with pytest.raises(ValueError, match="grid values must be non-empty lists"):
             grid_search(data, data, toy_config(epochs=1), {"alpha": [0.3], "h": []})
 
     def test_no_validation_loss_keeps_the_first_combination(self):
