@@ -46,7 +46,7 @@ from .dataset import (
 from .config import ProviderConfig, TrainConfig, read_config, same_kind, with_grid
 from .errors import (
     ArtifactFormatError, ConfigInvalidError, FocusRankError, InvalidInputError,
-    MissingArtifactError, UnknownNodeError, json_text, read_json, write_artifact,
+    MissingArtifactError, TooFewCommitsError, UnknownNodeError, json_text, read_json, write_artifact,
 )
 from .graphs import Project, load_corpus
 
@@ -221,19 +221,20 @@ def _table(provider, texts, anchors, cands, labels) -> "ranker.PairTable":
     return ranker.PairTable(provider.embed(unique), rows[anchors], rows[cands], labels)
 
 
-def _balanced_table(pairs, corpus, provider, source) -> "ranker.PairTable":
-    """The balanced rows as a table: pair i's labels are texts 2i and 2i + 1;
-    `source` names the rows in errors."""
+def _balanced_table(pairs, diffs, provider, source, split_path) -> "ranker.PairTable":
+    """The balanced rows as a table: pair i's labels are texts 2i and 2i + 1.
+    Each row must be a labeled pair of the train diff it names, `diffs` by key."""
     import numpy as np
-    diffs = {k: corpus[k[0]].diff_at(k[1]) for k in {(p.project, p.diff_index) for p in pairs}}
     texts: list[str] = []
     for p in pairs:
-        for node_id in (p.anchor, p.candidate):
-            try:
-                texts.append(diffs[p.project, p.diff_index].label(node_id))
-            except UnknownNodeError:
-                where = f"{source}: project {p.project!r} diff {p.diff_index}"
-                raise ArtifactFormatError(f"{where} has no node {node_id!r}") from None
+        d, a, c = diffs.get((p.project, p.diff_index)), p.anchor, p.candidate
+        if not d or not d.changed(a) or c not in d.target or d.changed(c) or p.label != (c in d.positives):
+            missing = [v for v in (a, c) if d and v not in d.source and v not in d.target]
+            fault = (f"is not a train diff of {split_path}" if not d else
+                     f"has no node {missing[0]!r}" if missing else
+                     f"has no labeled pair (anchor {a!r}, candidate {c!r}, label {p.label})")
+            raise ArtifactFormatError(f"{source}: project {p.project!r} diff {p.diff_index} {fault}")
+        texts += d.label(a), d.label(c)
     anchors = np.arange(0, len(texts), 2, dtype=np.intp)
     return _table(provider, texts, anchors, anchors + 1, [p.label for p in pairs])
 
@@ -269,25 +270,22 @@ def _train_tables(config: RunConfig):
     train_pairs = load_pairs(train_path)
     if not train_pairs:
         raise ArtifactFormatError(f"{train_path} holds no pairs; rerun `focusrank prepare`")
-    train_keys = set(split.train)  # each of them a diff of the corpus: _load_split checked
-    for p in train_pairs:
-        if (p.project, p.diff_index) not in train_keys:
-            raise ArtifactFormatError(f"{train_path}: project {p.project!r} diff {p.diff_index} "
-                                      f"is not a train diff of {split_path}")
+    train_diffs = dict(zip(split.train, diff_views(corpus, split.train)))  # _load_split checked the keys
     provider = embedding.make_provider(config.provider)
     val_set = _diff_table(diff_views(corpus, split.validation), provider)
     if not len(val_set):  # the ranker selects its epoch by validation loss
         raise ArtifactFormatError(f"{split_path}: its validation diffs hold no pairs")
-    return provider, _balanced_table(train_pairs, corpus, provider, train_path), val_set
+    return provider, _balanced_table(train_pairs, train_diffs, provider, train_path, split_path), val_set
 
 
 def _split_for(config: RunConfig, corpus) -> DatasetSplit:
-    diff_keys = [
-        (name, i) for name in sorted(corpus) for i in range(corpus[name].n_diffs)
-    ]
-    if config.split.mode == "temporal":
-        return split_temporal(diff_keys)
-    counts = {name: corpus[name].n_diffs for name in corpus}
+    counts = {name: corpus[name].n_diffs for name in sorted(corpus)}
+    temporal = config.split.mode == "temporal"
+    empty = [name for name, n in counts.items() if not n]  # no split would train or test on one
+    if empty:
+        raise TooFewCommitsError(f"project {empty[0]}: 0 diffs, need >= {3 if temporal else 1}")
+    if temporal:
+        return split_temporal([(name, i) for name, n in counts.items() for i in range(n)])
     folds = split_cross_project(counts, config.split.folds, config.split.seed)
     fold = config.split.fold
     if not 0 <= fold < len(folds):

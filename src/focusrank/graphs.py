@@ -185,6 +185,9 @@ class Diff:
         """The union's label of a node, read without building the union."""
         return (self.target if node_id in self.target else self.source).label(node_id)
 
+    def changed(self, node_id: str) -> bool:  # O(1): builds neither anchors nor candidates
+        return self.source._labels.get(node_id) != self.target._labels.get(node_id)
+
     def changed_nodes(self) -> frozenset[str]:
         return frozenset(self.anchors)
 

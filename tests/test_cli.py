@@ -107,8 +107,9 @@ class TestPipeline:
         _, out_dir, corpus_dir = pipeline
         corpus = load_corpus(sorted(corpus_dir.glob("proj*.json")))
         pairs = load_pairs(out_dir / "pairs.train.balanced.jsonl")
+        train = load_split(out_dir / "split.json").train
         provider = HashedProvider(dimension=64)
-        table = _balanced_table(pairs, corpus, provider, "pairs")
+        table = _balanced_table(pairs, dict(zip(train, diff_views(corpus, train))), provider, "pairs", "split")
         assert table.anchors.shape == table.cands.shape == table.labels.shape == (len(pairs),)
         texts = set()
         for i, pair in enumerate(pairs):
@@ -1128,6 +1129,53 @@ def test_pair_node_in_neither_version_is_named(artifacts, side):
     assert f"{where} has no node 'zzz_missing'" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "fault", ["flipped label", "swapped anchor and candidate", "preserved anchor", "changed candidate"]
+)
+def test_a_row_that_is_not_a_labeled_pair_of_its_train_diff_is_named(artifacts, fault):
+    """A balanced row's roles and label must be the ones its train diff
+    gives the pair, as they are for validation and `eval`."""
+    config_path, base = artifacts
+    path = base / "out" / "pairs.train.balanced.jsonl"
+    corpus = load_corpus(sorted((base / "corpus").glob("proj*.json")))
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    diffs = [corpus[row["project"]].diff_at(row["diff"]) for row in rows]
+    at = next(i for i, d in enumerate(diffs) if len(d.anchors) > 1 and len(d.candidates) > 1)
+    row, d = rows[at], diffs[at]
+    if fault == "flipped label":
+        row["label"] = 1 - row["label"]
+    elif fault == "swapped anchor and candidate":
+        row["anchor"], row["candidate"] = row["candidate"], row["anchor"]
+    elif fault == "preserved anchor":
+        row["anchor"] = next(v for v in d.candidates if v != row["candidate"])
+    else:
+        row["candidate"] = next(v for v in d.anchors if v != row["anchor"])
+    with corrupting(path, "".join(json.dumps(r) + "\n" for r in rows)):
+        code, lines = run_cli(["--config", config_path, "train"])
+    assert code == EXIT_VALIDATION
+    assert_one_line_failure(code, lines)
+    where = f"{path}: project {row['project']!r} diff {row['diff']}"
+    pair = f"(anchor {row['anchor']!r}, candidate {row['candidate']!r}, label {row['label']})"
+    assert f"{where} has no labeled pair {pair}" in lines[0]
+
+
+@pytest.mark.parametrize("mode, need", [("temporal", 3), ("cross_project", 1)])
+def test_a_project_without_a_diff_fails_prepare_in_one_line(artifacts, tmp_path, mode, need):
+    """A project of one version has no diff: the temporal split would leave
+    it out unseen, and a cross-project fold that held it out would test
+    nothing of it."""
+    config_path, base = artifacts
+    path = sorted((base / "corpus").glob("proj*.json"))[-1]
+    project = json.loads(path.read_text())
+    sets = ["--set", f"split.mode={mode}", "--set", "split.folds=3", "--out", str(tmp_path / "out")]
+    with corrupting(path, json.dumps({**project, "versions": project["versions"][:1]})):
+        code, lines = run_cli(["--config", config_path, *sets, "prepare"])
+    assert code == EXIT_VALIDATION
+    assert_one_line_failure(code, lines)
+    assert f"project {project['project']}: 0 diffs, need >= {need}" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
 @st.composite
 def small_corpora(draw):
     """One to three projects of two to four versions over nodes a..g. After
@@ -1187,7 +1235,8 @@ def test_tables_match_a_per_pair_recount(corpus, data):
     assert_same_table(table, recounted_table(pairs, corpus, provider))
     if pairs:
         rows = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12))
-        assert_same_table(_balanced_table(rows, corpus, provider, "rows"),
+        diffs = dict(zip(keys, diff_views(corpus, keys)))
+        assert_same_table(_balanced_table(rows, diffs, provider, "rows", "split"),
                           recounted_table(rows, corpus, provider))
 
 

@@ -230,6 +230,7 @@ class TestDiff:
         assert d.anchors == tuple(sorted(expected["anchors"]))
         assert d.candidates == tuple(sorted(expected["candidates"]))
         assert d.changed_nodes() == expected["anchors"]
+        assert {v for v in m.node_ids | n.node_ids | {"ghost"} if d.changed(v)} == expected["anchors"]
         assert change_radius(d.union, d).c == len(d.anchors) + len(d.changed_edges)
 
 
