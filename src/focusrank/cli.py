@@ -35,10 +35,8 @@ from .dataset import (
     DatasetSplit,
     balance,
     diff_views,
-    load_pairs,
     load_split,
     pairs_by_project,
-    save_pairs,
     save_split,
     split_cross_project,
     split_temporal,
@@ -221,20 +219,14 @@ def _table(provider, texts, anchors, cands, labels) -> "ranker.PairTable":
     return ranker.PairTable(provider.embed(unique), rows[anchors], rows[cands], labels)
 
 
-def _balanced_table(pairs, diffs, provider, source, split_path) -> "ranker.PairTable":
-    """The balanced rows as a table: pair i's labels are texts 2i and 2i + 1.
-    Each row must be a labeled pair of the train diff it names, `diffs` by key."""
+def _balanced_table(pairs, diffs, provider) -> "ranker.PairTable":
+    """The balanced pairs as a table: pair i's labels are texts 2i and
+    2i + 1, read off its diff in `diffs`, keyed by (project, diff index)."""
     import numpy as np
     texts: list[str] = []
     for p in pairs:
-        d, a, c = diffs.get((p.project, p.diff_index)), p.anchor, p.candidate
-        if not d or not d.changed(a) or c not in d.target or d.changed(c) or p.label != (c in d.positives):
-            missing = [v for v in (a, c) if d and v not in d.source and v not in d.target]
-            fault = (f"is not a train diff of {split_path}" if not d else
-                     f"has no node {missing[0]!r}" if missing else
-                     f"has no labeled pair (anchor {a!r}, candidate {c!r}, label {p.label})")
-            raise ArtifactFormatError(f"{source}: project {p.project!r} diff {p.diff_index} {fault}")
-        texts += d.label(a), d.label(c)
+        d = diffs[p.project, p.diff_index]
+        texts += d.label(p.anchor), d.label(p.candidate)
     anchors = np.arange(0, len(texts), 2, dtype=np.intp)
     return _table(provider, texts, anchors, anchors + 1, [p.label for p in pairs])
 
@@ -258,24 +250,22 @@ def _diff_table(views, provider) -> "ranker.PairTable":
 
 
 def _train_tables(config: RunConfig):
-    """The provider and `train`'s two tables: the balanced rows and every
-    validation pair. The corpus, split and rows die on return, so training
-    holds the tables alone."""
+    """The provider and `train`'s two tables: the balanced sample of the
+    train diffs' pairs and every validation pair. The corpus, split and
+    sample die on return, so training holds the tables alone."""
     from . import embedding
     corpus = _load_corpus(config)
-    train_path = Path(config.out_dir) / "pairs.train.balanced.jsonl"
-    split_path = Path(config.out_dir) / "split.json"
-    _require(train_path, "run `focusrank prepare` first")
     split = _load_split(config, corpus)
-    train_pairs = load_pairs(train_path)
-    if not train_pairs:
-        raise ArtifactFormatError(f"{train_path} holds no pairs; rerun `focusrank prepare`")
+    split_path = Path(config.out_dir) / "split.json"
     train_diffs = dict(zip(split.train, diff_views(corpus, split.train)))  # _load_split checked the keys
+    train_pairs = balance(pairs_by_project(train_diffs.values()), config.balance)
+    if not train_pairs:
+        raise ArtifactFormatError(f"{split_path}: its train diffs hold no pairs")
     provider = embedding.make_provider(config.provider)
     val_set = _diff_table(diff_views(corpus, split.validation), provider)
     if not len(val_set):  # the ranker selects its epoch by validation loss
         raise ArtifactFormatError(f"{split_path}: its validation diffs hold no pairs")
-    return provider, _balanced_table(train_pairs, train_diffs, provider, train_path, split_path), val_set
+    return provider, _balanced_table(train_pairs, train_diffs, provider), val_set
 
 
 def _split_for(config: RunConfig, corpus) -> DatasetSplit:
@@ -320,15 +310,10 @@ def cmd_gen(config: RunConfig) -> int:
 def cmd_prepare(config: RunConfig) -> int:
     corpus = _load_corpus(config)
     split = _split_for(config, corpus)
-    out_dir = Path(config.out_dir)
-    groups = pairs_by_project(diff_views(corpus, split.train))
-    balanced = balance(groups, config.balance)
-
-    save_split(split, out_dir / "split.json")
-    save_pairs(balanced, out_dir / "pairs.train.balanced.jsonl")
-    _write_manifest(config, "prepare", ["split.json", "pairs.train.balanced.jsonl"])
-    n_pairs = sum(map(len, groups.values()))
-    logger.info("prepared %d balanced of %d train pairs", len(balanced), n_pairs)
+    save_split(split, Path(config.out_dir) / "split.json")
+    _write_manifest(config, "prepare", ["split.json"])
+    logger.info("split into %d train, %d validation and %d test diffs",
+                len(split.train), len(split.validation), len(split.test))
     return EXIT_OK
 
 
@@ -347,7 +332,8 @@ def cmd_train(config: RunConfig) -> int:
     ranker.save_checkpoint(ckpt, out_dir / "checkpoint.json")
     _write_manifest(config, "train", outputs)
     best = min((row["val_loss"] for row in ckpt.history), default=math.nan)
-    logger.info("trained %d epochs, best validation loss %.6f", len(ckpt.history), best)
+    logger.info("trained %d epochs on %d balanced pairs, best validation loss %.6f",
+                len(ckpt.history), len(train_set), best)
     return EXIT_OK
 
 
@@ -488,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("gen", help="generate the synthetic corpus")
-    sub.add_parser("prepare", help="split by commit, label and balance the train pairs")
+    sub.add_parser("prepare", help="split the diffs by commit or by project")
     sub.add_parser("train", help="train the ranker (grid search when configured)")
     p_eval = sub.add_parser("eval", help="evaluate one approach on the test split")
     p_eval.add_argument("--approach", choices=APPROACHES, default="nextfocus")

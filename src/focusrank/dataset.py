@@ -24,7 +24,6 @@ from .errors import (
     ConfigInvalidError,
     TooFewCommitsError,
     TooFewProjectsError,
-    json_lines,
     json_text,
     read_json,
     write_artifact,
@@ -34,8 +33,7 @@ from .graphs import Diff, ModelGraph, Project
 PairKey = tuple[str, int]  # (project, diff_index)
 T = TypeVar("T")
 
-#: The keys of a pair row, in `LabeledPair` field order, and a split's parts.
-PAIR_KEYS = ("project", "diff", "anchor", "candidate", "label")
+#: A split's parts.
 SPLIT_PARTS = ("train", "validation", "test")
 
 
@@ -227,36 +225,6 @@ def group_by_project(items: Iterable[T]) -> dict[str, list[T]]:
     for item in items:
         groups.setdefault(item.project, []).append(item)
     return groups
-
-
-def save_pairs(pairs: Iterable[LabeledPair], path) -> None:
-    """One sorted-key JSON object per line, keyed by `PAIR_KEYS`."""
-    rows = ((p.project, p.diff_index, p.anchor, p.candidate, p.label) for p in pairs)
-    write_artifact(path, json_lines(dict(zip(PAIR_KEYS, row)) for row in rows))
-
-
-def load_pairs(path) -> list[LabeledPair]:
-    """Raises ArtifactFormatError, naming the line, unless every row is an
-    object with string project, anchor and candidate, an integer diff, and
-    a 0/1 label."""
-    pairs = []
-    with open(path, "rb") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = read_json(line, "invalid JSON", ArtifactFormatError)
-                if not isinstance(record, dict) or set(PAIR_KEYS) - set(record):
-                    raise ArtifactFormatError(f"a pair record is an object with keys {PAIR_KEYS}")
-                project, diff_index, anchor, candidate, label = map(record.get, PAIR_KEYS)
-                if not (all(isinstance(t, str) for t in (project, anchor, candidate))
-                        and _is_int(diff_index) and _is_int(label) and label in (0, 1)):
-                    raise ArtifactFormatError(f"pair record has mistyped fields: {record!r}")
-            except ArtifactFormatError as exc:
-                raise ArtifactFormatError(f"{path} line {number}: {exc}") from None
-            pairs.append(LabeledPair(project, diff_index, anchor, candidate, label))
-    return pairs
 
 
 def save_split(split: DatasetSplit, path) -> None:

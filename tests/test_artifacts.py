@@ -90,7 +90,7 @@ def write_config(base) -> str:
 
 @pytest.fixture(scope="module")
 def prepared(tmp_path_factory):
-    """A small corpus and its prepared split and pairs."""
+    """A small corpus and its prepared split."""
     base = tmp_path_factory.mktemp("prepared")
     config_path = write_config(base)
     for command in ("gen", "prepare"):
@@ -99,10 +99,11 @@ def prepared(tmp_path_factory):
 
 
 class _FullDisk:
-    """A text file that takes one chunk, then fails as a full disk does."""
+    """A text file that writes out the first half of what it is given,
+    then fails as a full disk does."""
 
     def __init__(self, fh):
-        self.fh, self.taken = fh, 0
+        self.fh = fh
 
     def __enter__(self):
         return self
@@ -111,10 +112,9 @@ class _FullDisk:
         self.fh.close()
 
     def write(self, chunk):
-        if self.taken:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        self.taken += 1
-        return self.fh.write(chunk)
+        self.fh.write(chunk[: len(chunk) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     def writelines(self, chunks):
         for chunk in chunks:
@@ -154,10 +154,10 @@ def _interrupted(monkeypatch, target):
     "command, relative, fault",
     [
         ("prepare", "out/split.json", _rename_fails),
-        ("prepare", "out/pairs.train.balanced.jsonl", _disk_fills),
+        ("prepare", "out/split.json", _disk_fills),
         ("gen", "corpus/proj00.json", _interrupted),
     ],
-    ids=["rename-fails", "disk-fills-after-the-first-pair", "interrupt-inside-a-project-file"],
+    ids=["rename-fails", "disk-fills-halfway-through-the-split", "interrupt-inside-a-project-file"],
 )
 def test_a_failed_write_keeps_the_old_artifact(
     prepared, tmp_path, monkeypatch, caplog, command, relative, fault

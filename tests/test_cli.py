@@ -6,11 +6,13 @@ import json
 import logging
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
 import urllib.request
 import weakref
+from collections import Counter
 from dataclasses import FrozenInstanceError, asdict
 from pathlib import Path
 
@@ -36,7 +38,7 @@ from focusrank.cli import (
 from focusrank.errors import (
     ArtifactFormatError, ConfigInvalidError, MissingArtifactError, TrainingDivergedError,
 )
-from focusrank.dataset import BalanceConfig, ViewPairs, diff_views, load_pairs, load_split
+from focusrank.dataset import BalanceConfig, ViewPairs, balance, diff_views, load_split, pairs_by_project
 from focusrank.embedding import HashedProvider
 from focusrank.graphs import ModelGraph, Project, load_corpus, load_project, union_graph
 
@@ -104,12 +106,12 @@ class TestPipeline:
         """The table's anchor and candidate rows of pair i point at the
         embeddings of pair i's labels, as read off its diff's union graph
         and embedded one at a time; each distinct label has one row."""
-        _, out_dir, corpus_dir = pipeline
+        config_path, out_dir, corpus_dir = pipeline
         corpus = load_corpus(sorted(corpus_dir.glob("proj*.json")))
-        pairs = load_pairs(out_dir / "pairs.train.balanced.jsonl")
         train = load_split(out_dir / "split.json").train
+        pairs = balance(pairs_by_project(diff_views(corpus, train)), load_run_config(config_path).balance)
         provider = HashedProvider(dimension=64)
-        table = _balanced_table(pairs, dict(zip(train, diff_views(corpus, train))), provider, "pairs", "split")
+        table = _balanced_table(pairs, dict(zip(train, diff_views(corpus, train))), provider)
         assert table.anchors.shape == table.cands.shape == table.labels.shape == (len(pairs),)
         texts = set()
         for i, pair in enumerate(pairs):
@@ -126,14 +128,16 @@ class TestPipeline:
         assert table.vectors.shape == (len(texts), 64)
 
     def test_prepare_outputs(self, pipeline):
-        _, out_dir, _ = pipeline
-        for name in ("split.json", "pairs.train.balanced.jsonl", "manifest-prepare.json"):
+        """prepare writes the split alone; train draws the balanced sample,
+        target_pairs_per_project pairs of each project, from its train diffs."""
+        config_path, out_dir, _ = pipeline
+        for name in ("split.json", "manifest-prepare.json"):
             assert (out_dir / name).exists(), name
-        assert [p.name for p in out_dir.glob("pairs.*.jsonl")] == ["pairs.train.balanced.jsonl"]
+        assert not list(out_dir.glob("pairs*"))
         manifest = json.loads((out_dir / "manifest-prepare.json").read_text())
-        assert manifest["outputs"] == ["pairs.train.balanced.jsonl", "split.json"]
-        balanced = (out_dir / "pairs.train.balanced.jsonl").read_text().splitlines()
-        assert len(balanced) == 3 * 120
+        assert manifest["outputs"] == ["split.json"]
+        _, train_set, _ = cli._train_tables(load_run_config(config_path))
+        assert len(train_set) == 3 * 120
 
     def test_split_is_temporal(self, pipeline):
         _, out_dir, _ = pipeline
@@ -316,15 +320,6 @@ class TestExitCodes:
         assert main(["--config", config_path, "train"]) == EXIT_RUNTIME
         assert "batch loss is nan" in caplog.text
         assert (out_dir / "checkpoint.json").read_bytes() == before
-
-    def test_empty_pair_file_is_a_validation_error(self, artifacts):
-        config_path, base = artifacts
-        path = base / "out" / "pairs.train.balanced.jsonl"
-        with corrupting(path, ""):
-            code, lines = run_cli(["--config", config_path, "train"])
-        assert code == EXIT_VALIDATION
-        assert_one_line_failure(code, lines)
-        assert f"{path} holds no pairs" in lines[0]
 
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck", "--trials", "4"]) == EXIT_OK
@@ -1017,57 +1012,6 @@ def test_each_malformed_split_kind_fails_in_one_line(artifacts, kind, data):
     assert_split_rejected(artifacts, data, kind)
 
 
-ghost = st.text(max_size=4).map(lambda t: "ghost-" + t)
-bad_fields = {
-    "project": st.one_of(not_str, st.just("nope")),
-    "diff": st.one_of(not_int, st.just(99), st.just(-1)),
-    "anchor": st.one_of(not_str, ghost),
-    "candidate": st.one_of(not_str, ghost),
-    "label": json_values.filter(lambda v: isinstance(v, bool) or v not in (0, 1)),
-}
-
-
-ROW_FAULTS = ["line", "drop", "field"]
-
-
-@st.composite
-def malformed_rows(draw, row, kind=None):
-    """`row` with one fault: `kind` is one of ROW_FAULTS, or drawn when None."""
-    kind = kind or draw(st.sampled_from(ROW_FAULTS))
-    if kind == "line":
-        return draw(st.one_of(not_object.map(json.dumps), st.just("{not json")))
-    row = dict(row)
-    key = draw(st.sampled_from(sorted(row)))
-    if kind == "drop":
-        del row[key]
-    else:
-        row[key] = draw(bad_fields[key])
-    return json.dumps(row)
-
-
-def assert_pairs_rejected(artifacts, data, kind=None):
-    config_path, base = artifacts
-    path = base / "out" / "pairs.train.balanced.jsonl"
-    lines = path.read_text().splitlines()
-    at = data.draw(st.integers(0, len(lines) - 1))
-    lines[at] = data.draw(malformed_rows(json.loads(lines[at]), kind))
-    with corrupting(path, "\n".join(lines) + "\n"):
-        assert_one_line_failure(*run_cli(["--config", config_path, "train"]))
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_malformed_pairs_fail_in_one_line(artifacts, data):
-    assert_pairs_rejected(artifacts, data)
-
-
-@pytest.mark.parametrize("kind", ROW_FAULTS)
-@settings(max_examples=4, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_each_malformed_row_kind_fails_in_one_line(artifacts, kind, data):
-    assert_pairs_rejected(artifacts, data, kind)
-
-
 @pytest.mark.parametrize("key", [["nope", 0], ["proj00", 99], ["proj00", -1]])
 @pytest.mark.parametrize("part", ["train", "validation", "test"])
 def test_split_keys_must_name_corpus_diffs(artifacts, part, key):
@@ -1079,84 +1023,6 @@ def test_split_keys_must_name_corpus_diffs(artifacts, part, key):
         code, lines = run_cli(["--config", config_path, "eval", "--approach", "random"])
     assert_one_line_failure(code, lines)
     assert f"project {key[0]!r} has no diff {key[1]}" in lines[0]
-
-
-@pytest.mark.parametrize("project, diff", [
-    ("nope", 0), ("proj00", 99), ("proj00", -1),
-    ("proj00", 4), ("proj00", 5),  # the split's validation and test diffs of proj00
-])
-def test_pair_keys_must_name_corpus_diffs(artifacts, project, diff):
-    """A balanced row must name a train diff of the split: a row on a
-    validation or test diff would leak it into training."""
-    config_path, base = artifacts
-    path = base / "out" / "pairs.train.balanced.jsonl"
-    row = {"project": project, "diff": diff, "anchor": "n1", "candidate": "n2", "label": 0}
-    with corrupting(path, path.read_text() + json.dumps(row) + "\n"):
-        code, lines = run_cli(["--config", config_path, "train"])
-    assert code == EXIT_VALIDATION
-    assert_one_line_failure(code, lines)
-    split_path = base / "out" / "split.json"
-    assert f"{path}: project {project!r} diff {diff} is not a train diff of {split_path}" in lines[0]
-
-
-@pytest.mark.parametrize("part", ["validation", "test"])
-def test_a_train_diff_moved_out_of_the_train_split_refuses_its_rows(artifacts, part):
-    """The balanced rows were written for the split's train diffs; once a
-    split edit moves one of them out, its rows no longer match the split."""
-    config_path, base = artifacts
-    path = base / "out" / "split.json"
-    split = json.loads(path.read_text())
-    moved = split["train"].pop(0)
-    split[part].append(moved)
-    with corrupting(path, json.dumps(split)):
-        code, lines = run_cli(["--config", config_path, "train"])
-    assert code == EXIT_VALIDATION
-    assert_one_line_failure(code, lines)
-    rows = base / "out" / "pairs.train.balanced.jsonl"
-    assert f"{rows}: project {moved[0]!r} diff {moved[1]} is not a train diff of {path}" in lines[0]
-
-
-@pytest.mark.parametrize("side", ["anchor", "candidate"])
-def test_pair_node_in_neither_version_is_named(artifacts, side):
-    config_path, base = artifacts
-    path = base / "out" / "pairs.train.balanced.jsonl"
-    row = {**json.loads(path.read_text().splitlines()[0]), side: "zzz_missing"}
-    with corrupting(path, path.read_text() + json.dumps(row) + "\n"):
-        code, lines = run_cli(["--config", config_path, "train"])
-    assert code == EXIT_VALIDATION
-    assert_one_line_failure(code, lines)
-    where = f"{path}: project {row['project']!r} diff {row['diff']}"
-    assert f"{where} has no node 'zzz_missing'" in lines[0]
-
-
-@pytest.mark.parametrize(
-    "fault", ["flipped label", "swapped anchor and candidate", "preserved anchor", "changed candidate"]
-)
-def test_a_row_that_is_not_a_labeled_pair_of_its_train_diff_is_named(artifacts, fault):
-    """A balanced row's roles and label must be the ones its train diff
-    gives the pair, as they are for validation and `eval`."""
-    config_path, base = artifacts
-    path = base / "out" / "pairs.train.balanced.jsonl"
-    corpus = load_corpus(sorted((base / "corpus").glob("proj*.json")))
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    diffs = [corpus[row["project"]].diff_at(row["diff"]) for row in rows]
-    at = next(i for i, d in enumerate(diffs) if len(d.anchors) > 1 and len(d.candidates) > 1)
-    row, d = rows[at], diffs[at]
-    if fault == "flipped label":
-        row["label"] = 1 - row["label"]
-    elif fault == "swapped anchor and candidate":
-        row["anchor"], row["candidate"] = row["candidate"], row["anchor"]
-    elif fault == "preserved anchor":
-        row["anchor"] = next(v for v in d.candidates if v != row["candidate"])
-    else:
-        row["candidate"] = next(v for v in d.anchors if v != row["anchor"])
-    with corrupting(path, "".join(json.dumps(r) + "\n" for r in rows)):
-        code, lines = run_cli(["--config", config_path, "train"])
-    assert code == EXIT_VALIDATION
-    assert_one_line_failure(code, lines)
-    where = f"{path}: project {row['project']!r} diff {row['diff']}"
-    pair = f"(anchor {row['anchor']!r}, candidate {row['candidate']!r}, label {row['label']})"
-    assert f"{where} has no labeled pair {pair}" in lines[0]
 
 
 @pytest.mark.parametrize("mode, need", [("temporal", 3), ("cross_project", 1)])
@@ -1236,7 +1102,7 @@ def test_tables_match_a_per_pair_recount(corpus, data):
     if pairs:
         rows = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12))
         diffs = dict(zip(keys, diff_views(corpus, keys)))
-        assert_same_table(_balanced_table(rows, diffs, provider, "rows", "split"),
+        assert_same_table(_balanced_table(rows, diffs, provider),
                           recounted_table(rows, corpus, provider))
 
 
@@ -1252,6 +1118,197 @@ def test_validation_split_without_pairs_is_an_empty_dataset(artifacts):
         code, lines = run_cli(["--config", config_path, "train"])
     assert code == EXIT_VALIDATION
     assert lines == [f"ERROR focusrank.cli: {path}: its validation diffs hold no pairs"]
+
+
+@pytest.mark.parametrize("fault", ["no train diff", "no anchor", "no candidate"])
+def test_a_split_whose_train_diffs_hold_no_pairs_fails_in_one_line(artifacts, fault):
+    """No balanced sample can be drawn, so train refuses the split file as
+    it refuses an empty validation table: exit 1, one line naming it. The
+    one train diff left is edited to change no node, or to keep none."""
+    config_path, base = artifacts
+    path, corpus_path = base / "out" / "split.json", base / "corpus" / "proj00.json"
+    project = json.loads(corpus_path.read_text())
+    versions = project["versions"]
+    versions[1] = versions[0] if fault == "no anchor" else {"nodes": [], "edges": []}
+    split = {**json.loads(path.read_text()), "train": [] if fault == "no train diff" else [["proj00", 0]]}
+    with corrupting(path, json.dumps(split)), corrupting(corpus_path, json.dumps(project)):
+        code, lines = run_cli(["--config", config_path, "train"])
+    assert code == EXIT_VALIDATION
+    assert lines == [f"ERROR focusrank.cli: {path}: its train diffs hold no pairs"]
+
+
+STALE_PAIRS_FILES = {
+    "garbage": '{"project": "proj00"}\n[not json\n',
+    "empty": "",
+    "nested too deeply": "[" * 3000,
+    "not UTF-8": b'{"anchor": "\xff"}\n',
+    "a row without its nodes": '{"project": "proj00", "diff": 0}\n',
+    "a node id holding a newline":
+        '{"project": "proj00", "diff": 0, "anchor": "a\\nb", "candidate": "n1", "label": 0}\n',
+    "a row of an unknown project":
+        '{"project": "nope", "diff": 0, "anchor": "n0", "candidate": "n1", "label": 1}\n',
+    "a row of a test diff":
+        '{"project": "proj00", "diff": 5, "anchor": "n0", "candidate": "n1", "label": 1}\n',
+    "a directory": None,
+}
+
+
+@pytest.mark.parametrize("stale", list(STALE_PAIRS_FILES.values()), ids=list(STALE_PAIRS_FILES))
+def test_train_reads_no_pairs_file(artifacts, tmp_path, caplog, stale):
+    """A pairs file an older run left in out_dir changes neither train's
+    exit code nor its checkpoint, whatever it holds: train draws its
+    balanced sample from the corpus and split.json alone."""
+    config_path, _ = artifacts
+    out = tmp_path / "out"
+    argv = ["--config", config_path, "--out", str(out), "--set", "train.epochs=2"]
+    caplog.set_level(logging.INFO, logger="focusrank")
+    assert main([*argv, "prepare"]) == EXIT_OK
+    assert main([*argv, "train"]) == EXIT_OK
+    before = (out / "checkpoint.json").read_bytes()
+    stale_path = out / "pairs.train.balanced.jsonl"
+    if stale is None:
+        stale_path.mkdir()
+    else:
+        stale_path.write_bytes(stale.encode() if isinstance(stale, str) else stale)
+    assert main([*argv, "train"]) == EXIT_OK
+    assert (out / "checkpoint.json").read_bytes() == before
+    assert "split into 12 train, 3 validation and 3 test diffs" in caplog.text
+    assert caplog.text.count("trained 2 epochs on 360 balanced pairs") == 2
+
+
+def drawn_sample(config):
+    """The balanced sample `train` draws, and the two tables it builds."""
+    samples = []
+    draw = cli.balance
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "balance", lambda *args: samples.append(draw(*args)) or samples[-1])
+        _, train_set, val_set = cli._train_tables(config)
+    (pairs,) = samples
+    return pairs, train_set, val_set
+
+
+@pytest.fixture(scope="module", params=["temporal", "cross_project"])
+def drawn(request, pipeline, tmp_path_factory):
+    """The pipeline's corpus prepared in each split mode: the run config,
+    the split, the corpus and the balanced sample train draws from it."""
+    _, _, corpus_dir = pipeline
+    base = tmp_path_factory.mktemp(f"drawn-{request.param}")
+    config_path = write_config(base, corpus_dir=str(corpus_dir), split={"mode": request.param, "folds": 3})
+    assert main(["--config", config_path, "prepare"]) == EXIT_OK
+    config = load_run_config(config_path)
+    corpus = load_corpus(sorted(corpus_dir.glob("proj*.json")))
+    pairs, train_set, _ = drawn_sample(config)
+    assert train_set.labels.tolist() == [pair.label for pair in pairs]
+    return config, load_split(base / "out" / "split.json"), corpus, pairs
+
+
+def _preserved(pair, corpus, node):
+    source, target = corpus[pair.project].versions[pair.diff_index: pair.diff_index + 2]
+    return node in source and node in target and source.label(node) == target.label(node)
+
+
+def _positive(pair, corpus):
+    """True when the candidate has a direct successor among the changed
+    nodes of the diff's target version."""
+    target = corpus[pair.project].versions[pair.diff_index + 1]
+    return any(src == pair.candidate and not _preserved(pair, corpus, dst) for src, dst, _ in target.edges)
+
+
+#: What the row check of a pairs file once refused, as a test on one drawn pair.
+DRAWN_PAIR_FAULTS = {
+    "not a train diff": lambda pair, corpus, split: (pair.project, pair.diff_index) not in split.train,
+    "anchor in neither version": lambda pair, corpus, split: not any(
+        pair.anchor in v for v in corpus[pair.project].versions[pair.diff_index: pair.diff_index + 2]),
+    "candidate in neither version": lambda pair, corpus, split: not any(
+        pair.candidate in v for v in corpus[pair.project].versions[pair.diff_index: pair.diff_index + 2]),
+    "preserved anchor": lambda pair, corpus, split: _preserved(pair, corpus, pair.anchor),
+    "changed candidate": lambda pair, corpus, split: not _preserved(pair, corpus, pair.candidate),
+    "flipped label": lambda pair, corpus, split: pair.label != _positive(pair, corpus),
+}
+
+
+@pytest.mark.parametrize("fault", list(DRAWN_PAIR_FAULTS))
+def test_each_drawn_pair_is_a_labeled_pair_of_a_train_diff(drawn, fault):
+    """Each pair train draws, in either split mode, is one of its train
+    diff's labeled pairs, recounted here from the two versions' labels
+    and the target's edges."""
+    _, split, corpus, pairs = drawn
+    assert [pair for pair in pairs if DRAWN_PAIR_FAULTS[fault](pair, corpus, split)] == []
+
+
+def test_each_project_with_train_pairs_is_drawn_to_the_target(drawn):
+    """Every project with a labeled pair in its train diffs, and no other,
+    gives target_pairs_per_project pairs."""
+    config, split, corpus, pairs = drawn
+    projects = {name for name, i in split.train if corpus[name].diff_at(i).anchors
+                and corpus[name].diff_at(i).candidates}
+    counts = Counter(pair.project for pair in pairs)
+    assert counts == {name: config.balance.target_pairs_per_project for name in projects}
+
+
+@pytest.mark.parametrize("part", ["validation", "test", None])
+def test_a_diff_moved_out_of_the_train_split_is_not_drawn(artifacts, part):
+    """A split with a train diff moved to another part, or left out, is a
+    valid split: train draws no pair from that diff and the same count."""
+    config_path, base = artifacts
+    config = load_run_config(config_path)
+    path = base / "out" / "split.json"
+    split = json.loads(path.read_text())
+    pairs, _, val_set = drawn_sample(config)
+    key = [pairs[0].project, pairs[0].diff_index]
+    split["train"].remove(key)
+    if part:
+        split[part].append(key)
+    with corrupting(path, json.dumps(split)):
+        moved, _, moved_val_set = drawn_sample(config)
+    assert len(moved) == len(pairs)
+    assert tuple(key) not in {(pair.project, pair.diff_index) for pair in moved}
+    assert (len(moved_val_set) > len(val_set)) == (part == "validation")
+
+
+@pytest.mark.parametrize("target", [1, 50, 120, 500])
+def test_the_balance_section_sizes_the_sample(artifacts, target):
+    """Down-sampled below a project's pair count, up-sampled above it."""
+    config_path, _ = artifacts
+    config = load_run_config(config_path, [f"balance.target_pairs_per_project={target}"])
+    pairs, train_set, _ = drawn_sample(config)
+    assert len(pairs) == len(train_set) == 3 * target
+    assert Counter(pair.project for pair in pairs) == {f"proj0{i}": target for i in range(3)}
+
+
+@pytest.mark.parametrize("seed", [{"set_args": ["balance.seed=8"]}, {"seed": 8}], ids=["set", "seed"])
+def test_the_balance_seed_redraws_the_sample(artifacts, seed):
+    """`--set balance.seed` and `--seed` draw another sample of the same
+    size, and the same one on every run."""
+    config_path, _ = artifacts
+    pairs, _, _ = drawn_sample(load_run_config(config_path))
+    redrawn, _, _ = drawn_sample(load_run_config(config_path, **seed))
+    assert len(redrawn) == len(pairs) and redrawn != pairs
+    assert drawn_sample(load_run_config(config_path, **seed))[0] == redrawn
+
+
+def reorder(project, part):
+    for version in project["versions"]:
+        if part in ("nodes", "both"):
+            version["nodes"].reverse()
+        if part in ("edges", "both"):
+            random.Random(0).shuffle(version["edges"])
+    return project
+
+
+@pytest.mark.parametrize("part", ["nodes", "edges", "both"])
+def test_the_sample_ignores_the_corpus_record_order(artifacts, part):
+    """A project file whose versions list their nodes or edges in another
+    order gives train the same sample and the same tables, bit for bit."""
+    config_path, base = artifacts
+    config = load_run_config(config_path)
+    pairs, train_set, val_set = drawn_sample(config)
+    path = base / "corpus" / "proj00.json"
+    with corrupting(path, json.dumps(reorder(json.loads(path.read_text()), part))):
+        again, train_again, val_again = drawn_sample(config)
+    assert again == pairs
+    assert_same_table(train_again, train_set)
+    assert_same_table(val_again, val_set)
 
 
 @pytest.mark.parametrize("part, source", [("validation", "test"), ("train", "train"), ("test", "train")])
@@ -1276,8 +1333,8 @@ class _Rows(list):
 
 @pytest.mark.parametrize("trainer, sets", [("train", []), ("grid_search", ["--set", "grid.alpha=[0.5]"])])
 def test_train_holds_only_its_tables_while_training(artifacts, monkeypatch, trainer, sets):
-    """By the time the ranker trains, the corpus and the balanced rows the
-    tables were built from are gone."""
+    """By the time the ranker trains, the corpus, the train diffs' pairs and
+    the balanced sample the tables were built from are gone."""
     config_path, _ = artifacts
     refs, alive = {}, {}
 
@@ -1291,7 +1348,9 @@ def test_train_holds_only_its_tables_while_training(artifacts, monkeypatch, trai
         return wrapped
 
     monkeypatch.setattr(cli, "load_corpus", keeping("project", cli.load_corpus, lambda c: c["proj00"]))
-    monkeypatch.setattr(cli, "load_pairs", keeping("rows", cli.load_pairs, lambda rows: rows))
+    monkeypatch.setattr(cli, "pairs_by_project",
+                        keeping("groups", cli.pairs_by_project, lambda groups: groups["proj00"]))
+    monkeypatch.setattr(cli, "balance", keeping("rows", cli.balance, lambda rows: rows))
 
     def training(train_set, val_set, *args):
         assert isinstance(train_set, ranker.PairTable) and isinstance(val_set, ranker.PairTable)
@@ -1300,7 +1359,7 @@ def test_train_holds_only_its_tables_while_training(artifacts, monkeypatch, trai
 
     monkeypatch.setattr(ranker, trainer, training)
     assert main(["--config", config_path, *sets, "train"]) == EXIT_RUNTIME
-    assert alive == {"project": False, "rows": False}
+    assert alive == {"project": False, "groups": False, "rows": False}
 
 
 @pytest.mark.parametrize(
@@ -1466,12 +1525,13 @@ def test_an_unpaired_surrogate_in_a_corpus_fails_in_one_line(artifacts):
 
 def test_the_names_the_benchmark_reaches_exist():
     """The benchmark calls these, or wraps them by name, and a wrap of a
-    missing name silently wraps nothing. The first five are looked up in
-    `cli`, so it keeps them as module globals."""
+    missing name silently wraps nothing. The first three are looked up in
+    `cli`, so it keeps them as module globals. Its wraps of `cli.save_pairs`
+    and `cli.load_pairs` wrap nothing: no pairs file is written or read, as
+    `train` draws the balanced sample from the corpus itself."""
     from focusrank import baselines, dataset, graphs
-    assert (cli.load_corpus, cli.save_pairs, cli.load_pairs, cli.balance, cli.build_cochange) == (
-        graphs.load_corpus, dataset.save_pairs, dataset.load_pairs, dataset.balance,
-        baselines.build_cochange,
+    assert (cli.load_corpus, cli.balance, cli.build_cochange) == (
+        graphs.load_corpus, dataset.balance, baselines.build_cochange,
     )
     for module, names in [
         (ranker, ["predict_proba", "load_checkpoint", "save_checkpoint", "train", "grad", "forward"]),
@@ -1503,19 +1563,11 @@ def test_duplicate_project_id_names_both_files(artifacts):
         ("corpus/zz.json", '{"project": "zz", "versions": [1]}', "prepare"),
         ("corpus/zz.json", '{"project": "zz", "versions": [', "prepare"),
         ("out/split.json", '{"mode": "temporal", "validation": [], "test": []}', "train"),
-        ("out/pairs.train.balanced.jsonl", '{"project": "proj00", "diff": 0}\n', "train"),
-        (
-            "out/pairs.train.balanced.jsonl",
-            '{"project": "proj00", "diff": 0, "anchor": "a\\nb", "candidate": "n1", "label": 0}\n',
-            "train",
-        ),
         # nested too deeply to parse, or not UTF-8 (json.dumps cannot write the first)
         ("corpus/zz.json", "[" * 3000, "prepare"),
         ("corpus/zz.json", b'{"project": "\xff"}', "prepare"),
         ("out/split.json", "[" * 3000, "train"),
         ("out/split.json", b"\xff", "train"),
-        ("out/pairs.train.balanced.jsonl", "[" * 3000 + "\n", "train"),
-        ("out/pairs.train.balanced.jsonl", b'{"anchor": "\xff"}\n', "train"),
         ("out/checkpoint.json", "[" * 3000, "eval"),
         ("out/checkpoint.json", b"\xff", "eval"),
         ("config.json", "[" * 3000, "gen"),

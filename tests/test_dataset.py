@@ -19,10 +19,8 @@ from focusrank.dataset import (
     diff_views,
     group_by_project,
     label_pairs,
-    load_pairs,
     load_split,
     pairs_by_project,
-    save_pairs,
     save_split,
     split_cross_project,
     split_temporal,
@@ -406,16 +404,6 @@ class TestBalance:
 
 
 class TestPersistence:
-    def test_pairs_jsonl_round_trip(self, tmp_path):
-        pairs = [
-            LabeledPair("p", 2, "A", "B", 1),
-            LabeledPair("p", 2, "A", "C", 0),
-            LabeledPair("q", 0, "X", "Y", 1),
-        ]
-        path = tmp_path / "pairs.jsonl"
-        save_pairs(pairs, path)
-        assert load_pairs(path) == pairs
-
     def test_split_round_trip(self, tmp_path):
         split = DatasetSplit(
             train=[("p", 0), ("p", 1)],
@@ -426,28 +414,6 @@ class TestPersistence:
         path = tmp_path / "split.json"
         save_split(split, path)
         assert load_split(path) == split
-
-    @pytest.mark.parametrize(
-        "record",
-        [
-            {"project": "p", "diff": 0, "anchor": "A", "candidate": "B"},
-            {"project": "p", "diff": "0", "anchor": "A", "candidate": "B", "label": 1},
-            {"project": "p", "diff": 0, "anchor": 3, "candidate": "B", "label": 1},
-            {"project": "p", "diff": 0, "anchor": "A", "candidate": "B", "label": 2},
-            {"project": "p", "diff": 0, "anchor": "A", "candidate": "B", "label": True},
-            ["p", 0, "A", "B", 1],
-            b'{"project": "p", "diff": 0, "anchor": "\xff", "candidate": "B", "label": 1}',
-            b"[" * 3000,
-        ],
-    )
-    def test_malformed_pair_row_names_its_line(self, tmp_path, record):
-        path = tmp_path / "pairs.jsonl"
-        save_pairs([LabeledPair("p", 0, "A", "C", 0)], path)
-        with open(path, "ab") as fh:  # a bytes record is written as it is
-            fh.write((record if isinstance(record, bytes) else json.dumps(record).encode()) + b"\n")
-        with pytest.raises(ArtifactFormatError) as caught:
-            load_pairs(path)
-        assert str(caught.value).startswith(f"{path} line 2: ")
 
     @pytest.mark.parametrize(
         "manifest",
@@ -465,44 +431,6 @@ class TestPersistence:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ArtifactFormatError):
             load_split(path)
-
-
-ROW_KEYS_TEXT = "a pair record is an object with keys ('project', 'diff', 'anchor', 'candidate', 'label')"
-GOOD_ROW = {"project": "p", "diff": 0, "anchor": "A", "candidate": "B", "label": 1}
-
-# (row bytes, message): the loader's text for each pair-row fault, pinned.
-PINNED_ROW_FAULTS = [
-    (b"{not json", "invalid JSON (Expecting property name enclosed in double quotes: "
-                   "line 1 column 2 (char 1))"),
-    # the row is stripped before it is read, so the offset counts from its first mark
-    (b"   [1,", "invalid JSON (Expecting value: line 1 column 4 (char 3))"),
-    (b'"\xff"', "invalid JSON ('utf-8' codec can't decode byte 0xff in position 1: invalid start byte)"),
-    (b'["p", 0, "A", "B", 1]', ROW_KEYS_TEXT),
-    (b"null", ROW_KEYS_TEXT),
-    (json.dumps({k: v for k, v in GOOD_ROW.items() if k != "label"}).encode(), ROW_KEYS_TEXT),
-    (json.dumps({**GOOD_ROW, "diff": "0"}).encode(),
-     "pair record has mistyped fields: "
-     "{'project': 'p', 'diff': '0', 'anchor': 'A', 'candidate': 'B', 'label': 1}"),
-    (json.dumps({**GOOD_ROW, "label": True, "extra": None}).encode(),
-     "pair record has mistyped fields: "
-     "{'project': 'p', 'diff': 0, 'anchor': 'A', 'candidate': 'B', 'label': True, 'extra': None}"),
-    # the text shows the row in its own key order
-    (b'{"label": 2, "candidate": "B", "anchor": 3, "diff": 0, "project": "p"}',
-     "pair record has mistyped fields: "
-     "{'label': 2, 'candidate': 'B', 'anchor': 3, 'diff': 0, 'project': 'p'}"),
-    (json.dumps({**GOOD_ROW, "diff": 1.0}).encode(),
-     "pair record has mistyped fields: "
-     "{'project': 'p', 'diff': 1.0, 'anchor': 'A', 'candidate': 'B', 'label': 1}"),
-]
-
-
-@pytest.mark.parametrize("row, message", PINNED_ROW_FAULTS)
-def test_each_pair_row_fault_keeps_its_text(tmp_path, row, message):
-    path = tmp_path / "pairs.jsonl"
-    path.write_bytes(json.dumps(GOOD_ROW).encode() + b"\n\n" + row + b"\n")
-    with pytest.raises(ArtifactFormatError) as info:
-        load_pairs(path)
-    assert str(info.value) == f"{path} line 3: {message}"
 
 
 SPLIT_KEYS_TEXT = "a split manifest has a known mode and lists ('train', 'validation', 'test')"
