@@ -332,8 +332,9 @@ def cmd_train(config: RunConfig) -> int:
     ranker.save_checkpoint(ckpt, out_dir / "checkpoint.json")
     _write_manifest(config, "train", outputs)
     best = min((row["val_loss"] for row in ckpt.history), default=math.nan)
-    logger.info("trained %d epochs on %d balanced pairs, best validation loss %.6f",
-                len(ckpt.history), len(train_set), best)
+    logger.info("trained %d epochs on %d balanced pairs and %d of %d embedding dimensions, "
+                "best validation loss %.6f", len(ckpt.history), len(train_set),
+                len(ranker.used_dimensions(train_set, val_set)), ckpt.params.d, best)
     return EXIT_OK
 
 

@@ -554,6 +554,12 @@ class _Adam:
         theta -= num
 
 
+def used_dimensions(train_set: PairTable, val_set: PairTable) -> np.ndarray:
+    """The embedding columns, ascending, that are non-zero in some vector
+    of either table: the only ones whose Q/K/V rows `train` fits."""
+    return np.flatnonzero(train_set.vectors.any(0) | val_set.vectors.any(0))
+
+
 def train(
     train_set: PairTable | tuple,
     val_set: PairTable | tuple,
@@ -567,6 +573,17 @@ def train(
     responsibility. Returns the best-validation parameters. Deterministic
     given cfg.seed. Raises TrainingDivergedError as soon as a batch or
     validation loss is not finite.
+
+    Only the Q/K/V rows of the `used_dimensions` are trained. For any other
+    column j, x[i, j] = 0 in every row, so the projection's terms
+    x[i, j] * w_qkv[j] are exact zeros and the weight gradient
+    dw_qkv[j] = sum_i x[i, j] * dqkv[i] is 0 at every step; Adam's m and v
+    stay 0, and its update leaves w_qkv[j] at its initial value. So the
+    tables are narrowed to the used columns, Adam and `grad` run at that
+    width, and the returned parameters are the full-width initial ones with
+    the trained rows, head and bias written in: the model that training
+    every row gives, bit for bit where the BLAS kernel sums the projection
+    in column order, and up to rounding where it groups the sums by width.
     """
     tr, va = PairTable.of(train_set), PairTable.of(val_set)
     if len(tr) == 0 or len(va) == 0:
@@ -576,12 +593,18 @@ def train(
         raise ValueError(
             f"validation vectors have width {va.vectors.shape[1]}, training vectors {d}"
         )
+    used = used_dimensions(tr, va)
+    # `take` gives row-major copies; `vectors[:, used]` would give
+    # column-major ones, whose projection BLAS rounds differently.
+    tr, va = (PairTable(t.vectors.take(used, axis=1), t.anchors, t.cands, t.labels)
+              for t in (tr, va))
 
-    params = init_params(d, cfg.h, cfg.init_scale, cfg.seed)
+    full = init_params(d, cfg.h, cfg.init_scale, cfg.seed)
+    params = RankerParams(full.wq[used], full.wk[used], full.wv[used], full.w_out, full.b_out)
     rng = np.random.default_rng(cfg.seed + 1)
     adam = _Adam(params.theta.size, cfg.learning_rate)
     n = len(tr)
-    workspace = _GradWorkspace(min(cfg.batch_size, n), d, cfg.h)
+    workspace = _GradWorkspace(min(cfg.batch_size, n), len(used), cfg.h)
 
     best_params = params.copy()
     best_val = math.inf
@@ -616,8 +639,10 @@ def train(
             if stale >= cfg.early_stop_patience > 0:
                 break
 
+    full.w_qkv[used] = best_params.w_qkv
+    full.w_out, full.b_out = best_params.w_out, best_params.b_out
     return Checkpoint(
-        params=best_params,
+        params=full,
         train_config=cfg,
         provider_fingerprint=provider_fingerprint,
         history=history,

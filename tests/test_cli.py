@@ -1187,6 +1187,24 @@ def drawn_sample(config):
     return pairs, train_set, val_set
 
 
+@pytest.mark.parametrize("dimension", [16, 256])
+def test_train_logs_how_many_embedding_dimensions_it_fits(artifacts, tmp_path, caplog, dimension):
+    """The log line names the columns training fits, as
+    `ranker.used_dimensions` finds them in the two tables `train` builds,
+    out of the provider's width."""
+    config_path, _ = artifacts
+    sets = [f"provider.dimension={dimension}", "train.epochs=1"]
+    out = str(tmp_path / "out")
+    argv = ["--config", config_path, "--out", out, *(a for s in sets for a in ("--set", s))]
+    caplog.set_level(logging.INFO, logger="focusrank")
+    assert main([*argv, "prepare"]) == EXIT_OK
+    assert main([*argv, "train"]) == EXIT_OK
+    _, train_set, val_set = drawn_sample(load_run_config(config_path, sets, out=out))
+    used = len(ranker.used_dimensions(train_set, val_set))
+    assert 0 < used < dimension  # hashed label embeddings are sparse
+    assert f"trained 1 epochs on 360 balanced pairs and {used} of {dimension} embedding dimensions" in caplog.text
+
+
 @pytest.fixture(scope="module", params=["temporal", "cross_project"])
 def drawn(request, pipeline, tmp_path_factory):
     """The pipeline's corpus prepared in each split mode: the run config,

@@ -39,6 +39,7 @@ from focusrank.ranker import (
     save_checkpoint,
     sigmoid,
     train,
+    used_dimensions,
 )
 from focusrank.ranker import (
     ADAM_BETA1,
@@ -781,6 +782,116 @@ class TestTraining:
         bad_val = (anchors, np.full_like(cands, np.nan), labels)
         with pytest.raises(TrainingDivergedError, match="validation loss is nan"):
             train((anchors, cands, labels), bad_val, toy_config())
+
+
+def dense_train(tr: PairTable, va: PairTable, cfg: TrainConfig):
+    """`train`'s loop at the full embedding width, every row of w_qkv
+    through `grad` and Adam: the best parameters and the history."""
+    d = tr.vectors.shape[1]
+    params = init_params(d, cfg.h, cfg.init_scale, cfg.seed)
+    rng = np.random.default_rng(cfg.seed + 1)
+    adam = _Adam(params.theta.size, cfg.learning_rate)
+    workspace = _GradWorkspace(min(cfg.batch_size, len(tr)), d, cfg.h)
+    best, best_val, history, stale = params.copy(), math.inf, [], 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(tr))
+        losses = []
+        for start in range(0, len(tr), cfg.batch_size):
+            batch = tr.gather(order[start : start + cfg.batch_size])
+            loss, grads = grad(params, *batch, cfg.loss, workspace=workspace)
+            losses.append(loss)
+            adam.step(params.theta, grads.theta)
+        val_logits = pair_logits(params, va.vectors, va.anchors, va.cands)
+        val_loss = batch_loss(val_logits, va.labels, cfg.loss)
+        history.append({"epoch": epoch, "train_loss": float(np.mean(losses)), "val_loss": val_loss})
+        if val_loss < best_val:
+            best, best_val, stale = params.copy(), val_loss, 0
+        else:
+            stale += 1
+            if stale >= cfg.early_stop_patience > 0:
+                break
+    return best, history
+
+
+D_SPARSE = 16
+TRAIN_COLUMNS = [1, 4, 5, 9, 14]  # scattered through D_SPARSE
+VAL_ONLY_COLUMN = 11
+
+
+def sparse_tables(kind: str, seed: int = 31) -> tuple[PairTable, PairTable]:
+    """Train and validation tables of random pairs. "scattered": train
+    vectors non-zero in TRAIN_COLUMNS alone, validation vectors in those
+    and VAL_ONLY_COLUMN; "zero": every vector 0; "dense": every column
+    non-zero."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for columns, u, n in ((TRAIN_COLUMNS, 20, 70), (TRAIN_COLUMNS + [VAL_ONLY_COLUMN], 12, 30)):
+        vectors = np.zeros((u, D_SPARSE))
+        if kind == "scattered":
+            vectors[:, columns] = rng.normal(size=(u, len(columns)))
+        elif kind == "dense":
+            vectors[:] = rng.normal(size=(u, D_SPARSE))
+        labels = rng.integers(0, 2, n).astype(float)
+        tables.append(PairTable(vectors, rng.integers(0, u, n), rng.integers(0, u, n), labels))
+    return tables[0], tables[1]
+
+
+class TestUsedDimensions:
+    """`train` fits the Q/K/V rows of the used columns alone, and returns
+    the model that training every row gives."""
+
+    @pytest.mark.parametrize(
+        "kind, used",
+        [
+            ("scattered", sorted(TRAIN_COLUMNS + [VAL_ONLY_COLUMN])),
+            ("zero", []),
+            ("dense", list(range(D_SPARSE))),
+        ],
+    )
+    def test_used_columns_are_those_non_zero_in_either_table(self, kind, used):
+        assert used_dimensions(*sparse_tables(kind)).tolist() == used
+
+    def test_a_non_finite_value_marks_its_column_used(self):
+        tr, va = sparse_tables("zero")
+        tr.vectors[3, 6] = np.nan
+        va.vectors[2, 8] = -np.inf
+        assert used_dimensions(tr, va).tolist() == [6, 8]
+
+    @pytest.mark.parametrize("kind", ["scattered", "zero", "dense"])
+    @pytest.mark.parametrize("h", [4, 64])
+    @pytest.mark.parametrize("patience", [0, 2])
+    def test_training_equals_the_full_width_loop(self, kind, h, patience):
+        """Rows of unused columns keep their initial bits; every other
+        weight and the history are the full-width loop's. With every column
+        used, or none, the two runs do the same arithmetic, bit for bit.
+        Otherwise the projection sums fewer exact zeros, which a BLAS
+        kernel may group differently: equal up to rounding. The
+        validation-only column scores the validation pairs, so leaving it
+        out would move every val_loss far more."""
+        tr, va = sparse_tables(kind)
+        cfg = toy_config(epochs=15, early_stop_patience=patience, batch_size=16, h=h)
+        ckpt = train(tr, va, cfg)
+        want, history = dense_train(tr, va, cfg)
+        used = used_dimensions(tr, va)
+        unused = np.setdiff1d(np.arange(D_SPARSE), used)
+        init = init_params(D_SPARSE, h, cfg.init_scale, cfg.seed)
+        assert (ckpt.params.d, ckpt.params.h) == (D_SPARSE, h)
+        assert ckpt.params.w_qkv[unused].tobytes() == init.w_qkv[unused].tobytes()
+        assert [row["epoch"] for row in ckpt.history] == [row["epoch"] for row in history]
+        if kind == "scattered":
+            np.testing.assert_allclose(ckpt.params.theta, want.theta, rtol=1e-9, atol=1e-12)
+            for got, ref in zip(ckpt.history, history):
+                assert got == pytest.approx(ref, rel=1e-9)
+            assert not np.array_equal(ckpt.params.w_qkv[used], init.w_qkv[used])
+        else:
+            assert ckpt.params.theta.tobytes() == want.theta.tobytes()
+            assert ckpt.history == history
+
+    def test_a_non_finite_value_in_an_otherwise_zero_column_diverges(self):
+        tr, va = sparse_tables("scattered")
+        tr.vectors[tr.anchors[0], 7] = np.nan
+        with pytest.raises(TrainingDivergedError, match="epoch 0: batch loss is nan"):
+            train(tr, va, toy_config(h=4))
 
 
 class TestAdam:
